@@ -37,6 +37,7 @@ from .preprocess import (
     index_literals,
     link_parents,
     preprocess,
+    prune,
     smooth,
 )
 
@@ -68,6 +69,7 @@ __all__ = [
     "parse_d4",
     "parse_text",
     "preprocess",
+    "prune",
     "query",
     "recompute_and_partial",
     "recompute_or_partial",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import engine, oracle, parsing
@@ -48,7 +47,6 @@ class CliOptions:
     queries_path: str | None = None
     save_path: str | None = None
     csv_path: str | None = None
-    threads: int = 1
     seed: int = 42
     chunk_sizes: tuple[int, ...] = DEFAULT_CHUNK_SIZES
     per_chunk: int = DEFAULT_PER_CHUNK
@@ -97,7 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     parser.add_argument("--csv", metavar="FILE", help="write results to FILE instead of stdout")
-    parser.add_argument("--threads", type=int, default=1, metavar="K")
+    parser.add_argument(
+        "--threads", type=int, default=1, metavar="K",
+        help="accepted for compatibility; has no effect (work runs on one thread)",
+    )
     parser.add_argument("--seed", type=int, default=42, help="seed for generated query sets")
     parser.add_argument(
         "--chunk-sizes", default=",".join(map(str, DEFAULT_CHUNK_SIZES)),
@@ -138,7 +139,6 @@ def _options(ns: argparse.Namespace) -> CliOptions:
         format=ns.format,
         num_variables=ns.num_variables,
         csv_path=ns.csv,
-        threads=ns.threads,
         seed=ns.seed,
         per_chunk=ns.per_chunk,
         optimizations=cfg,
@@ -271,18 +271,14 @@ def run_once(opts: CliOptions) -> int:
         a = Assumptions.from_literals(opts.config_literals)
         _emit(f"{engine.query(d, a, cfg).count}\n", opts)
     elif opts.mode == "all_features":
-        rows = engine.count_all_features(d, cfg, threads=opts.threads)
+        rows = engine.count_all_features(d)
         body = "".join(f"{v},{count}\n" for v, count in rows)
         _emit("feature,cardinality\n" + body, opts)
     elif opts.mode == "queries":
         session = StreamSession(d, cfg)
         with open(opts.queries_path, encoding="utf-8") as handle:
             lines = [line.rstrip("\r\n") for line in handle]
-        if opts.threads > 1:
-            with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-                responses = list(pool.map(lambda l: session.handle(l)[0], lines))
-        else:
-            responses = [session.handle(line)[0] for line in lines]
+        responses = [session.handle(line)[0] for line in lines]
         _emit("".join(r + "\n" for r in responses), opts)
     elif opts.mode == "save_smoothed":
         with open(opts.save_path, "w", encoding="utf-8") as handle:

@@ -141,17 +141,36 @@ def variable_masks(d: Ddnnf) -> list[int]:
     return masks
 
 
-def variable_set(d: Ddnnf, node: int) -> set[int]:
-    """Variables of all literals reachable from ``node``."""
-    mask = variable_masks(d)[node]
-    out = set()
+def mask_variables(mask: int):
+    """Yield the variables of a bitmask in ascending order."""
     v = 1
     while mask:
         if mask & 1:
-            out.add(v)
+            yield v
         mask >>= 1
         v += 1
-    return out
+
+
+def variable_set(d: Ddnnf, node: int) -> set[int]:
+    """Variables of all literals reachable from ``node``."""
+    return set(mask_variables(variable_masks(d)[node]))
+
+
+def root_cone(d: Ddnnf) -> list[int]:
+    """Indices of the nodes reachable from the root, ascending.
+
+    Without a designated root the last node stands in, as in c2d files.
+    One sweep from the root down suffices, because children precede their
+    parents; ascending order keeps it that way.
+    """
+    root = d.root if d.root is not None else len(d.nodes) - 1
+    reached = [False] * (root + 1)
+    reached[root] = True
+    for i in range(root, -1, -1):
+        if reached[i]:
+            for c in d.nodes[i].children:
+                reached[c] = True
+    return [i for i, r in enumerate(reached) if r]
 
 
 def present_variables(d: Ddnnf) -> set[int]:

@@ -24,11 +24,18 @@ of optimizations, each independently toggleable:
 Every configuration returns identical counts; only the work differs.
 Queries never mutate the circuit: per-query values live in local buffers,
 so concurrent queries are safe.
+
+The cardinality of every feature at once does not go through the ladder.
+It is one backward pass over the cached baselines (Darwiche's differential
+approach): on a smooth, decomposable circuit the count is multilinear in
+each literal's indicator, so forcing ``-v`` to zero removes exactly the
+partial derivative of the root count with respect to that literal.  One
+root-to-leaves sweep yields every literal node's derivative, and one pass
+over the variables turns them into the table.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import Assumptions, Ddnnf, NodeKind
@@ -303,18 +310,73 @@ def count_feature(d: Ddnnf, feature: int, cfg: OptimizationConfig = FULL) -> int
     return query(d, Assumptions.of(include={feature}), cfg).count
 
 
-def count_all_features(
-    d: Ddnnf, cfg: OptimizationConfig = FULL, threads: int = 1
-) -> list[tuple[int, int]]:
+def _literal_derivatives(d: Ddnnf) -> list[int]:
+    """Partial derivative of the root count with respect to each leaf.
+
+    Sweeps the node list from the root down.  An Or node passes its
+    derivative to each child unchanged.  An And node passes its derivative
+    times the product of the other children's baselines: with no zero child
+    that product is the node's baseline divided by the child's (exact, since
+    the baseline is the product of the children); with one zero child only
+    that child gets the product of the rest; with two or more, no child
+    does.  An inner node's entry is reset to 0 once passed on, so the big
+    ints do not all live at once; only the leaves keep theirs.
+    """
+    nodes = d.nodes
+    derivative = [0] * len(nodes)
+    derivative[d.root] = 1
+    for i in range(d.root, -1, -1):
+        g = derivative[i]
+        if not g:
+            continue
+        nd = nodes[i]
+        kind = nd.kind
+        if kind is NodeKind.OR:
+            for c in nd.children:
+                derivative[c] += g
+        elif kind is NodeKind.AND:
+            zeros = [c for c in nd.children if nodes[c].baseline == 0]
+            if not zeros:
+                scaled = g * nd.baseline
+                for c in nd.children:
+                    derivative[c] += scaled // nodes[c].baseline
+            elif len(zeros) == 1:
+                rest = g
+                for c in nd.children:
+                    if c != zeros[0]:
+                        rest *= nodes[c].baseline
+                derivative[zeros[0]] += rest
+        else:
+            continue  # leaves keep theirs
+        derivative[i] = 0
+    return derivative
+
+
+def count_all_features(d: Ddnnf) -> list[tuple[int, int]]:
     """(variable, cardinality) for every variable, ascending.
 
-    Queries are independent; with ``threads > 1`` they run on a worker pool
-    whose output keeps the input order regardless of completion order.
+    One backward pass (:func:`_literal_derivatives`) and one pass over the
+    variables, with no per-feature query.  Each variable takes the same
+    shortcuts :func:`query` takes, in the same order: an omitted variable
+    halves the free factor, a dead one counts 0, a core one counts every
+    model.  Any other ``v`` counts the root baseline minus the derivatives
+    of the nodes holding ``-v``, times the omitted-variable factor.  The
+    table equals ``count_feature`` on every variable.
     """
     _require_preprocessed(d)
-    variables = range(1, d.num_variables + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(lambda v: count_feature(d, v, cfg), variables))
-        return list(zip(variables, counts))
-    return [(v, count_feature(d, v, cfg)) for v in variables]
+    derivative = _literal_derivatives(d)
+    root_count = d.nodes[d.root].baseline
+    factor = d.omitted_factor
+    rows = []
+    for v in range(1, d.num_variables + 1):
+        if v in d.omitted:
+            count = root_count * factor // 2
+        elif v in d.dead:
+            count = 0
+        elif v in d.core:
+            count = root_count * factor
+        else:
+            removed = sum(derivative[i] for i in d.literal_index.get(-v, ()))
+            count = (root_count - removed) * factor
+        rows.append((v, count))
+    return rows

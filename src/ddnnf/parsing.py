@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 
-from .core import Ddnnf, Node, NodeKind
+from .core import Ddnnf, Node, NodeKind, root_cone
 from .errors import (
     AmbiguousRoot,
     CycleDetected,
@@ -299,15 +299,7 @@ def write_c2d(d: Ddnnf) -> str:
     every reachable node sits at or below the root's index, so the root
     always comes out last.  Unreachable records never influence a count.
     """
-    root = d.root if d.root is not None else len(d.nodes) - 1
-    reachable = set()
-    stack = [root]
-    while stack:
-        i = stack.pop()
-        if i not in reachable:
-            reachable.add(i)
-            stack.extend(d.nodes[i].children)
-    keep = sorted(reachable)
+    keep = root_cone(d)
     renumber = {old: new for new, old in enumerate(keep)}
 
     lines = []

@@ -1,27 +1,40 @@
 """Pipeline that turns a parsed circuit into query-ready form.
 
-Five steps, in order: smooth the circuit, link child-to-parent pointers,
-index the literal nodes, detect core and dead variables, and compute every
-node's baseline count under no assumptions.  Preprocessing is the only phase
-that mutates shared circuit state; afterwards the circuit is read-only and
-queries may run concurrently.
+Six steps, in order: prune the circuit to the root's cone, smooth it, link
+child-to-parent pointers, index the literal nodes, detect core and dead
+variables, and compute every node's baseline count under no assumptions.
+Preprocessing is the only phase that mutates shared circuit state;
+afterwards the circuit is read-only and queries may run concurrently.
 """
 
 from __future__ import annotations
 
-from .core import Ddnnf, Node, NodeKind, variable_masks
+from .core import Ddnnf, Node, NodeKind, mask_variables, root_cone, variable_masks
 from .errors import DecomposabilityViolation, MultipleRoots, NotSmooth
 from .parsing import toposort
 
 
-def _bits(mask: int):
-    """Yield variables of a bitmask in ascending order."""
-    v = 1
-    while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
+def prune(d: Ddnnf) -> Ddnnf:
+    """Drop every node the root does not reach, keeping topological order.
+
+    Lenient inputs may carry unreferenced records.  They never change a
+    count, but the later steps read variables off the whole node list, so a
+    variable occurring only outside the root's cone would otherwise be
+    neither smoothed in nor treated as omitted.  Without a designated root
+    nothing is dropped; :func:`link_parents` resolves the root then.
+    """
+    if d.root is None:
+        return d
+    keep = root_cone(d)
+    if len(keep) == len(d.nodes):
+        return d
+    position = {old: new for new, old in enumerate(keep)}
+    nodes = [d.nodes[i] for i in keep]
+    for nd in nodes:
+        nd.children = [position[c] for c in nd.children]
+    d.nodes = nodes
+    d.root = position[d.root]
+    return d
 
 
 def smooth(d: Ddnnf) -> Ddnnf:
@@ -83,7 +96,7 @@ def smooth(d: Ddnnf) -> Ddnnf:
             missing = union & ~masks[c]
             if not missing:
                 continue
-            gadgets = [gadget(v) for v in _bits(missing)]
+            gadgets = [gadget(v) for v in mask_variables(missing)]
             if nodes[c].kind is NodeKind.AND and refs[c] == 1:
                 nodes[c].children.extend(gadgets)
                 masks[c] = union
@@ -182,6 +195,7 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
 
 def preprocess(d: Ddnnf) -> Ddnnf:
     """Run the full pipeline; the result answers queries in place."""
+    prune(d)
     smooth(d)
     link_parents(d)
     index_literals(d)

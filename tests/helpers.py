@@ -106,3 +106,96 @@ def gadget_chain_c2d(k: int) -> str:
     records.append(f"A {k} " + " ".join(map(str, ors)))
     edges = 2 * k + k
     return "\n".join([f"nnf {len(records)} {edges} {k}"] + records) + "\n"
+
+
+# Files whose unreferenced records hold variables the root's cone lacks:
+# (text, model count, --config -2 count), counts from the exhaustive oracle.
+UNREFERENCED_C2D = [
+    ("nnf 2 0 2\nL 2\nL 1\n", 2, 1),
+    ("nnf 3 0 2\nL -2\nL 1\nL 2\n", 2, 0),
+    ("nnf 2 0 2\nL -2\nL 1\n", 2, 1),
+]
+# d4 root x1 beside an unreferenced (x2 or not x2) gadget; n = 2.
+UNREFERENCED_D4 = "a 1 0\nt 2 0\n1 2 1 0\no 3 0\n3 2 2 0\n3 2 -2 0\n"
+
+
+def c2d_to_d4(text: str) -> str:
+    """Rewrite c2d text as d4 text with the same models.
+
+    Record i becomes node ``len(records) - i``, so the c2d root is node 1;
+    a literal becomes an And node over one extra True node conjoined with
+    the literal.
+    """
+    records = [line.split() for line in text.splitlines()[1:] if line.strip()]
+    count = len(records)
+    true_node = count + 1
+    lines = [f"t {true_node} 0"]
+    for i, rec in enumerate(records):
+        idx = count - i
+        if rec[0] == "L":
+            lines += [f"a {idx} 0", f"{idx} {true_node} {rec[1]} 0"]
+            continue
+        children = rec[2:] if rec[0] == "A" else rec[3:]
+        if not children:
+            lines.append(f"{'t' if rec[0] == 'A' else 'f'} {idx} 0")
+            continue
+        lines.append(f"{'a' if rec[0] == 'A' else 'o'} {idx} 0")
+        lines += [f"{idx} {count - int(c)} 0" for c in children]
+    return "\n".join(lines) + "\n"
+
+
+def _random_record(rng: random.Random, below: int, num_variables: int) -> str:
+    """One c2d record over earlier records, not necessarily decomposable."""
+    roll = rng.random()
+    if roll < 0.4 or below == 0:
+        if roll < 0.05:
+            return "A 0"
+        if roll < 0.1:
+            return "O 0 0"
+        return f"L {rng.choice((1, -1)) * rng.randint(1, num_variables)}"
+    children = [rng.randrange(below) for _ in range(rng.randint(1, 3))]
+    body = f"{len(children)} " + " ".join(map(str, children))
+    return f"A {body}" if roll < 0.7 else f"O 0 {body}"
+
+
+def with_unreferenced_c2d(text: str, rng: random.Random, extra: int) -> str:
+    """Insert ``extra`` random records just before the root record.
+
+    They may reference any earlier record but nothing references them, so
+    the file describes the same models.
+    """
+    lines = text.splitlines()
+    header, records = lines[0].split(), lines[1:]
+    num_variables = int(header[3])
+    root = records.pop()
+    for _ in range(extra):
+        records.append(_random_record(rng, len(records), num_variables))
+    records.append(root)
+    header[1] = str(len(records))
+    return "\n".join([" ".join(header)] + records) + "\n"
+
+
+def with_unreferenced_d4(text: str, rng: random.Random, extra: int, num_variables: int) -> str:
+    """Append ``extra`` random d4 nodes that nothing references.
+
+    The root must be node 1; new nodes may point at any node but it.
+    """
+    declared = [
+        int(tokens[1]) for tokens in (line.split() for line in text.splitlines())
+        if tokens and tokens[0] in ("o", "a", "t", "f")
+    ]
+    lines = text.splitlines()
+    for _ in range(extra):
+        new = max(declared) + 1
+        kind = rng.choice("oatf")
+        lines.append(f"{kind} {new} 0")
+        targets = [i for i in declared if i != 1]
+        if kind in "oa" and targets:
+            for _ in range(rng.randint(1, 3)):
+                literals = [
+                    rng.choice((1, -1)) * rng.randint(1, num_variables)
+                    for _ in range(rng.randint(0, 2))
+                ]
+                lines.append(" ".join(map(str, [new, rng.choice(targets), *literals, 0])))
+        declared.append(new)
+    return "\n".join(lines) + "\n"

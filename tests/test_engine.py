@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ddnnf import (
     Assumptions,
+    ExhaustiveCounter,
     NodeKind,
     OptimizationConfig,
     brute_force_count,
@@ -14,13 +15,23 @@ from ddnnf import (
     count_total,
     mark_ancestors,
     parse_c2d,
+    parse_d4,
     preprocess,
     query,
     recompute_and_partial,
     recompute_or_partial,
 )
+from ddnnf.core import ORACLE_LIMIT_DEFAULT
 from ddnnf.engine import NAIVE, NO_CORE_DEAD, VARIANTS
 from ddnnf.errors import VariableOutOfRange, ZeroOldChild
+
+from helpers import (
+    UNREFERENCED_C2D,
+    UNREFERENCED_D4,
+    c2d_to_d4,
+    gadget_chain_c2d,
+    random_c2d_text,
+)
 
 ALWAYS_PARTIAL = OptimizationConfig(traversal_bypass_fraction=1.0)
 
@@ -127,10 +138,42 @@ class TestCountAllFeatures:
         d = circuits["true_omitted3"]
         assert count_all_features(d) == [(1, 4), (2, 4), (3, 4)]
 
-    def test_threads_keep_order(self, circuits):
-        for name in ("running_c2d", "rand_n10"):
-            d = circuits[name]
-            assert count_all_features(d, threads=3) == count_all_features(d)
+    def test_fixtures_match_per_feature_queries(self, circuits):
+        extra = [preprocess(parse_c2d(text)) for text, _, _ in UNREFERENCED_C2D]
+        extra.append(preprocess(parse_d4(UNREFERENCED_D4, 2)))
+        cases = list(circuits.values()) + extra
+        # the cases reach every shortcut of the table and a False leaf
+        assert all(any(getattr(d, kind) for d in cases) for kind in ("core", "dead", "omitted"))
+        assert any(nd.kind is NodeKind.FALSE for d in cases for nd in d.nodes)
+        for d in cases:
+            _assert_table_exact(d)
+
+    def test_deep_chain_known_answer(self):
+        # the per-feature path takes tens of seconds here, so compare to 2**2999
+        d = preprocess(parse_c2d(gadget_chain_c2d(3000)))
+        assert count_all_features(d) == [(v, 2**2999) for v in range(1, 3001)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.sampled_from([4, 8, 14, 24, 60]),
+        omit=st.integers(0, 3),
+        d4=st.booleans(),
+    )
+    def test_random_circuits_match_per_feature_queries(self, seed, n, omit, d4):
+        text = random_c2d_text(seed, n, omit=omit, tree_budget=400)
+        d = parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text)
+        _assert_table_exact(preprocess(d))
+
+
+def _assert_table_exact(d):
+    """The table equals per-feature queries, and the oracle where it fits."""
+    table = count_all_features(d)
+    variables = range(1, d.num_variables + 1)
+    assert table == [(v, count_feature(d, v)) for v in variables]
+    if d.num_variables <= ORACLE_LIMIT_DEFAULT:
+        oracle = ExhaustiveCounter(d)
+        assert table == [(v, oracle.count(Assumptions.of({v}))) for v in variables]
 
 
 class TestMarkAncestors:

@@ -11,6 +11,7 @@ from ddnnf import (
     NodeKind,
     brute_force_count,
     compute_core_dead,
+    count_all_features,
     count_feature,
     count_total,
     index_literals,
@@ -18,13 +19,22 @@ from ddnnf import (
     parse_c2d,
     parse_d4,
     preprocess,
+    prune,
+    query,
     smooth,
     validate,
 )
 from ddnnf.errors import DecomposabilityViolation, MultipleRoots, NotSmooth
 
 from conftest import UNSMOOTH_PAIR_C2D, SHARED_SUBTREE_C2D, RUNNING_EXAMPLE_C2D, RUNNING_EXAMPLE_D4
-from helpers import random_c2d_text
+from helpers import (
+    UNREFERENCED_C2D,
+    UNREFERENCED_D4,
+    c2d_to_d4,
+    random_c2d_text,
+    with_unreferenced_c2d,
+    with_unreferenced_d4,
+)
 
 
 class TestSmooth:
@@ -246,3 +256,68 @@ def test_baseline_matches_oracle_on_random_circuits():
         d = parse_c2d(random_c2d_text(seed, num_variables=9, tree_budget=300))
         expected = brute_force_count(d)
         assert count_total(preprocess(d)) == expected, seed
+
+
+class TestPrune:
+    @pytest.mark.parametrize("text,total,without_2", UNREFERENCED_C2D)
+    def test_unreferenced_records_count_nothing(self, text, total, without_2):
+        d = preprocess(parse_c2d(text))
+        assert count_total(d) == brute_force_count(parse_c2d(text)) == total
+        assert query(d, Assumptions.of(set(), {2})).count == without_2
+        for v in (1, 2):
+            for a in (Assumptions.of({v}), Assumptions.of(set(), {v})):
+                assert query(d, a).count == brute_force_count(parse_c2d(text), a)
+
+    def test_unreferenced_d4_gadget(self):
+        d = preprocess(parse_d4(UNREFERENCED_D4, 2))
+        assert count_total(d) == brute_force_count(parse_d4(UNREFERENCED_D4, 2)) == 2
+        assert count_all_features(d) == [(1, 2), (2, 1)]
+        assert d.omitted == {2}
+
+    def test_keeps_order_and_root_last(self):
+        d = prune(parse_c2d("nnf 4 1 2\nL 2\nL 1\nL -1\nO 1 2 1 2\n"))
+        assert [nd.literal for nd in d.nodes[:2]] == [1, -1]
+        assert d.nodes[d.root].children == [0, 1] and d.root == 2
+
+    def test_complete_circuit_untouched(self, circuits):
+        d = circuits["running_c2d"]
+        nodes = list(d.nodes)
+        prune(d)
+        assert d.nodes == nodes
+
+
+def _profile(d, rng):
+    """Total, feature table and a few queries of a preprocessed circuit."""
+    n = d.num_variables
+    queries = []
+    for _ in range(6):
+        variables = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+        include = {v for v in variables if rng.random() < 0.5}
+        queries.append(Assumptions.of(include, set(variables) - include))
+    return (
+        count_total(d),
+        count_all_features(d),
+        [query(d, a).count for a in queries],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(3, 12),
+    omit=st.integers(0, 2),
+    extra=st.integers(1, 8),
+    d4=st.booleans(),
+)
+def test_unreferenced_records_change_no_count(seed, n, omit, extra, d4):
+    text = random_c2d_text(seed, num_variables=n, omit=omit, tree_budget=200)
+    rng = random.Random(seed)
+    if d4:
+        text = c2d_to_d4(text)
+        polluted = with_unreferenced_d4(text, rng, extra, n)
+        clean_d, polluted_d = parse_d4(text, n), parse_d4(polluted, n)
+    else:
+        polluted = with_unreferenced_c2d(text, rng, extra)
+        clean_d, polluted_d = parse_c2d(text), parse_c2d(polluted)
+    clean = _profile(preprocess(clean_d), random.Random(seed))
+    assert _profile(preprocess(polluted_d), random.Random(seed)) == clean
