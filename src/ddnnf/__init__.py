@@ -28,7 +28,6 @@ from .engine import (
     mark_ancestors,
     query,
     recompute_and_partial,
-    recompute_or_partial,
 )
 from .parsing import detect_format, parse_c2d, parse_d4, parse_text, write_c2d
 from .preprocess import (
@@ -72,7 +71,6 @@ __all__ = [
     "prune",
     "query",
     "recompute_and_partial",
-    "recompute_or_partial",
     "smooth",
     "validate",
     "variable_set",

@@ -17,8 +17,9 @@ Unknown or malformed lines answer "error unknown-command"; a variable
 outside 1..n answers "error variable-out-of-range <v>"; contradictory
 assumptions are a legitimate query and answer "0".
 
-Exit codes: 0 success, 1 parse error (the message names the line), 2 bad
-options, 3 I/O failure.
+Exit codes: 0 success, 1 parse error (the message names the line; a circuit
+or ``--queries`` file that is not UTF-8 text is one too), 2 bad options, 3
+I/O failure.
 """
 
 from __future__ import annotations
@@ -110,12 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     opt = parser.add_argument_group("optimizations")
-    opt.add_argument("--no-reuse-subtrees", action="store_true")
     opt.add_argument("--no-partial-traversal", action="store_true")
     opt.add_argument("--no-partial-calculation", action="store_true")
     opt.add_argument("--no-core-dead", action="store_true")
-    opt.add_argument("--recursive", action="store_true", help="recurse instead of sweeping the node list")
-    opt.add_argument("--or-folding", action="store_true")
+    for flag in ("--no-reuse-subtrees", "--recursive", "--or-folding"):
+        opt.add_argument(
+            flag, action="store_true",
+            help="accepted for compatibility; has no effect",
+        )
     opt.add_argument("--bypass-fraction", type=float, default=0.2, metavar="F")
     return parser
 
@@ -123,12 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _options(ns: argparse.Namespace) -> CliOptions:
     try:
         cfg = engine.OptimizationConfig(
-            reuse_subtrees=not ns.no_reuse_subtrees,
             partial_traversal=not ns.no_partial_traversal,
             partial_calculation=not ns.no_partial_calculation,
             core_dead_shortcuts=not ns.no_core_dead,
-            iterative=not ns.recursive,
-            or_folding=ns.or_folding,
             traversal_bypass_fraction=ns.bypass_fraction,
         )
     except ValueError as exc:
@@ -173,9 +173,24 @@ def _options(ns: argparse.Namespace) -> CliOptions:
     return opts
 
 
+def _read_text(path: str) -> str:
+    """The file as text-mode ``open`` reads it: UTF-8, universal newlines.
+
+    A byte sequence that is not UTF-8 raises :class:`ParseError` naming its
+    line, instead of escaping as a decoding traceback.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"byte 0x{data[exc.start]:02x} is not UTF-8 text"
+        raise ParseError(message, data.count(b"\n", 0, exc.start) + 1) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load(opts: CliOptions) -> Ddnnf:
-    with open(opts.input_path, encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(opts.input_path)
     fmt = opts.format
     if fmt == "auto":
         fmt = parsing.detect_format(text)
@@ -276,8 +291,9 @@ def run_once(opts: CliOptions) -> int:
         _emit("feature,cardinality\n" + body, opts)
     elif opts.mode == "queries":
         session = StreamSession(d, cfg)
-        with open(opts.queries_path, encoding="utf-8") as handle:
-            lines = [line.rstrip("\r\n") for line in handle]
+        lines = _read_text(opts.queries_path).split("\n")
+        if not lines[-1]:
+            lines.pop()  # the text ends with a newline, or is empty
         responses = [session.handle(line)[0] for line in lines]
         _emit("".join(r + "\n" for r in responses), opts)
     elif opts.mode == "save_smoothed":

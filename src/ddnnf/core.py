@@ -54,7 +54,11 @@ class Node:
 
 @dataclass(slots=True)
 class Ddnnf:
-    """A d-DNNF circuit plus the lookup structures built by preprocessing."""
+    """A d-DNNF circuit plus the lookup structures built by preprocessing.
+
+    The parsers fill ``nodes``, ``num_variables`` and usually ``root``; every
+    other field, ``omitted`` included, is filled by preprocessing.
+    """
 
     nodes: list[Node]
     num_variables: int
@@ -171,6 +175,32 @@ def root_cone(d: Ddnnf) -> list[int]:
             for c in d.nodes[i].children:
                 reached[c] = True
     return [i for i, r in enumerate(reached) if r]
+
+
+def forward_counts(nodes: list[Node], zero_literals=frozenset()) -> list[int]:
+    """Every node's count with the given literals forced to zero.
+
+    One sweep over the topologically ordered node list: And nodes multiply,
+    Or nodes add, literals count 1 unless forced to zero, True counts 1 and
+    False 0.  Children come first, so each node is visited exactly once.
+    """
+    values = [0] * len(nodes)
+    for i, nd in enumerate(nodes):
+        kind = nd.kind
+        if kind is NodeKind.LITERAL:
+            values[i] = 0 if nd.literal in zero_literals else 1
+        elif kind is NodeKind.AND:
+            value = 1
+            for c in nd.children:
+                value *= values[c]
+                if value == 0:
+                    break
+            values[i] = value
+        elif kind is NodeKind.OR:
+            values[i] = sum(values[c] for c in nd.children)
+        elif kind is NodeKind.TRUE:
+            values[i] = 1
+    return values
 
 
 def present_variables(d: Ddnnf) -> set[int]:

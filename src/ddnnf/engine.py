@@ -14,16 +14,13 @@ of optimizations, each independently toggleable:
   stops paying off.
 * partial calculation: when less than half of an And node's children
   changed, divide the cached product by the old child values and multiply
-  the new ones in, instead of multiplying all children.  The matching Or
-  rule (subtract and add) is implemented but off by default, since Or nodes
-  rarely have more than two children.
-* iterative traversal: full re-evaluations sweep the node list in order
-  instead of recursing from the root; with it off the engine recurses, with
-  or without per-query caching of shared subtrees.
+  the new ones in, instead of multiplying all children.
 
-Every configuration returns identical counts; only the work differs.
-Queries never mutate the circuit: per-query values live in local buffers,
-so concurrent queries are safe.
+Anything the ladder does not settle is one forward sweep over the node list
+(:func:`~ddnnf.core.forward_counts`), the same sweep that computes the
+baselines.  Every configuration returns identical counts; only the work
+differs.  Queries never mutate the circuit: per-query values live in local
+buffers, so concurrent queries are safe.
 
 The cardinality of every feature at once does not go through the ladder.
 It is one backward pass over the cached baselines (Darwiche's differential
@@ -38,18 +35,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Assumptions, Ddnnf, NodeKind
+from .core import Assumptions, Ddnnf, NodeKind, forward_counts
 from .errors import DdnnfError, VariableOutOfRange, ZeroOldChild
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    reuse_subtrees: bool = True
     partial_traversal: bool = True
     partial_calculation: bool = True
     core_dead_shortcuts: bool = True
-    iterative: bool = True
-    or_folding: bool = False
     traversal_bypass_fraction: float = 0.2
 
     def __post_init__(self):
@@ -59,26 +53,20 @@ class OptimizationConfig:
 
 FULL = OptimizationConfig()
 NAIVE = OptimizationConfig(
-    reuse_subtrees=False,
     partial_traversal=False,
     partial_calculation=False,
     core_dead_shortcuts=False,
-    iterative=False,
-)
-REUSING_SUBTREES = OptimizationConfig(
-    partial_traversal=False,
-    partial_calculation=False,
-    core_dead_shortcuts=False,
-    iterative=False,
 )
 NO_PARTIAL_TRAVERSAL = OptimizationConfig(partial_traversal=False)
 NO_PARTIAL_CALCULATION = OptimizationConfig(partial_calculation=False)
 NO_CORE_DEAD = OptimizationConfig(core_dead_shortcuts=False)
 
-#: The benchmark variants, weakest first.
+#: The benchmark variants, weakest first.  ``naive`` and ``reusing-subtrees``
+#: run the same queries; they differ only in the visits the variant matrix
+#: reports for a full re-evaluation (see :func:`ddnnf.oracle.run_variant_matrix`).
 VARIANTS: dict[str, OptimizationConfig] = {
     "naive": NAIVE,
-    "reusing-subtrees": REUSING_SUBTREES,
+    "reusing-subtrees": NAIVE,
     "no-partial-traversal": NO_PARTIAL_TRAVERSAL,
     "no-partial-calculation": NO_PARTIAL_CALCULATION,
     "no-core-dead": NO_CORE_DEAD,
@@ -92,18 +80,6 @@ class QueryResult:
     nodes_visited: int
     nodes_marked: int
     strategy: str  # "shortcut" | "partial" | "full" | "contradiction"
-
-
-def literal_value_feature(literal: int, feature: int) -> int:
-    """Initial value of a literal node when counting one feature."""
-    return 0 if literal == -feature else 1
-
-
-def literal_value_config(literal: int, assumptions: Assumptions) -> int:
-    """Initial value of a literal node under a partial configuration."""
-    if literal < 0:
-        return 0 if -literal in assumptions.include else 1
-    return 0 if literal in assumptions.exclude else 1
 
 
 def _require_preprocessed(d: Ddnnf) -> None:
@@ -152,13 +128,6 @@ def recompute_and_partial(old_value, changed, arity: int):
     return old_value * numerator // denominator
 
 
-def recompute_or_partial(old_value, changed):
-    """Incremental Or update: old_value plus the change of each child."""
-    for old, new in changed:
-        old_value += new - old
-    return old_value
-
-
 def _partial_pass(d: Ddnnf, marked: set[int], cfg: OptimizationConfig):
     nodes = d.nodes
     scratch: dict[int, int] = {}
@@ -169,12 +138,12 @@ def _partial_pass(d: Ddnnf, marked: set[int], cfg: OptimizationConfig):
             scratch[i] = 0  # marked literals are exactly the zero-forced ones
             continue
         children = nd.children
-        changed = [
-            (nodes[c].baseline, scratch[c])
-            for c in children
-            if c in scratch and scratch[c] != nodes[c].baseline
-        ]
         if kind is NodeKind.AND:
+            changed = [
+                (nodes[c].baseline, scratch[c])
+                for c in children
+                if c in scratch and scratch[c] != nodes[c].baseline
+            ]
             if cfg.partial_calculation and 2 * len(changed) < len(children):
                 try:
                     scratch[i] = recompute_and_partial(
@@ -191,9 +160,6 @@ def _partial_pass(d: Ddnnf, marked: set[int], cfg: OptimizationConfig):
                     break
             scratch[i] = value
         else:  # OR; True/False are leaves and never marked
-            if cfg.or_folding and 2 * len(changed) < len(children):
-                scratch[i] = recompute_or_partial(nd.baseline, changed)
-                continue
             total = 0
             for c in children:
                 v = scratch.get(c)
@@ -201,60 +167,6 @@ def _partial_pass(d: Ddnnf, marked: set[int], cfg: OptimizationConfig):
             scratch[i] = total
     root_value = scratch.get(d.root, nodes[d.root].baseline)
     return root_value, len(marked)
-
-
-def _full_pass(d: Ddnnf, zero_literals: set[int]):
-    nodes = d.nodes
-    values = [0] * len(nodes)
-    for i, nd in enumerate(nodes):
-        kind = nd.kind
-        if kind is NodeKind.LITERAL:
-            values[i] = 0 if nd.literal in zero_literals else 1
-        elif kind is NodeKind.AND:
-            value = 1
-            for c in nd.children:
-                value *= values[c]
-                if value == 0:
-                    break
-            values[i] = value
-        elif kind is NodeKind.OR:
-            values[i] = sum(values[c] for c in nd.children)
-        elif kind is NodeKind.TRUE:
-            values[i] = 1
-    return values[d.root], len(nodes)
-
-
-def _recursive_eval(d: Ddnnf, zero_literals: set[int], memoize: bool):
-    nodes = d.nodes
-    visited = 0
-    memo: dict[int, int] = {}
-
-    def count(i: int) -> int:
-        nonlocal visited
-        if memoize:
-            cached = memo.get(i)
-            if cached is not None:
-                return cached
-        visited += 1
-        nd = nodes[i]
-        kind = nd.kind
-        if kind is NodeKind.LITERAL:
-            value = 0 if nd.literal in zero_literals else 1
-        elif kind is NodeKind.AND:
-            value = 1
-            for c in nd.children:
-                value *= count(c)
-        elif kind is NodeKind.OR:
-            value = sum(count(c) for c in nd.children)
-        elif kind is NodeKind.TRUE:
-            value = 1
-        else:
-            value = 0
-        if memoize:
-            memo[i] = value
-        return value
-
-    return count(d.root), visited
 
 
 def query(
@@ -298,11 +210,8 @@ def query(
         value, visited = _partial_pass(d, marked, cfg)
         return QueryResult(value * factor, visited, len(marked), "partial")
 
-    if cfg.iterative:
-        value, visited = _full_pass(d, zero_literals)
-    else:
-        value, visited = _recursive_eval(d, zero_literals, cfg.reuse_subtrees)
-    return QueryResult(value * factor, visited, 0, "full")
+    value = forward_counts(d.nodes, zero_literals)[d.root]
+    return QueryResult(value * factor, len(d.nodes), 0, "full")
 
 
 def count_feature(d: Ddnnf, feature: int, cfg: OptimizationConfig = FULL) -> int:

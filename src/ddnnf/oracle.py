@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .core import Assumptions, Ddnnf, NodeKind
 from .errors import DdnnfError, PartialAssignment, VoidCircuit
-from .engine import VARIANTS, OptimizationConfig, count_total, query
+from .engine import VARIANTS, count_total, query
 
 _MASK64 = (1 << 64) - 1
 
@@ -82,8 +82,7 @@ def evaluate(d: Ddnnf, assignment) -> bool:
     return values[d.root if d.root is not None else len(nodes) - 1]
 
 
-def _extend_config(d: Ddnnf, rng: XorShift64Star, size: int,
-                   cfg: OptimizationConfig) -> Assumptions:
+def _extend_config(d: Ddnnf, rng: XorShift64Star, size: int) -> Assumptions:
     """One satisfiable assumption set of ``size`` distinct variables.
 
     Iteratively pick a random variable and polarity; keep the literal if the
@@ -101,7 +100,7 @@ def _extend_config(d: Ddnnf, rng: XorShift64Star, size: int,
             continue
         side = include if rng.bit() else exclude
         side.add(v)
-        if query(d, Assumptions.of(include, exclude), cfg).count > 0:
+        if query(d, Assumptions.of(include, exclude)).count > 0:
             chosen.add(v)
         else:
             side.discard(v)
@@ -116,7 +115,6 @@ def generate_satisfiable_configs(
     chunk_sizes,
     count_per_chunk: int,
     seed: int,
-    cfg: OptimizationConfig | None = None,
 ) -> AssumptionBatch:
     """Seeded batch of satisfiable assumption sets, grouped by size.
 
@@ -126,20 +124,17 @@ def generate_satisfiable_configs(
     """
     if count_total(d) == 0:
         raise VoidCircuit("cannot draw satisfiable configurations")
-    cfg = cfg or VARIANTS["full"]
     rng = XorShift64Star(seed)
     configs: list[Assumptions] = []
     for size in chunk_sizes:
         if size >= d.num_variables:
             continue
         for _ in range(count_per_chunk):
-            configs.append(_extend_config(d, rng, size, cfg))
+            configs.append(_extend_config(d, rng, size))
     return AssumptionBatch(configs=configs, chunk_sizes=list(chunk_sizes), seed=seed)
 
 
-def generate_unsat_configs(
-    d: Ddnnf, count: int, seed: int, cfg: OptimizationConfig | None = None
-) -> list[Assumptions]:
+def generate_unsat_configs(d: Ddnnf, count: int, seed: int) -> list[Assumptions]:
     """Assumption sets guaranteed to count zero.
 
     Built by contradicting a known fact: exclude a core variable, include a
@@ -148,14 +143,13 @@ def generate_unsat_configs(
     """
     if d.num_variables == 0:
         raise DdnnfError("no variables to contradict")
-    cfg = cfg or VARIANTS["full"]
     rng = XorShift64Star(seed)
     core = sorted(d.core)
     dead = sorted(d.dead)
     out: list[Assumptions] = []
     for _ in range(count):
         base_size = min(2, d.num_variables - 1)
-        base = _extend_config(d, rng, base_size, cfg)
+        base = _extend_config(d, rng, base_size)
         include = set(base.include)
         exclude = set(base.exclude)
         style = rng.below(3)
@@ -199,12 +193,36 @@ class VariantMatrixReport:
         return "\n".join(lines) + "\n"
 
 
+def _tree_size(d: Ddnnf) -> int:
+    """Nodes a recursive evaluation without memoisation visits from the root.
+
+    That is the sum over all nodes of their root-to-node path counts, which
+    one sweep from the root down computes: the root has one path, and each
+    child gains its parent's paths once per edge.
+    """
+    paths = [0] * len(d.nodes)
+    paths[d.root] = 1
+    for i in range(d.root, -1, -1):
+        if paths[i]:
+            for c in d.nodes[i].children:
+                paths[c] += paths[i]
+    return sum(paths)
+
+
 def run_variant_matrix(d: Ddnnf, batch: AssumptionBatch) -> VariantMatrixReport:
     """Run every optimization variant over features, batch, and unsat sets.
 
     Inequality between variants is reported via ``all_equal``, never raised.
     The unsatisfiable companion set is derived from the batch seed, so the
     whole report is reproducible; an empty batch runs features only.
+
+    ``naive`` and ``reusing-subtrees`` stand for recursive evaluation from
+    the root, without and with memoisation of shared subtrees.  Such an
+    evaluation never short-circuits, so its visits are a property of the
+    circuit: the tree size, and the root's cone (every node after
+    preprocessing).  Their full re-evaluations report those counts instead
+    of running the recursion, which would be exponential, or overflow the
+    stack on deep circuits.
     """
     queries: list[tuple[str, Assumptions]] = [
         (f"f{v}", Assumptions.of(include={v}))
@@ -217,14 +235,18 @@ def run_variant_matrix(d: Ddnnf, batch: AssumptionBatch) -> VariantMatrixReport:
         )
         queries.extend((_label(a) + "_unsat", a) for a in unsat)
 
+    recursive_visits = {"naive": _tree_size(d), "reusing-subtrees": len(d.nodes)}
     report = VariantMatrixReport()
     counts_by_query: dict[str, set[int]] = {}
     for name, cfg in VARIANTS.items():
         total_visited = 0
         for label, assumptions in queries:
             result = query(d, assumptions, cfg)
-            total_visited += result.nodes_visited
-            report.rows.append((name, label, result.count, result.nodes_visited))
+            visited = result.nodes_visited
+            if result.strategy == "full":
+                visited = recursive_visits.get(name, visited)
+            total_visited += visited
+            report.rows.append((name, label, result.count, visited))
             counts_by_query.setdefault(label, set()).add(result.count)
         report.totals[name] = total_visited
     report.all_equal = all(len(seen) == 1 for seen in counts_by_query.values())

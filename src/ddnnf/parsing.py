@@ -69,11 +69,6 @@ def _int(token: str, lineno: int) -> int:
         raise MalformedLine(f"expected integer, got {token!r}", lineno) from None
 
 
-def _set_omitted(d: Ddnnf) -> None:
-    present = {nd.variable for nd in d.nodes if nd.kind is NodeKind.LITERAL}
-    d.omitted = frozenset(v for v in range(1, d.num_variables + 1) if v not in present)
-
-
 def parse_c2d(text: str, num_variables_override: int | None = None) -> Ddnnf:
     """Parse c2d text into an unpreprocessed circuit.
 
@@ -139,7 +134,6 @@ def parse_c2d(text: str, num_variables_override: int | None = None) -> Ddnnf:
     if not nodes:
         raise EmptyCircuit("header but no node records", header_lineno)
     d = Ddnnf(nodes=nodes, num_variables=num_variables, root=len(nodes) - 1)
-    _set_omitted(d)
     return d
 
 
@@ -246,7 +240,6 @@ def parse_d4(text: str, num_variables: int) -> Ddnnf:
 
     d = Ddnnf(nodes=nodes, num_variables=num_variables, root=root_pos)
     toposort(d)
-    _set_omitted(d)
     return d
 
 

@@ -9,7 +9,15 @@ afterwards the circuit is read-only and queries may run concurrently.
 
 from __future__ import annotations
 
-from .core import Ddnnf, Node, NodeKind, mask_variables, root_cone, variable_masks
+from .core import (
+    Ddnnf,
+    Node,
+    NodeKind,
+    forward_counts,
+    mask_variables,
+    root_cone,
+    variable_masks,
+)
 from .errors import DecomposabilityViolation, MultipleRoots, NotSmooth
 from .parsing import toposort
 
@@ -165,31 +173,12 @@ def compute_core_dead(d: Ddnnf) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def compute_baseline(d: Ddnnf) -> Ddnnf:
-    """One forward pass filling every node's count under no assumptions.
+    """Store every node's count under no assumptions as its baseline.
 
-    And nodes multiply, Or nodes add, literals and True count 1, False 0.
-    The topological node order guarantees children are done first, so each
-    node is visited exactly once.
+    This is :func:`~ddnnf.core.forward_counts` with no literal forced to zero.
     """
-    nodes = d.nodes
-    visits = 0
-    for nd in nodes:
-        kind = nd.kind
-        if kind is NodeKind.AND:
-            value = 1
-            for c in nd.children:
-                value *= nodes[c].baseline  # type: ignore[operator]
-                if value == 0:
-                    break
-            nd.baseline = value
-        elif kind is NodeKind.OR:
-            nd.baseline = sum(nodes[c].baseline for c in nd.children)  # type: ignore[misc]
-        elif kind is NodeKind.FALSE:
-            nd.baseline = 0
-        else:
-            nd.baseline = 1
-        visits += 1
-    assert visits == len(nodes)
+    for nd, value in zip(d.nodes, forward_counts(d.nodes)):
+        nd.baseline = value
     return d
 
 

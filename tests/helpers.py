@@ -3,8 +3,8 @@
 The generator emits c2d text for circuits that are decomposable and
 deterministic by construction (Shannon splits and conjunctions over disjoint
 variable groups) but usually not smooth, so the smoothing pass gets real
-work.  ``tree_budget`` caps the tree expansion of the DAG, which bounds the
-cost of the no-reuse recursive engine variant on these fixtures.
+work.  ``tree_budget`` caps the tree expansion of the DAG, and with it the
+number of records, so the fixtures stay small however the seed falls.
 """
 
 from __future__ import annotations
@@ -105,6 +105,23 @@ def gadget_chain_c2d(k: int) -> str:
         ors.append(len(records) - 1)
     records.append(f"A {k} " + " ".join(map(str, ors)))
     edges = 2 * k + k
+    return "\n".join([f"nnf {len(records)} {edges} {k}"] + records) + "\n"
+
+
+def shannon_chain_c2d(k: int) -> str:
+    """Chain of k Shannon levels ``(x_v and f) or (not x_v and f)``, with ``f``
+    the level below shared by both branches and True at the bottom.
+
+    The count is exactly 2**k.  The DAG has 5k + 1 records and depth 3k, but
+    its tree expansion grows like 2**k.
+    """
+    records = ["A 0"]
+    for v in range(1, k + 1):
+        below = len(records) - 1
+        pos, neg = len(records), len(records) + 1
+        records += [f"L {v}", f"L {-v}", f"A 2 {pos} {below}", f"A 2 {neg} {below}"]
+        records.append(f"O {v} 2 {pos + 2} {pos + 3}")
+    edges = 6 * k
     return "\n".join([f"nnf {len(records)} {edges} {k}"] + records) + "\n"
 
 

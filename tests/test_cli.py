@@ -131,6 +131,38 @@ def test_optimization_flags_change_nothing(running_c2d_file, capsys):
         assert capsys.readouterr().out == "2\n"
 
 
+def test_recursive_flag_on_deep_chain(tmp_path, capsys):
+    # 3000 Shannon levels are 9000 deep; the flag is a no-op and must not recurse
+    from helpers import shannon_chain_c2d
+
+    path = tmp_path / "chain.nnf"
+    path.write_text(shannon_chain_c2d(3000))
+    flags = ["--feature", "2", "--no-partial-traversal", "--recursive"]
+    assert main([str(path), *flags]) == 0
+    assert capsys.readouterr().out == f"{2**2999}\n"
+
+
+def test_non_utf8_input_is_parse_error(tmp_path, running_c2d_file, capsys):
+    bad = tmp_path / "bad.nnf"
+    bad.write_bytes(b"nnf 1 0 1\nL 1 # \xff\n")
+    assert main([str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 2:") and "0xff" in err
+    queries = tmp_path / "queries.txt"
+    queries.write_bytes(b"count\ncount v \xff\n")
+    assert main([str(running_c2d_file), "--queries", str(queries)]) == 1
+    assert capsys.readouterr().err.startswith("parse error: line 2:")
+
+
+def test_queries_file_newlines(running_c2d_file, tmp_path, capsys):
+    queries = tmp_path / "queries.txt"
+    queries.write_bytes(b"count\r\ncount v 2\rinfo\n\ncore")
+    assert main([str(running_c2d_file), "--queries", str(queries)]) == 0
+    assert capsys.readouterr().out == (
+        "4\n2\nnodes=12 vars=4 count=4\nerror unknown-command\n1\n"
+    )
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     empty = tmp_path / "empty.nnf"
     empty.write_text("")

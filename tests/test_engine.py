@@ -19,7 +19,6 @@ from ddnnf import (
     preprocess,
     query,
     recompute_and_partial,
-    recompute_or_partial,
 )
 from ddnnf.core import ORACLE_LIMIT_DEFAULT
 from ddnnf.engine import NAIVE, NO_CORE_DEAD, VARIANTS
@@ -45,24 +44,6 @@ class TestCountTotal:
 
     def test_unsmooth_two_branch(self, circuits):
         assert count_total(circuits["unsmooth_pair"]) == 4
-
-
-class TestLiteralValues:
-    def test_feature_rule(self):
-        from ddnnf.engine import literal_value_feature
-
-        assert literal_value_feature(-2, 2) == 0
-        assert literal_value_feature(2, 2) == 1
-        assert literal_value_feature(3, 2) == 1
-
-    def test_config_rule(self):
-        from ddnnf.engine import literal_value_config
-
-        a = Assumptions.of({4}, {3})
-        assert literal_value_config(3, a) == 0
-        assert literal_value_config(-4, a) == 0
-        assert literal_value_config(1, a) == 1
-        assert literal_value_config(-3, a) == 1
 
 
 class TestQuery:
@@ -213,10 +194,6 @@ class TestFolding:
         with pytest.raises(ZeroOldChild):
             recompute_and_partial(0, [(0, 2)], 5)
 
-    def test_or_rule(self):
-        assert recompute_or_partial(5, [(2, 1)]) == 4
-        assert recompute_or_partial(5, [(2, 1), (1, 0)]) == 3
-
     @settings(max_examples=200, deadline=None)
     @given(
         children=st.lists(
@@ -243,7 +220,7 @@ class TestFolding:
 
 def test_or_folding_engine_path():
     # root is a four-child Or over the guard cells AB, A!B, !AB, !A!B; the
-    # query I={C} changes exactly one child, so the subtract-and-add rule runs
+    # query I={C} changes exactly one of them, on the partial rung
     text = (
         "nnf 12 18 3\n"
         "L 1\nL 2\nL 3\n"
@@ -259,17 +236,13 @@ def test_or_folding_engine_path():
     )
     d = preprocess(parse_c2d(text))
     assert count_total(d) == brute_force_count(d) == 5
-    folding = OptimizationConfig(traversal_bypass_fraction=1.0, or_folding=True)
-    plain = OptimizationConfig(traversal_bypass_fraction=1.0)
     for a in (
         Assumptions.of({3}),
         Assumptions.of(set(), {3}),
         Assumptions.of({1}, {2}),
     ):
-        expected = brute_force_count(d, a)
-        assert query(d, a, folding).count == expected
-        assert query(d, a, plain).count == expected
-    single_change = query(d, Assumptions.of({3}), folding)
+        assert query(d, a, ALWAYS_PARTIAL).count == brute_force_count(d, a)
+    single_change = query(d, Assumptions.of({3}), ALWAYS_PARTIAL)
     assert single_change.count == 4 and single_change.strategy == "partial"
 
 

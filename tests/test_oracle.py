@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from ddnnf import brute_force_count, count_total, query
+from ddnnf import brute_force_count, count_total, parse_c2d, preprocess, query
 from ddnnf.errors import PartialAssignment, VoidCircuit
 from ddnnf.oracle import (
     AssumptionBatch,
@@ -12,6 +12,8 @@ from ddnnf.oracle import (
     generate_unsat_configs,
     run_variant_matrix,
 )
+
+from helpers import shannon_chain_c2d
 
 
 class TestEvaluate:
@@ -127,3 +129,32 @@ class TestVariantMatrix:
         one = run_variant_matrix(d, generate_satisfiable_configs(d, [2], 5, seed=17))
         two = run_variant_matrix(d, generate_satisfiable_configs(d, [2], 5, seed=17))
         assert one.to_csv() == two.to_csv()
+
+
+class TestRecursiveVisits:
+    """The recursive variants' visits are counted, not run."""
+
+    def test_naive_visits_are_root_to_node_paths(self):
+        d = preprocess(parse_c2d(shannon_chain_c2d(12)))
+        paths = [0] * len(d.nodes)
+
+        def walk(i):  # one visit per root-to-node path; depth 36 is safe
+            paths[i] += 1
+            for c in d.nodes[i].children:
+                walk(c)
+
+        walk(d.root)
+        report = run_variant_matrix(d, AssumptionBatch([], [], seed=0))
+        visits = {(name, label): visited for name, label, _, visited in report.rows}
+        for v in range(1, 13):
+            assert visits["naive", f"f{v}"] == sum(paths), v
+            assert visits["reusing-subtrees", f"f{v}"] == len(d.nodes), v
+        assert report.all_equal
+
+    def test_deep_chain_matrix_is_linear(self):
+        # the tree expansion of 40 levels is 6 * 2**40 - 5 nodes
+        d = preprocess(parse_c2d(shannon_chain_c2d(40)))
+        report = run_variant_matrix(d, AssumptionBatch([], [], seed=0))
+        assert report.totals["naive"] == 40 * (6 * 2**40 - 5)
+        assert report.totals["reusing-subtrees"] == 40 * len(d.nodes)
+        assert {count for _, _, count, _ in report.rows} == {2**39}
