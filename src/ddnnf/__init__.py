@@ -9,10 +9,10 @@ from .core import (
     Assumptions,
     Ddnnf,
     ExhaustiveCounter,
-    Node,
     NodeKind,
     Violation,
     brute_force_count,
+    recompute_and_partial,
     validate,
     variable_set,
 )
@@ -27,7 +27,6 @@ from .engine import (
     count_total,
     mark_ancestors,
     query,
-    recompute_and_partial,
 )
 from .parsing import detect_format, parse_c2d, parse_d4, parse_text, write_c2d
 from .preprocess import (
@@ -46,7 +45,6 @@ __all__ = [
     "Assumptions",
     "Ddnnf",
     "ExhaustiveCounter",
-    "Node",
     "NodeKind",
     "OptimizationConfig",
     "QueryResult",

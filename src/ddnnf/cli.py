@@ -147,6 +147,10 @@ def _options(ns: argparse.Namespace) -> CliOptions:
         opts.chunk_sizes = tuple(int(t) for t in ns.chunk_sizes.split(",") if t)
     except ValueError:
         raise _UsageError(f"bad --chunk-sizes {ns.chunk_sizes!r}") from None
+    if any(size < 1 for size in opts.chunk_sizes):
+        raise _UsageError(f"--chunk-sizes takes sizes of at least 1, got {ns.chunk_sizes!r}")
+    if ns.per_chunk < 0:
+        raise _UsageError(f"--per-chunk takes a count of at least 0, got {ns.per_chunk}")
 
     if ns.feature is not None:
         opts.mode, opts.feature = "feature", ns.feature

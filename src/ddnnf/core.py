@@ -1,8 +1,9 @@
 """In-memory d-DNNF circuit model and the exhaustive counting oracle.
 
-A circuit is a flat list of nodes in topological order (children always
-precede their parents); node indices are the only node identity.  Counts are
-plain Python ints, so arbitrary-precision arithmetic is exact everywhere.
+A circuit is a set of parallel per-node lists in topological order (children
+always precede their parents); node indices are the only node identity, and
+no per-node object exists.  Counts are plain Python ints, so
+arbitrary-precision arithmetic is exact everywhere.
 
 Variables are the 1-based integers ``1..num_variables``.  A signed literal is
 ``+v`` (variable true) or ``-v`` (variable false).  Variables that are
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import OracleLimitExceeded
+from .errors import OracleLimitExceeded, ZeroOldChild
 
 ORACLE_LIMIT_DEFAULT = 24
 
@@ -29,46 +30,61 @@ class NodeKind(Enum):
     FALSE = "false"
 
 
-@dataclass(slots=True)
-class Node:
-    """One circuit node.
-
-    ``literal`` is the signed literal for LITERAL nodes and 0 otherwise.
-    ``decision`` keeps the decision variable some formats attach to Or nodes;
-    it is metadata only and never consulted for counting.  ``baseline`` is the
-    model count under no assumptions, filled in by preprocessing.  Per-query
-    values and marks live in query-local buffers, never on the node.
-    """
-
-    kind: NodeKind
-    literal: int = 0
-    children: list[int] = field(default_factory=list)
-    parents: list[int] = field(default_factory=list)
-    decision: int = 0
-    baseline: int | None = None
-
-    @property
-    def variable(self) -> int:
-        return abs(self.literal)
+# The members as module globals.  Per-node loops compare against these,
+# because looking up ``NodeKind.AND`` goes through the Enum class and cost
+# 212 ns a lookup on CPython 3.11.
+AND, OR, LITERAL = NodeKind.AND, NodeKind.OR, NodeKind.LITERAL
+TRUE, FALSE = NodeKind.TRUE, NodeKind.FALSE
 
 
 @dataclass(slots=True)
 class Ddnnf:
     """A d-DNNF circuit plus the lookup structures built by preprocessing.
 
-    The parsers fill ``nodes``, ``num_variables`` and usually ``root``; every
-    other field, ``omitted`` included, is filled by preprocessing.
+    Node ``i`` is the ``i``-th entry of each parallel list:
+
+    * ``kind[i]``: its :class:`NodeKind`;
+    * ``literal[i]``: the signed literal of a LITERAL node, 0 otherwise;
+    * ``children[i]``: a tuple of child indices, all below ``i``;
+    * ``decision[i]``: the decision variable some formats attach to Or nodes,
+      0 otherwise; metadata only, never consulted for counting.
+
+    The parsers fill these, ``num_variables`` and usually ``root``; a missing
+    ``decision`` list means all zeros.  Preprocessing fills every other field:
+
+    * ``parents[i]``: a tuple of parent indices, the inverse of ``children``;
+    * ``baseline[i]``: the node's count under no assumptions;
+    * ``inner``: the indices of the And and Or nodes, ascending, which is
+      the order a bottom-up pass recomputes them in;
+    * ``literal_index``, ``core``, ``dead`` and ``omitted``.
+
+    Per-query values and marks live in query-local buffers, never here.
     """
 
-    nodes: list[Node]
+    kind: list[NodeKind]
+    literal: list[int]
+    children: list[tuple[int, ...]]
     num_variables: int
     root: int | None = None
+    decision: list[int] = field(default_factory=list)
+    parents: list[tuple[int, ...]] = field(default_factory=list)
+    baseline: list[int] = field(default_factory=list)
+    inner: list[int] = field(default_factory=list)
     literal_index: dict[int, list[int]] = field(default_factory=dict)
     core: frozenset[int] = frozenset()
     dead: frozenset[int] = frozenset()
     omitted: frozenset[int] = frozenset()
     is_smooth: bool = False
     preprocessed: bool = False
+
+    def __post_init__(self):
+        if not self.decision:
+            self.decision = [0] * len(self.kind)
+
+    @property
+    def nodes(self) -> range:
+        """The node indices; ``len(d.nodes)`` is the node count."""
+        return range(len(self.kind))
 
     @property
     def omitted_factor(self) -> int:
@@ -132,13 +148,15 @@ def variable_masks(d: Ddnnf) -> list[int]:
     Tolerates malformed child references (they contribute nothing) so that
     :func:`validate` can run on broken circuits.
     """
-    masks = [0] * len(d.nodes)
-    for i, nd in enumerate(d.nodes):
-        if nd.kind is NodeKind.LITERAL:
-            masks[i] = 1 << (nd.variable - 1)
-        elif nd.kind is NodeKind.AND or nd.kind is NodeKind.OR:
+    kind, literal, children = d.kind, d.literal, d.children
+    masks = [0] * len(kind)
+    for i in range(len(kind)):
+        k = kind[i]
+        if k is LITERAL:
+            masks[i] = 1 << (abs(literal[i]) - 1)
+        elif k is AND or k is OR:
             m = 0
-            for c in nd.children:
+            for c in children[i]:
                 if 0 <= c < i:
                     m |= masks[c]
             masks[i] = m
@@ -146,13 +164,15 @@ def variable_masks(d: Ddnnf) -> list[int]:
 
 
 def mask_variables(mask: int):
-    """Yield the variables of a bitmask in ascending order."""
-    v = 1
+    """Yield the variables of a bitmask in ascending order.
+
+    Walks the set bits only, lowest first, so a sparse mask over many
+    variables costs one step per variable it holds.
+    """
     while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
 
 
 def variable_set(d: Ddnnf, node: int) -> set[int]:
@@ -167,45 +187,124 @@ def root_cone(d: Ddnnf) -> list[int]:
     One sweep from the root down suffices, because children precede their
     parents; ascending order keeps it that way.
     """
-    root = d.root if d.root is not None else len(d.nodes) - 1
+    children = d.children
+    root = d.root if d.root is not None else len(children) - 1
     reached = [False] * (root + 1)
     reached[root] = True
     for i in range(root, -1, -1):
         if reached[i]:
-            for c in d.nodes[i].children:
+            for c in children[i]:
                 reached[c] = True
     return [i for i, r in enumerate(reached) if r]
 
 
-def forward_counts(nodes: list[Node], zero_literals=frozenset()) -> list[int]:
-    """Every node's count with the given literals forced to zero.
+def renumber(d: Ddnnf, order: list[int]) -> None:
+    """Keep the nodes listed in ``order``, in that order, as nodes 0, 1, ...
 
-    One sweep over the topologically ordered node list: And nodes multiply,
-    Or nodes add, literals count 1 unless forced to zero, True counts 1 and
-    False 0.  Children come first, so each node is visited exactly once.
+    Every child of a kept node must be kept too.  Parents, baselines,
+    ``inner`` and the literal index are carried along when already filled;
+    parents and index entries outside ``order`` are dropped.
     """
-    values = [0] * len(nodes)
-    for i, nd in enumerate(nodes):
-        kind = nd.kind
-        if kind is NodeKind.LITERAL:
-            values[i] = 0 if nd.literal in zero_literals else 1
-        elif kind is NodeKind.AND:
-            value = 1
-            for c in nd.children:
-                value *= values[c]
-                if value == 0:
+    position = [-1] * len(d.kind)
+    for new, old in enumerate(order):
+        position[old] = new
+    d.kind = [d.kind[i] for i in order]
+    d.literal = [d.literal[i] for i in order]
+    d.decision = [d.decision[i] for i in order]
+    children = d.children
+    d.children = [tuple([position[c] for c in children[i]]) for i in order]
+    if d.parents:
+        parents = d.parents
+        d.parents = [
+            tuple([position[p] for p in parents[i] if position[p] >= 0])
+            for i in order
+        ]
+    if d.baseline:
+        d.baseline = [d.baseline[i] for i in order]
+    if d.inner:
+        d.inner = sorted(position[i] for i in d.inner if position[i] >= 0)
+    if d.root is not None:
+        d.root = position[d.root]
+    if d.literal_index:
+        d.literal_index = {
+            lit: sorted(position[i] for i in idxs if position[i] >= 0)
+            for lit, idxs in d.literal_index.items()
+        }
+
+
+def recompute_and_partial(old_value, changed, arity: int):
+    """Incremental And update: old_value * prod(new) / prod(old).
+
+    ``changed`` holds (old_child, new_child) pairs; the caller guarantees
+    fewer than ``arity / 2`` of them and that ``old_value`` is the product
+    of all old children, which makes the division exact.  A zero old child
+    cannot be divided out; the caller must fall back to the full product.
+    """
+    numerator = 1
+    denominator = 1
+    for old, new in changed:
+        if old == 0:
+            raise ZeroOldChild("cannot divide out a zero-valued child")
+        numerator *= new
+        denominator *= old
+    return old_value * numerator // denominator
+
+
+def recompute(
+    d: Ddnnf, values: list[int], order, partial_calculation: bool = False
+) -> None:
+    """Recompute the And and Or nodes in ``order`` from their children.
+
+    ``values`` holds a count for every node; ``order`` lists And and Or
+    nodes only, ascending, so each node reads its children's final values.
+    And nodes multiply and Or nodes add, in place.  This one loop serves the
+    baseline pass, the full sweep and the partial pass of a query.
+
+    With ``partial_calculation`` (a query's partial pass, whose ``values``
+    start as a copy of the baselines) an And node with more than two
+    children, fewer than half of them changed, divides the old child values
+    out of its baseline and multiplies the new ones in
+    (:func:`recompute_and_partial`), unless a changed child's baseline is
+    zero.  With two children that rule only fires when nothing changed, and
+    then the product equals the baseline anyway.
+    """
+    kind, children, baseline = d.kind, d.children, d.baseline
+    for i in order:
+        ch = children[i]
+        if len(ch) == 2:  # most nodes: no inner loop
+            a, b = ch
+            if kind[i] is OR:
+                values[i] = values[a] + values[b]
+            else:
+                values[i] = values[a] * values[b]
+        elif kind[i] is OR:
+            total = 0
+            for c in ch:
+                total += values[c]
+            values[i] = total
+        else:
+            if partial_calculation:
+                changed = []
+                for c in ch:
+                    if values[c] != baseline[c]:
+                        changed.append((baseline[c], values[c]))
+                if 2 * len(changed) < len(ch):
+                    try:
+                        values[i] = recompute_and_partial(baseline[i], changed, len(ch))
+                        continue
+                    except ZeroOldChild:
+                        pass
+            product = 1
+            for c in ch:
+                product *= values[c]
+                if not product:
                     break
-            values[i] = value
-        elif kind is NodeKind.OR:
-            values[i] = sum(values[c] for c in nd.children)
-        elif kind is NodeKind.TRUE:
-            values[i] = 1
-    return values
+            values[i] = product
 
 
 def present_variables(d: Ddnnf) -> set[int]:
     """Variables that occur in at least one literal node."""
-    return {nd.variable for nd in d.nodes if nd.kind is NodeKind.LITERAL}
+    return {abs(lit) for lit in d.literal if lit}
 
 
 def validate(d: Ddnnf) -> list[Violation]:
@@ -213,22 +312,24 @@ def validate(d: Ddnnf) -> list[Violation]:
 
     Reported kinds: "dangling-child" (index outside the node list), "cycle"
     (child index not strictly below its parent, which is the only way the
-    flat list can loop), "decomposability" (And children share variables) and
-    "smoothness" (Or children differ in variable set; False children are
+    flat lists can loop), "decomposability" (And children share variables)
+    and "smoothness" (Or children differ in variable set; False children are
     ignored since their count absorbs any completion).  Determinism is a
     trust assumption on the compiler and is not checked.
     """
     out: list[Violation] = []
     masks = variable_masks(d)
-    for i, nd in enumerate(d.nodes):
-        for c in nd.children:
-            if not 0 <= c < len(d.nodes):
+    kind, children = d.kind, d.children
+    n = len(kind)
+    for i in range(n):
+        for c in children[i]:
+            if not 0 <= c < n:
                 out.append(Violation("dangling-child", i, f"child {c} outside node list"))
             elif c >= i:
                 out.append(Violation("cycle", i, f"child {c} does not precede node {i}"))
-        if nd.kind is NodeKind.AND:
+        if kind[i] is AND:
             seen = 0
-            for c in nd.children:
+            for c in children[i]:
                 if not 0 <= c < i:
                     continue
                 if seen & masks[c]:
@@ -237,11 +338,11 @@ def validate(d: Ddnnf) -> list[Violation]:
                     )
                     break
                 seen |= masks[c]
-        elif nd.kind is NodeKind.OR:
+        elif kind[i] is OR:
             child_masks = {
                 masks[c]
-                for c in nd.children
-                if 0 <= c < i and d.nodes[c].kind is not NodeKind.FALSE
+                for c in children[i]
+                if 0 <= c < i and kind[c] is not FALSE
             }
             if len(child_masks) > 1:
                 severity = "error" if d.is_smooth else "info"
@@ -296,33 +397,35 @@ class ExhaustiveCounter:
 
         # Remaining-use counters let big tables be freed as soon as every
         # parent has consumed them.
-        uses = [0] * len(d.nodes)
-        for nd in d.nodes:
-            for c in nd.children:
+        kind, literal, children = d.kind, d.literal, d.children
+        n = len(kind)
+        uses = [0] * n
+        for ch in children:
+            for c in ch:
                 uses[c] += 1
-        root = d.root if d.root is not None else len(d.nodes) - 1
+        root = d.root if d.root is not None else n - 1
         uses[root] += 1
 
-        tables: list[int | None] = [None] * len(d.nodes)
-        for i, nd in enumerate(d.nodes):
-            kind = nd.kind
-            if kind is NodeKind.LITERAL:
-                col = self._column(nd.variable)
-                t = col if nd.literal > 0 else self._full ^ col
-            elif kind is NodeKind.TRUE:
+        tables: list[int | None] = [None] * n
+        for i in range(n):
+            k = kind[i]
+            if k is LITERAL:
+                col = self._column(abs(literal[i]))
+                t = col if literal[i] > 0 else self._full ^ col
+            elif k is TRUE:
                 t = self._full
-            elif kind is NodeKind.FALSE:
+            elif k is FALSE:
                 t = 0
-            elif kind is NodeKind.AND:
+            elif k is AND:
                 t = self._full
-                for c in nd.children:
+                for c in children[i]:
                     t &= tables[c]  # type: ignore[operator]
             else:
                 t = 0
-                for c in nd.children:
+                for c in children[i]:
                     t |= tables[c]  # type: ignore[operator]
             tables[i] = t
-            for c in nd.children:
+            for c in children[i]:
                 uses[c] -= 1
                 if uses[c] == 0:
                     tables[c] = None

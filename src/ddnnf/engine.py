@@ -16,11 +16,13 @@ of optimizations, each independently toggleable:
   changed, divide the cached product by the old child values and multiply
   the new ones in, instead of multiplying all children.
 
-Anything the ladder does not settle is one forward sweep over the node list
-(:func:`~ddnnf.core.forward_counts`), the same sweep that computes the
-baselines.  Every configuration returns identical counts; only the work
-differs.  Queries never mutate the circuit: per-query values live in local
-buffers, so concurrent queries are safe.
+Both the partial pass and anything the ladder does not settle start from a
+copy of the baselines with the forced literal nodes zeroed, and recompute
+And and Or nodes in topological order with :func:`~ddnnf.core.recompute`,
+the loop that computes the baselines: the marked ones in the partial pass,
+all of them in the full sweep.  Every configuration returns identical
+counts; only the work differs.  Queries never mutate the circuit: per-query
+values live in local buffers, so concurrent queries are safe.
 
 The cardinality of every feature at once does not go through the ladder.
 It is one backward pass over the cached baselines (Darwiche's differential
@@ -35,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Assumptions, Ddnnf, NodeKind, forward_counts
-from .errors import DdnnfError, VariableOutOfRange, ZeroOldChild
+from .core import AND, LITERAL, OR, Assumptions, Ddnnf, recompute
+from .errors import DdnnfError, VariableOutOfRange
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ def _require_preprocessed(d: Ddnnf) -> None:
 def count_total(d: Ddnnf) -> int:
     """Cardinality of the whole model; O(1) after preprocessing."""
     _require_preprocessed(d)
-    return d.nodes[d.root].baseline * d.omitted_factor
+    return d.baseline[d.root] * d.omitted_factor
 
 
 def mark_ancestors(d: Ddnnf, zero_literals) -> set[int]:
@@ -101,72 +103,23 @@ def mark_ancestors(d: Ddnnf, zero_literals) -> set[int]:
     """
     marked: set[int] = set()
     stack = [i for lit in zero_literals for i in d.literal_index.get(lit, ())]
-    nodes = d.nodes
+    parents = d.parents
     while stack:
         i = stack.pop()
         if i not in marked:
             marked.add(i)
-            stack.extend(nodes[i].parents)
+            stack.extend(parents[i])
     return marked
 
 
-def recompute_and_partial(old_value, changed, arity: int):
-    """Incremental And update: old_value * prod(new) / prod(old).
-
-    ``changed`` holds (old_child, new_child) pairs; the caller guarantees
-    fewer than ``arity / 2`` of them and that ``old_value`` is the product
-    of all old children, which makes the division exact.  A zero old child
-    cannot be divided out; the caller must fall back to the full product.
-    """
-    numerator = 1
-    denominator = 1
-    for old, new in changed:
-        if old == 0:
-            raise ZeroOldChild("cannot divide out a zero-valued child")
-        numerator *= new
-        denominator *= old
-    return old_value * numerator // denominator
-
-
-def _partial_pass(d: Ddnnf, marked: set[int], cfg: OptimizationConfig):
-    nodes = d.nodes
-    scratch: dict[int, int] = {}
-    for i in sorted(marked):
-        nd = nodes[i]
-        kind = nd.kind
-        if kind is NodeKind.LITERAL:
-            scratch[i] = 0  # marked literals are exactly the zero-forced ones
-            continue
-        children = nd.children
-        if kind is NodeKind.AND:
-            changed = [
-                (nodes[c].baseline, scratch[c])
-                for c in children
-                if c in scratch and scratch[c] != nodes[c].baseline
-            ]
-            if cfg.partial_calculation and 2 * len(changed) < len(children):
-                try:
-                    scratch[i] = recompute_and_partial(
-                        nd.baseline, changed, len(children)
-                    )
-                    continue
-                except ZeroOldChild:
-                    pass
-            value = 1
-            for c in children:
-                v = scratch.get(c)
-                value *= nodes[c].baseline if v is None else v
-                if value == 0:
-                    break
-            scratch[i] = value
-        else:  # OR; True/False are leaves and never marked
-            total = 0
-            for c in children:
-                v = scratch.get(c)
-                total += nodes[c].baseline if v is None else v
-            scratch[i] = total
-    root_value = scratch.get(d.root, nodes[d.root].baseline)
-    return root_value, len(marked)
+def _zeroed_baselines(d: Ddnnf, zero_literals) -> list[int]:
+    """A copy of the baselines with the nodes of ``zero_literals`` at 0."""
+    values = d.baseline.copy()
+    index = d.literal_index
+    for lit in zero_literals:
+        for i in index.get(lit, ()):
+            values[i] = 0
+    return values
 
 
 def query(
@@ -203,15 +156,19 @@ def query(
 
     zero_literals = {-v for v in include} | set(exclude)
     if not zero_literals:
-        return QueryResult(d.nodes[d.root].baseline * factor, 0, 0, "shortcut")
+        return QueryResult(d.baseline[d.root] * factor, 0, 0, "shortcut")
 
+    values = _zeroed_baselines(d, zero_literals)
     if cfg.partial_traversal and len(zero_literals) <= cfg.traversal_bypass_fraction * n:
         marked = mark_ancestors(d, zero_literals)
-        value, visited = _partial_pass(d, marked, cfg)
-        return QueryResult(value * factor, visited, len(marked), "partial")
+        # the marked leaves are the zeroed literal nodes, already final
+        kind = d.kind
+        order = sorted([i for i in marked if kind[i] is not LITERAL])
+        recompute(d, values, order, cfg.partial_calculation)
+        return QueryResult(values[d.root] * factor, len(marked), len(marked), "partial")
 
-    value = forward_counts(d.nodes, zero_literals)[d.root]
-    return QueryResult(value * factor, len(d.nodes), 0, "full")
+    recompute(d, values, d.inner)
+    return QueryResult(values[d.root] * factor, len(d.nodes), 0, "full")
 
 
 def count_feature(d: Ddnnf, feature: int, cfg: OptimizationConfig = FULL) -> int:
@@ -231,30 +188,33 @@ def _literal_derivatives(d: Ddnnf) -> list[int]:
     does.  An inner node's entry is reset to 0 once passed on, so the big
     ints do not all live at once; only the leaves keep theirs.
     """
-    nodes = d.nodes
-    derivative = [0] * len(nodes)
+    kind, children, baseline = d.kind, d.children, d.baseline
+    derivative = [0] * len(kind)
     derivative[d.root] = 1
     for i in range(d.root, -1, -1):
         g = derivative[i]
         if not g:
             continue
-        nd = nodes[i]
-        kind = nd.kind
-        if kind is NodeKind.OR:
-            for c in nd.children:
+        k = kind[i]
+        if k is OR:
+            for c in children[i]:
                 derivative[c] += g
-        elif kind is NodeKind.AND:
-            zeros = [c for c in nd.children if nodes[c].baseline == 0]
+        elif k is AND:
+            zeros, zero = 0, -1
+            for c in children[i]:
+                if not baseline[c]:
+                    zeros += 1
+                    zero = c
             if not zeros:
-                scaled = g * nd.baseline
-                for c in nd.children:
-                    derivative[c] += scaled // nodes[c].baseline
-            elif len(zeros) == 1:
+                scaled = g * baseline[i]
+                for c in children[i]:
+                    derivative[c] += scaled // baseline[c]
+            elif zeros == 1:
                 rest = g
-                for c in nd.children:
-                    if c != zeros[0]:
-                        rest *= nodes[c].baseline
-                derivative[zeros[0]] += rest
+                for c in children[i]:
+                    if c != zero:
+                        rest *= baseline[c]
+                derivative[zero] += rest
         else:
             continue  # leaves keep theirs
         derivative[i] = 0
@@ -274,7 +234,7 @@ def count_all_features(d: Ddnnf) -> list[tuple[int, int]]:
     """
     _require_preprocessed(d)
     derivative = _literal_derivatives(d)
-    root_count = d.nodes[d.root].baseline
+    root_count = d.baseline[d.root]
     factor = d.omitted_factor
     rows = []
     for v in range(1, d.num_variables + 1):

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Assumptions, Ddnnf, NodeKind
+from .core import AND, LITERAL, OR, TRUE, Assumptions, Ddnnf
 from .errors import DdnnfError, PartialAssignment, VoidCircuit
-from .engine import VARIANTS, count_total, query
+from .engine import VARIANTS, OptimizationConfig, QueryResult, count_total, query
 
 _MASK64 = (1 << 64) - 1
 
@@ -61,25 +61,23 @@ def evaluate(d: Ddnnf, assignment) -> bool:
     ``assignment`` maps every variable occurring in the circuit to a bool;
     a missing variable raises.
     """
-    nodes = d.nodes
-    values = [False] * len(nodes)
-    for i, nd in enumerate(nodes):
-        kind = nd.kind
-        if kind is NodeKind.LITERAL:
+    kind, literal, children = d.kind, d.literal, d.children
+    values = [False] * len(kind)
+    for i, k in enumerate(kind):
+        if k is LITERAL:
+            lit = literal[i]
             try:
-                truth = assignment[nd.variable]
+                truth = assignment[abs(lit)]
             except KeyError:
-                raise PartialAssignment(
-                    f"no value for variable {nd.variable}"
-                ) from None
-            values[i] = bool(truth) if nd.literal > 0 else not truth
-        elif kind is NodeKind.AND:
-            values[i] = all(values[c] for c in nd.children)
-        elif kind is NodeKind.OR:
-            values[i] = any(values[c] for c in nd.children)
-        elif kind is NodeKind.TRUE:
+                raise PartialAssignment(f"no value for variable {abs(lit)}") from None
+            values[i] = bool(truth) if lit > 0 else not truth
+        elif k is AND:
+            values[i] = all([values[c] for c in children[i]])
+        elif k is OR:
+            values[i] = any([values[c] for c in children[i]])
+        elif k is TRUE:
             values[i] = True
-    return values[d.root if d.root is not None else len(nodes) - 1]
+    return values[d.root if d.root is not None else len(kind) - 1]
 
 
 def _extend_config(d: Ddnnf, rng: XorShift64Star, size: int) -> Assumptions:
@@ -200,11 +198,12 @@ def _tree_size(d: Ddnnf) -> int:
     one sweep from the root down computes: the root has one path, and each
     child gains its parent's paths once per edge.
     """
-    paths = [0] * len(d.nodes)
+    children = d.children
+    paths = [0] * len(children)
     paths[d.root] = 1
     for i in range(d.root, -1, -1):
         if paths[i]:
-            for c in d.nodes[i].children:
+            for c in children[i]:
                 paths[c] += paths[i]
     return sum(paths)
 
@@ -222,7 +221,8 @@ def run_variant_matrix(d: Ddnnf, batch: AssumptionBatch) -> VariantMatrixReport:
     circuit: the tree size, and the root's cone (every node after
     preprocessing).  Their full re-evaluations report those counts instead
     of running the recursion, which would be exponential, or overflow the
-    stack on deep circuits.
+    stack on deep circuits.  Variants with the same configuration, such as
+    these two, run each query once and share the results.
     """
     queries: list[tuple[str, Assumptions]] = [
         (f"f{v}", Assumptions.of(include={v}))
@@ -238,10 +238,14 @@ def run_variant_matrix(d: Ddnnf, batch: AssumptionBatch) -> VariantMatrixReport:
     recursive_visits = {"naive": _tree_size(d), "reusing-subtrees": len(d.nodes)}
     report = VariantMatrixReport()
     counts_by_query: dict[str, set[int]] = {}
+    results_by_config: dict[OptimizationConfig, list[QueryResult]] = {}
     for name, cfg in VARIANTS.items():
+        results = results_by_config.get(cfg)
+        if results is None:  # variants sharing a config share its results
+            results = [query(d, assumptions, cfg) for _, assumptions in queries]
+            results_by_config[cfg] = results
         total_visited = 0
-        for label, assumptions in queries:
-            result = query(d, assumptions, cfg)
+        for (label, _), result in zip(queries, results):
             visited = result.nodes_visited
             if result.strategy == "full":
                 visited = recursive_visits.get(name, visited)

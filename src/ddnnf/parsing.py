@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 
-from .core import Ddnnf, Node, NodeKind, root_cone
+from .core import AND, FALSE, LITERAL, OR, TRUE, Ddnnf, NodeKind, renumber, root_cone
 from .errors import (
     AmbiguousRoot,
     CycleDetected,
@@ -88,56 +88,63 @@ def parse_c2d(text: str, num_variables_override: int | None = None) -> Ddnnf:
     if num_variables_override is not None:
         num_variables = num_variables_override
 
-    nodes: list[Node] = []
+    kind: list[NodeKind] = []
+    literal: list[int] = []
+    children: list[tuple[int, ...]] = []
+    decision: list[int] = []
     for lineno, tokens in lines:
         tag = tokens[0]
-        index = len(nodes)
+        index = len(kind)
         if tag == "L":
             if len(tokens) != 2:
                 raise MalformedLine("literal record takes one argument", lineno)
             lit = _int(tokens[1], lineno)
             if lit == 0 or abs(lit) > num_variables:
                 raise LiteralOutOfRange(f"literal {lit} outside 1..{num_variables}", lineno)
-            nodes.append(Node(NodeKind.LITERAL, literal=lit))
+            kind.append(LITERAL)
+            literal.append(lit)
+            children.append(())
+            decision.append(0)
         elif tag == "A":
             if len(tokens) < 2:
                 raise MalformedLine("And record takes 'A n i...'", lineno)
             arity = _int(tokens[1], lineno)
-            children = [_int(t, lineno) for t in tokens[2:]]
-            if arity != len(children):
+            ch = tuple([_int(t, lineno) for t in tokens[2:]])
+            if arity != len(ch):
                 raise MalformedLine(
-                    f"And declares {arity} children but lists {len(children)}", lineno
+                    f"And declares {arity} children but lists {len(ch)}", lineno
                 )
-            if not children:
-                nodes.append(Node(NodeKind.TRUE))
-                continue
-            _check_children(children, index, lineno)
-            nodes.append(Node(NodeKind.AND, children=children))
+            _check_children(ch, index, lineno)
+            kind.append(AND if ch else TRUE)
+            literal.append(0)
+            children.append(ch)
+            decision.append(0)
         elif tag == "O":
             if len(tokens) < 3:
                 raise MalformedLine("Or record takes 'O d n i...'", lineno)
-            decision = _int(tokens[1], lineno)
+            dec = _int(tokens[1], lineno)
             arity = _int(tokens[2], lineno)
-            children = [_int(t, lineno) for t in tokens[3:]]
-            if arity != len(children):
+            ch = tuple([_int(t, lineno) for t in tokens[3:]])
+            if arity != len(ch):
                 raise MalformedLine(
-                    f"Or declares {arity} children but lists {len(children)}", lineno
+                    f"Or declares {arity} children but lists {len(ch)}", lineno
                 )
-            if not children:
-                nodes.append(Node(NodeKind.FALSE, decision=decision))
-                continue
-            _check_children(children, index, lineno)
-            nodes.append(Node(NodeKind.OR, children=children, decision=decision))
+            _check_children(ch, index, lineno)
+            kind.append(OR if ch else FALSE)
+            literal.append(0)
+            children.append(ch)
+            decision.append(dec)
         else:
             raise MalformedLine(f"unknown record type {tag!r}", lineno)
 
-    if not nodes:
+    if not kind:
         raise EmptyCircuit("header but no node records", header_lineno)
-    d = Ddnnf(nodes=nodes, num_variables=num_variables, root=len(nodes) - 1)
-    return d
+    return Ddnnf(
+        kind, literal, children, num_variables, root=len(kind) - 1, decision=decision
+    )
 
 
-def _check_children(children: list[int], index: int, lineno: int) -> None:
+def _check_children(children: tuple[int, ...], index: int, lineno: int) -> None:
     for c in children:
         if c < 0 or c >= index:
             raise IndexOutOfRange(
@@ -145,12 +152,7 @@ def _check_children(children: list[int], index: int, lineno: int) -> None:
             )
 
 
-_D4_KINDS = {
-    "o": NodeKind.OR,
-    "a": NodeKind.AND,
-    "t": NodeKind.TRUE,
-    "f": NodeKind.FALSE,
-}
+_D4_KINDS = {"o": OR, "a": AND, "t": TRUE, "f": FALSE}
 
 
 def parse_d4(text: str, num_variables: int) -> Ddnnf:
@@ -164,8 +166,11 @@ def parse_d4(text: str, num_variables: int) -> Ddnnf:
     parentless node.  Node order in the file carries no meaning, so the
     result is topologically sorted before returning.
     """
-    declared: dict[int, int] = {}  # d4 index -> position in `nodes`
-    nodes: list[Node] = []
+    declared: dict[int, int] = {}  # d4 index -> node position
+    kind: list[NodeKind] = []
+    literal: list[int] = []
+    # child lists grow edge by edge; toposort turns them into tuples
+    children: list = []
     literal_nodes: dict[int, int] = {}
     has_parent: set[int] = set()
     any_line = False
@@ -175,8 +180,10 @@ def parse_d4(text: str, num_variables: int) -> Ddnnf:
             raise LiteralOutOfRange(f"literal {lit} outside 1..{num_variables}", lineno)
         idx = literal_nodes.get(lit)
         if idx is None:
-            idx = len(nodes)
-            nodes.append(Node(NodeKind.LITERAL, literal=lit))
+            idx = len(kind)
+            kind.append(LITERAL)
+            literal.append(lit)
+            children.append(())
             literal_nodes[lit] = idx
         return idx
 
@@ -195,8 +202,11 @@ def parse_d4(text: str, num_variables: int) -> Ddnnf:
                 raise MalformedLine(f"node index {d4_index} must be positive", lineno)
             if d4_index in declared:
                 raise MalformedLine(f"node {d4_index} declared twice", lineno)
-            declared[d4_index] = len(nodes)
-            nodes.append(Node(_D4_KINDS[body[0]]))
+            declared[d4_index] = len(kind)
+            k = _D4_KINDS[body[0]]
+            kind.append(k)
+            literal.append(0)
+            children.append([] if k is AND or k is OR else ())
         else:
             if len(body) < 2:
                 raise MalformedLine("edge takes 'p c lit... 0'", lineno)
@@ -205,18 +215,19 @@ def parse_d4(text: str, num_variables: int) -> Ddnnf:
             for ref in (p, c):
                 if ref not in declared:
                     raise UnknownNodeIndex(f"edge references undeclared node {ref}", lineno)
-            parent = nodes[declared[p]]
-            if parent.kind not in (NodeKind.AND, NodeKind.OR):
+            parent = declared[p]
+            if kind[parent] is not AND and kind[parent] is not OR:
                 raise MalformedLine(f"node {p} cannot take children", lineno)
             literals = [_int(t, lineno) for t in body[2:]]
             operand = declared[c]
             if literals:
                 members = [operand] + [literal_node(lit, lineno) for lit in literals]
-                operand = len(nodes)
-                nodes.append(Node(NodeKind.AND, children=members))
-                for m in members:
-                    has_parent.add(m)
-            parent.children.append(operand)
+                operand = len(kind)
+                kind.append(AND)
+                literal.append(0)
+                children.append(members)
+                has_parent.update(members)
+            children[parent].append(operand)
             has_parent.add(operand)
 
     if not any_line:
@@ -238,23 +249,23 @@ def parse_d4(text: str, num_variables: int) -> Ddnnf:
             )
         root_pos = parentless[0]
 
-    d = Ddnnf(nodes=nodes, num_variables=num_variables, root=root_pos)
+    d = Ddnnf(kind, literal, children, num_variables, root=root_pos)
     toposort(d)
     return d
 
 
 def toposort(d: Ddnnf) -> None:
-    """Reorder ``d.nodes`` so every child precedes its parents.
+    """Reorder the nodes so every child precedes its parents.
 
     Stable: among ready nodes the one with the lowest current index goes
     first, so already-ordered circuits come out unchanged.
     """
-    nodes = d.nodes
-    n = len(nodes)
-    missing = [len(nd.children) for nd in nodes]
+    children = d.children
+    n = len(children)
+    missing = [len(ch) for ch in children]
     dependants: list[list[int]] = [[] for _ in range(n)]
-    for i, nd in enumerate(nodes):
-        for c in nd.children:
+    for i in range(n):
+        for c in children[i]:
             dependants[c].append(i)
     ready = [i for i in range(n) if missing[i] == 0]
     heapq.heapify(ready)
@@ -268,20 +279,7 @@ def toposort(d: Ddnnf) -> None:
                 heapq.heappush(ready, parent)
     if len(order) != n:
         raise CycleDetected("circuit edges form a cycle")
-    position = [0] * n
-    for new_index, old_index in enumerate(order):
-        position[old_index] = new_index
-    d.nodes = [nodes[i] for i in order]
-    for nd in d.nodes:
-        nd.children = [position[c] for c in nd.children]
-        nd.parents = [position[p] for p in nd.parents]
-    if d.root is not None:
-        d.root = position[d.root]
-    if d.literal_index:
-        d.literal_index = {
-            lit: sorted(position[i] for i in idxs)
-            for lit, idxs in d.literal_index.items()
-        }
+    renumber(d, order)
 
 
 def write_c2d(d: Ddnnf) -> str:
@@ -293,25 +291,26 @@ def write_c2d(d: Ddnnf) -> str:
     always comes out last.  Unreachable records never influence a count.
     """
     keep = root_cone(d)
-    renumber = {old: new for new, old in enumerate(keep)}
+    position = {old: new for new, old in enumerate(keep)}
+    kind, children = d.kind, d.children
 
     lines = []
-    edges = sum(len(d.nodes[i].children) for i in keep)
+    edges = sum(len(children[i]) for i in keep)
     lines.append(f"nnf {len(keep)} {edges} {d.num_variables}")
     for i in keep:
-        nd = d.nodes[i]
-        children = [renumber[c] for c in nd.children]
-        if nd.kind is NodeKind.LITERAL:
-            lines.append(f"L {nd.literal}")
-        elif nd.kind is NodeKind.TRUE:
+        k = kind[i]
+        ch = [position[c] for c in children[i]]
+        if k is LITERAL:
+            lines.append(f"L {d.literal[i]}")
+        elif k is TRUE:
             lines.append("A 0")
-        elif nd.kind is NodeKind.FALSE:
+        elif k is FALSE:
             lines.append("O 0 0")
-        elif nd.kind is NodeKind.AND:
-            lines.append("A " + " ".join(map(str, [len(children)] + children)))
+        elif k is AND:
+            lines.append("A " + " ".join(map(str, [len(ch)] + ch)))
         else:
             lines.append(
-                "O " + " ".join(map(str, [nd.decision, len(children)] + children))
+                "O " + " ".join(map(str, [d.decision[i], len(ch)] + ch))
             )
     return "\n".join(lines) + "\n"
 

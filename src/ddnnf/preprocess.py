@@ -10,11 +10,14 @@ afterwards the circuit is read-only and queries may run concurrently.
 from __future__ import annotations
 
 from .core import (
+    AND,
+    FALSE,
+    LITERAL,
+    OR,
     Ddnnf,
-    Node,
-    NodeKind,
-    forward_counts,
     mask_variables,
+    recompute,
+    renumber,
     root_cone,
     variable_masks,
 )
@@ -34,14 +37,8 @@ def prune(d: Ddnnf) -> Ddnnf:
     if d.root is None:
         return d
     keep = root_cone(d)
-    if len(keep) == len(d.nodes):
-        return d
-    position = {old: new for new, old in enumerate(keep)}
-    nodes = [d.nodes[i] for i in keep]
-    for nd in nodes:
-        nd.children = [position[c] for c in nd.children]
-    d.nodes = nodes
-    d.root = position[d.root]
+    if len(keep) < len(d.kind):
+        renumber(d, keep)
     return d
 
 
@@ -55,86 +52,91 @@ def smooth(d: Ddnnf) -> Ddnnf:
     children need no gadgets because their count absorbs any completion.
     Idempotent: smoothing a smooth circuit adds no nodes.
     """
+    kind, literal, children, decision = d.kind, d.literal, d.children, d.decision
     masks = variable_masks(d)
-    for i, nd in enumerate(d.nodes):
-        if nd.kind is NodeKind.AND:
+    for i in range(len(kind)):
+        if kind[i] is AND:
             seen = 0
-            for c in nd.children:
+            for c in children[i]:
                 if seen & masks[c]:
                     raise DecomposabilityViolation(
                         f"And node {i} has children sharing variables"
                     )
                 seen |= masks[c]
 
-    nodes = d.nodes
-    original = len(nodes)
+    original = len(kind)
     refs = [0] * original
-    for nd in nodes:
-        for c in nd.children:
+    for ch in children:
+        for c in ch:
             refs[c] += 1
+
+    def add(k, lit: int, ch: tuple[int, ...], dec: int, mask: int) -> int:
+        kind.append(k)
+        literal.append(lit)
+        children.append(ch)
+        decision.append(dec)
+        masks.append(mask)
+        return len(kind) - 1
 
     gadget_for: dict[int, int] = {}
 
     def gadget(v: int) -> int:
         idx = gadget_for.get(v)
         if idx is None:
-            pos = len(nodes)
-            nodes.append(Node(NodeKind.LITERAL, literal=v))
-            masks.append(1 << (v - 1))
-            nodes.append(Node(NodeKind.LITERAL, literal=-v))
-            masks.append(1 << (v - 1))
-            idx = len(nodes)
-            nodes.append(Node(NodeKind.OR, children=[pos, pos + 1], decision=v))
-            masks.append(1 << (v - 1))
-            gadget_for[v] = idx
+            bit = 1 << (v - 1)
+            pos = add(LITERAL, v, (), 0, bit)
+            neg = add(LITERAL, -v, (), 0, bit)
+            idx = gadget_for[v] = add(OR, 0, (pos, neg), v, bit)
         return idx
 
     grew = False
     for i in range(original):
-        nd = nodes[i]
-        if nd.kind is not NodeKind.OR:
+        if kind[i] is not OR:
             continue
         union = 0
-        for c in nd.children:
-            if nodes[c].kind is not NodeKind.FALSE:
+        for c in children[i]:
+            if kind[c] is not FALSE:
                 union |= masks[c]
-        for slot, c in enumerate(nd.children):
-            if nodes[c].kind is NodeKind.FALSE:
+        slots = list(children[i])
+        for slot, c in enumerate(slots):
+            if kind[c] is FALSE:
                 continue
             missing = union & ~masks[c]
             if not missing:
                 continue
-            gadgets = [gadget(v) for v in mask_variables(missing)]
-            if nodes[c].kind is NodeKind.AND and refs[c] == 1:
-                nodes[c].children.extend(gadgets)
+            gadgets = tuple([gadget(v) for v in mask_variables(missing)])
+            if kind[c] is AND and refs[c] == 1:
+                children[c] += gadgets
                 masks[c] = union
             else:
-                wrapper = len(nodes)
-                nodes.append(Node(NodeKind.AND, children=[c] + gadgets))
-                masks.append(union)
-                nd.children[slot] = wrapper
+                slots[slot] = add(AND, 0, (c,) + gadgets, 0, union)
             grew = True
+        children[i] = tuple(slots)
 
     if grew:
+        # lists filled by later steps no longer match; those steps refill them
+        d.parents, d.baseline, d.inner, d.literal_index = [], [], [], {}
+        d.preprocessed = False
         toposort(d)
     d.is_smooth = True
     return d
 
 
 def link_parents(d: Ddnnf) -> Ddnnf:
-    """Fill every node's parents with the exact inverse of the child relation.
+    """Fill ``parents`` with the exact inverse of the child relation.
 
     Resolves the root to the unique parentless node when no root was
     designated by the parser; extra parentless nodes are tolerated otherwise
     (lenient inputs may carry unreferenced records).
     """
-    for nd in d.nodes:
-        nd.parents = []
-    for i, nd in enumerate(d.nodes):
-        for c in nd.children:
-            d.nodes[c].parents.append(i)
+    children = d.children
+    parents: list[list[int]] = [[] for _ in children]
+    for i in range(len(children)):
+        for c in children[i]:
+            parents[c].append(i)
+    d.parents = [tuple(p) for p in parents]
     if d.root is None:
-        parentless = [i for i, nd in enumerate(d.nodes) if not nd.parents]
+        parentless = [i for i, p in enumerate(parents) if not p]
         if len(parentless) != 1:
             raise MultipleRoots(f"{len(parentless)} parentless nodes, no designated root")
         d.root = parentless[0]
@@ -144,9 +146,9 @@ def link_parents(d: Ddnnf) -> Ddnnf:
 def index_literals(d: Ddnnf) -> Ddnnf:
     """Map every signed literal to the node indices holding it."""
     index: dict[int, list[int]] = {}
-    for i, nd in enumerate(d.nodes):
-        if nd.kind is NodeKind.LITERAL:
-            index.setdefault(nd.literal, []).append(i)
+    for i, lit in enumerate(d.literal):
+        if lit:
+            index.setdefault(lit, []).append(i)
     d.literal_index = index
     present = {abs(lit) for lit in index}
     d.omitted = frozenset(
@@ -175,10 +177,14 @@ def compute_core_dead(d: Ddnnf) -> tuple[frozenset[int], frozenset[int]]:
 def compute_baseline(d: Ddnnf) -> Ddnnf:
     """Store every node's count under no assumptions as its baseline.
 
-    This is :func:`~ddnnf.core.forward_counts` with no literal forced to zero.
+    Leaves start at their own count (a literal and True count 1, False 0),
+    then :func:`~ddnnf.core.recompute` evaluates the And and Or nodes in
+    order; their indices are kept as ``inner`` for the queries' full sweep.
     """
-    for nd, value in zip(d.nodes, forward_counts(d.nodes)):
-        nd.baseline = value
+    kind = d.kind
+    d.inner = [i for i, k in enumerate(kind) if k is AND or k is OR]
+    d.baseline = [0 if k is FALSE else 1 for k in kind]
+    recompute(d, d.baseline, d.inner)
     return d
 
 

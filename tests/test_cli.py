@@ -214,3 +214,18 @@ def test_prints_counts_beyond_int_str_guard(tmp_path):
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip()) == 4516
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["--chunk-sizes", "-3"], "--chunk-sizes"),
+        (["--chunk-sizes", "2,0"], "--chunk-sizes"),
+        (["--per-chunk", "-1"], "--per-chunk"),
+    ],
+)
+def test_variant_matrix_sizes_below_range(running_c2d_file, capsys, args, option):
+    assert main([str(running_c2d_file), "--variant-matrix", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in captured.err

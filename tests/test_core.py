@@ -3,17 +3,17 @@ import pytest
 from ddnnf import (
     Assumptions,
     Ddnnf,
-    Node,
     NodeKind,
     brute_force_count,
     validate,
     variable_set,
 )
-from ddnnf.core import present_variables
+from ddnnf.core import mask_variables, present_variables, renumber
+from ddnnf.engine import FULL, NO_PARTIAL_TRAVERSAL
 from ddnnf.errors import OracleLimitExceeded
 
-from conftest import UNSMOOTH_PAIR_C2D, RUNNING_EXAMPLE_C2D
-from ddnnf import parse_c2d
+from conftest import UNSMOOTH_PAIR_C2D, RUNNING_EXAMPLE_C2D, fixture_texts
+from ddnnf import count_all_features, parse_c2d, preprocess, query
 
 
 def test_variable_set_or_node(running_example):
@@ -22,9 +22,7 @@ def test_variable_set_or_node(running_example):
 
 
 def test_variable_set_single_literal(running_example):
-    neg_d = next(
-        i for i, nd in enumerate(running_example.nodes) if nd.literal == -4
-    )
+    neg_d = running_example.literal.index(-4)
     assert variable_set(running_example, neg_d) == {4}
 
 
@@ -38,11 +36,9 @@ def test_validate_running_example_clean(running_example):
 
 def test_validate_decomposability_violation():
     d = Ddnnf(
-        nodes=[
-            Node(NodeKind.LITERAL, literal=1),
-            Node(NodeKind.LITERAL, literal=1),
-            Node(NodeKind.AND, children=[0, 1]),
-        ],
+        kind=[NodeKind.LITERAL, NodeKind.LITERAL, NodeKind.AND],
+        literal=[1, 1, 0],
+        children=[(), (), (0, 1)],
         num_variables=1,
         root=2,
     )
@@ -66,11 +62,9 @@ def test_validate_smoothness_is_error_after_smoothing():
 
 def test_validate_dangling_and_cycle():
     d = Ddnnf(
-        nodes=[
-            Node(NodeKind.LITERAL, literal=1),
-            Node(NodeKind.AND, children=[0, 7]),
-            Node(NodeKind.OR, children=[2, 1]),
-        ],
+        kind=[NodeKind.LITERAL, NodeKind.AND, NodeKind.OR],
+        literal=[1, 0, 0],
+        children=[(), (0, 7), (2, 1)],
         num_variables=1,
         root=2,
     )
@@ -98,7 +92,7 @@ def test_brute_force_omitted_assumptions(circuits):
 
 
 def test_brute_force_limit():
-    d = Ddnnf(nodes=[Node(NodeKind.TRUE)], num_variables=30, root=0)
+    d = Ddnnf(kind=[NodeKind.TRUE], literal=[0], children=[()], num_variables=30, root=0)
     with pytest.raises(OracleLimitExceeded):
         brute_force_count(d)
     assert brute_force_count(d, limit=30) == 2**30
@@ -114,17 +108,17 @@ def test_assumptions_from_literals():
 
 def test_topological_order_everywhere(circuits):
     for name, d in circuits.items():
-        for i, nd in enumerate(d.nodes):
-            assert all(c < i for c in nd.children), name
+        for i in d.nodes:
+            assert all(c < i for c in d.children[i]), name
 
 
 def test_parent_child_duality(circuits):
     for name, d in circuits.items():
-        for i, nd in enumerate(d.nodes):
-            for c in nd.children:
-                assert i in d.nodes[c].parents, name
-            for p in nd.parents:
-                assert i in d.nodes[p].children, name
+        for i in d.nodes:
+            for c in d.children[i]:
+                assert i in d.parents[c], name
+            for p in d.parents[i]:
+                assert i in d.children[p], name
 
 
 def test_root_covers_all_non_omitted_variables(circuits):
@@ -136,3 +130,26 @@ def test_root_covers_all_non_omitted_variables(circuits):
 def test_present_variables_running_example():
     d = parse_c2d(RUNNING_EXAMPLE_C2D)
     assert present_variables(d) == {1, 2, 3, 4}
+
+
+def test_mask_variables_sparse_mask():
+    assert list(mask_variables(1 | 1 << 999)) == [1, 1000]
+    assert list(mask_variables(0)) == []
+
+
+
+def test_renumber_carries_preprocessed_lists(circuits):
+    # leaves first is another topological order; queries must not notice
+    d = preprocess(parse_c2d(fixture_texts()["rand_n12a"][1]))
+    queries = [Assumptions.of({v}, {v % 12 + 1}) for v in range(1, 13)]
+    queries = [(a, cfg) for a in queries for cfg in (FULL, NO_PARTIAL_TRAVERSAL)]
+    before = [query(d, a, cfg).count for a, cfg in queries]
+    leaves = [i for i in d.nodes if not d.children[i]]
+    order = leaves + [i for i in d.nodes if d.children[i]]
+    assert order != list(d.nodes)
+    renumber(d, order)
+    assert validate(d) == []
+    for i in d.nodes:
+        assert all(i in d.parents[c] for c in d.children[i])
+    assert [query(d, a, cfg).count for a, cfg in queries] == before
+    assert count_all_features(d) == count_all_features(circuits["rand_n12a"])

@@ -1,8 +1,11 @@
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from ddnnf import brute_force_count, count_total, parse_c2d, preprocess, query
+from ddnnf import oracle
+from ddnnf.engine import FULL, NAIVE, VARIANTS
 from ddnnf.errors import PartialAssignment, VoidCircuit
 from ddnnf.oracle import (
     AssumptionBatch,
@@ -130,6 +133,26 @@ class TestVariantMatrix:
         two = run_variant_matrix(d, generate_satisfiable_configs(d, [2], 5, seed=17))
         assert one.to_csv() == two.to_csv()
 
+    def test_shared_config_runs_each_query_once(self, circuits, monkeypatch):
+        # naive and reusing-subtrees share NAIVE; its queries run once
+        d = circuits["rand_n8"]
+        batch = generate_satisfiable_configs(d, [2], 5, seed=17)
+        calls = Counter()
+
+        def counting_query(d, assumptions, cfg=FULL):
+            calls[cfg] += 1
+            return query(d, assumptions, cfg)
+
+        monkeypatch.setattr(oracle, "query", counting_query)
+        report = run_variant_matrix(d, batch)
+        per_variant = len(report.rows) // len(VARIANTS)
+        assert calls[NAIVE] == per_variant
+        for name, cfg in VARIANTS.items():
+            if cfg not in (NAIVE, FULL):  # FULL also draws the unsat set
+                assert calls[cfg] == per_variant, name
+        monkeypatch.undo()
+        assert report.to_csv() == run_variant_matrix(d, batch).to_csv()
+
 
 class TestRecursiveVisits:
     """The recursive variants' visits are counted, not run."""
@@ -140,7 +163,7 @@ class TestRecursiveVisits:
 
         def walk(i):  # one visit per root-to-node path; depth 36 is safe
             paths[i] += 1
-            for c in d.nodes[i].children:
+            for c in d.children[i]:
                 walk(c)
 
         walk(d.root)

@@ -46,16 +46,16 @@ class TestParseC2d:
 
     def test_decision_variable_retained(self):
         d = parse_c2d(RUNNING_EXAMPLE_C2D)
-        assert d.nodes[10].decision == 4
-        assert d.nodes[9].decision == 0
+        assert d.decision[10] == 4
+        assert d.decision[9] == 0
 
     def test_empty_and_is_true(self):
         d = parse_c2d("nnf 1 0 0\nA 0\n")
-        assert d.nodes[0].kind is NodeKind.TRUE
+        assert d.kind[0] is NodeKind.TRUE
 
     def test_empty_or_is_false(self):
         d = parse_c2d("nnf 1 0 2\nO 0 0\n")
-        assert d.nodes[0].kind is NodeKind.FALSE
+        assert d.kind[0] is NodeKind.FALSE
         assert count_total(preprocess(d)) == 0
 
     def test_header_node_count_mismatch_tolerated(self):
@@ -117,15 +117,15 @@ class TestParseD4:
 
     def test_edge_literals_materialize_and_node(self):
         d = parse_d4("o 1 0\nt 2 0\n1 2 3 -4 0\n1 2 -3 4 0\n", 4)
-        ands = [nd for nd in d.nodes if nd.kind is NodeKind.AND]
+        ands = [i for i in d.nodes if d.kind[i] is NodeKind.AND]
         assert len(ands) == 2
-        assert all(len(nd.children) == 3 for nd in ands)
+        assert all(len(d.children[i]) == 3 for i in ands)
         # xor over 3,4 has 2 models; omitted variables 1,2 double each
         assert count_total(preprocess(d)) == 8
 
     def test_shared_literal_nodes(self):
         d = parse_d4("o 1 0\nt 2 0\n1 2 3 0\n1 2 -3 3 0\n", 3)
-        lits = [nd.literal for nd in d.nodes if nd.kind is NodeKind.LITERAL]
+        lits = [d.literal[i] for i in d.nodes if d.kind[i] is NodeKind.LITERAL]
         assert sorted(lits) == [-3, 3]  # the two edges share one +3 node
 
     def test_root_falls_back_to_unique_parentless(self):
@@ -164,8 +164,8 @@ class TestParseD4:
 
     def test_topological_order(self):
         d = parse_d4(RUNNING_EXAMPLE_D4, 4)
-        for i, nd in enumerate(d.nodes):
-            assert all(c < i for c in nd.children)
+        for i in d.nodes:
+            assert all(c < i for c in d.children[i])
 
 
 class TestDetectFormat:

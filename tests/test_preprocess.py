@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from ddnnf import (
     Assumptions,
     Ddnnf,
-    Node,
     NodeKind,
     brute_force_count,
+    compute_baseline,
     compute_core_dead,
     count_all_features,
     count_feature,
@@ -44,12 +44,12 @@ class TestSmooth:
         # 7 original nodes + per missing variable one Or and two literals
         assert len(d.nodes) == 13
         root_or = next(
-            i for i, nd in enumerate(d.nodes)
-            if nd.kind is NodeKind.OR and len(nd.children) == 2
-            and all(d.nodes[c].kind is NodeKind.AND for c in nd.children)
+            i for i in d.nodes
+            if d.kind[i] is NodeKind.OR and len(d.children[i]) == 2
+            and all(d.kind[c] is NodeKind.AND for c in d.children[i])
         )
-        for c in d.nodes[root_or].children:
-            assert len(d.nodes[c].children) == 3  # extended with one gadget
+        for c in d.children[root_or]:
+            assert len(d.children[c]) == 3  # extended with one gadget
 
     def test_already_smooth_adds_nothing(self):
         d = parse_c2d(RUNNING_EXAMPLE_C2D)
@@ -75,16 +75,20 @@ class TestSmooth:
 
     def test_refuses_undecomposable(self):
         d = Ddnnf(
-            nodes=[
-                Node(NodeKind.LITERAL, literal=1),
-                Node(NodeKind.LITERAL, literal=1),
-                Node(NodeKind.AND, children=[0, 1]),
-            ],
+            kind=[NodeKind.LITERAL, NodeKind.LITERAL, NodeKind.AND],
+            literal=[1, 1, 0],
+            children=[(), (), (0, 1)],
             num_variables=1,
             root=2,
         )
         with pytest.raises(DecomposabilityViolation):
             smooth(d)
+
+    def test_growth_drops_lists_of_later_steps(self):
+        d = compute_baseline(link_parents(parse_c2d(UNSMOOTH_PAIR_C2D)))
+        smooth(d)
+        assert (d.parents, d.baseline, d.inner) == ([], [], [])
+        assert count_total(preprocess(d)) == 4
 
     def test_false_child_needs_no_gadgets(self):
         # Or(False, A and B): False's count absorbs any completion
@@ -127,25 +131,27 @@ class TestLinkParents:
     def test_shared_node_has_two_parents(self):
         d = link_parents(smooth(parse_c2d(SHARED_SUBTREE_C2D)))
         shared = next(
-            i for i, nd in enumerate(d.nodes)
-            if nd.kind is NodeKind.OR
-            and sorted(d.nodes[c].literal for c in nd.children) == [-3, 3]
-            and len(nd.parents) == 2
+            i for i in d.nodes
+            if d.kind[i] is NodeKind.OR
+            and sorted(d.literal[c] for c in d.children[i]) == [-3, 3]
+            and len(d.parents[i]) == 2
         )
-        assert len(d.nodes[shared].parents) == 2
+        assert len(d.parents[shared]) == 2
 
     def test_single_literal_root(self):
         d = link_parents(smooth(parse_c2d("nnf 1 0 1\nL 1\n")))
-        assert d.nodes[d.root].parents == []
+        assert d.parents[d.root] == ()
         assert d.root == 0
 
     def test_running_example_or_node_parent(self):
         d = link_parents(smooth(parse_c2d(RUNNING_EXAMPLE_C2D)))
-        assert d.nodes[9].parents == [11]
+        assert d.parents[9] == (11,)
 
     def test_multiple_roots_detected(self):
         d = Ddnnf(
-            nodes=[Node(NodeKind.LITERAL, literal=1), Node(NodeKind.LITERAL, literal=2)],
+            kind=[NodeKind.LITERAL, NodeKind.LITERAL],
+            literal=[1, 2],
+            children=[(), ()],
             num_variables=2,
             root=None,
         )
@@ -196,21 +202,22 @@ class TestCoreDead:
 
 class TestBaseline:
     def test_running_example_annotations(self, running_example):
-        assert running_example.nodes[11].baseline == 4
-        assert running_example.nodes[9].baseline == 2
-        assert running_example.nodes[10].baseline == 2
+        assert running_example.baseline[11] == 4
+        assert running_example.baseline[9] == 2
+        assert running_example.baseline[10] == 2
 
     def test_false_circuit(self, circuits):
         d = circuits["false_n2"]
-        assert d.nodes[d.root].baseline == 0
+        assert d.baseline[d.root] == 0
 
     def test_d4_running_example(self):
         d = preprocess(parse_d4(RUNNING_EXAMPLE_D4, 4))
-        assert d.nodes[d.root].baseline == 4
+        assert d.baseline[d.root] == 4
 
     def test_every_baseline_filled(self, circuits):
         for name, d in circuits.items():
-            assert all(nd.baseline is not None for nd in d.nodes), name
+            assert len(d.baseline) == len(d.nodes), name
+            assert all(isinstance(b, int) for b in d.baseline), name
 
 
 class TestPreprocess:
@@ -225,10 +232,10 @@ class TestPreprocess:
 
     def test_idempotent(self):
         d = preprocess(parse_c2d(UNSMOOTH_PAIR_C2D))
-        nodes, baselines = len(d.nodes), [nd.baseline for nd in d.nodes]
+        nodes, baselines = len(d.nodes), list(d.baseline)
         preprocess(d)
         assert len(d.nodes) == nodes
-        assert [nd.baseline for nd in d.nodes] == baselines
+        assert d.baseline == baselines
 
 
 @settings(max_examples=30, deadline=None)
@@ -276,14 +283,15 @@ class TestPrune:
 
     def test_keeps_order_and_root_last(self):
         d = prune(parse_c2d("nnf 4 1 2\nL 2\nL 1\nL -1\nO 1 2 1 2\n"))
-        assert [nd.literal for nd in d.nodes[:2]] == [1, -1]
-        assert d.nodes[d.root].children == [0, 1] and d.root == 2
+        assert d.literal[:2] == [1, -1]
+        assert d.children[d.root] == (0, 1) and d.root == 2
 
     def test_complete_circuit_untouched(self, circuits):
         d = circuits["running_c2d"]
-        nodes = list(d.nodes)
+        before = [d.kind, d.literal, d.children, d.parents, d.baseline]
         prune(d)
-        assert d.nodes == nodes
+        after = [d.kind, d.literal, d.children, d.parents, d.baseline]
+        assert all(a is b for a, b in zip(after, before))
 
 
 def _profile(d, rng):
