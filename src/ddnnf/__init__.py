@@ -12,7 +12,6 @@ from .core import (
     NodeKind,
     Violation,
     brute_force_count,
-    recompute_and_partial,
     validate,
     variable_set,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "preprocess",
     "prune",
     "query",
-    "recompute_and_partial",
     "smooth",
     "validate",
     "variable_set",

@@ -112,9 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = parser.add_argument_group("optimizations")
     opt.add_argument("--no-partial-traversal", action="store_true")
-    opt.add_argument("--no-partial-calculation", action="store_true")
     opt.add_argument("--no-core-dead", action="store_true")
-    for flag in ("--no-reuse-subtrees", "--recursive", "--or-folding"):
+    for flag in (
+        "--no-partial-calculation", "--no-reuse-subtrees", "--recursive", "--or-folding",
+    ):
         opt.add_argument(
             flag, action="store_true",
             help="accepted for compatibility; has no effect",
@@ -127,7 +128,6 @@ def _options(ns: argparse.Namespace) -> CliOptions:
     try:
         cfg = engine.OptimizationConfig(
             partial_traversal=not ns.no_partial_traversal,
-            partial_calculation=not ns.no_partial_calculation,
             core_dead_shortcuts=not ns.no_core_dead,
             traversal_bypass_fraction=ns.bypass_fraction,
         )

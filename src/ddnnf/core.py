@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import OracleLimitExceeded, ZeroOldChild
+from .errors import OracleLimitExceeded
 
 ORACLE_LIMIT_DEFAULT = 24
 
@@ -109,7 +109,11 @@ class Assumptions:
 
     @classmethod
     def from_literals(cls, literals) -> "Assumptions":
-        """Build from signed literals: +v includes v, -v excludes v."""
+        """Build from signed literals: +v includes v, -v excludes v.
+
+        ``literals`` may be any iterable, a generator too; it is read once.
+        """
+        literals = tuple(literals)
         inc = frozenset(lit for lit in literals if lit > 0)
         exc = frozenset(-lit for lit in literals if lit < 0)
         return cls(inc, exc)
@@ -232,43 +236,16 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
         }
 
 
-def recompute_and_partial(old_value, changed, arity: int):
-    """Incremental And update: old_value * prod(new) / prod(old).
-
-    ``changed`` holds (old_child, new_child) pairs; the caller guarantees
-    fewer than ``arity / 2`` of them and that ``old_value`` is the product
-    of all old children, which makes the division exact.  A zero old child
-    cannot be divided out; the caller must fall back to the full product.
-    """
-    numerator = 1
-    denominator = 1
-    for old, new in changed:
-        if old == 0:
-            raise ZeroOldChild("cannot divide out a zero-valued child")
-        numerator *= new
-        denominator *= old
-    return old_value * numerator // denominator
-
-
-def recompute(
-    d: Ddnnf, values: list[int], order, partial_calculation: bool = False
-) -> None:
+def recompute(d: Ddnnf, values: list[int], order) -> None:
     """Recompute the And and Or nodes in ``order`` from their children.
 
     ``values`` holds a count for every node; ``order`` lists And and Or
     nodes only, ascending, so each node reads its children's final values.
-    And nodes multiply and Or nodes add, in place.  This one loop serves the
-    baseline pass, the full sweep and the partial pass of a query.
-
-    With ``partial_calculation`` (a query's partial pass, whose ``values``
-    start as a copy of the baselines) an And node with more than two
-    children, fewer than half of them changed, divides the old child values
-    out of its baseline and multiplies the new ones in
-    (:func:`recompute_and_partial`), unless a changed child's baseline is
-    zero.  With two children that rule only fires when nothing changed, and
-    then the product equals the baseline anyway.
+    And nodes multiply, stopping at the first zero factor, and Or nodes add,
+    in place.  This one loop serves the baseline pass, the full sweep and
+    the partial pass of a query.
     """
-    kind, children, baseline = d.kind, d.children, d.baseline
+    kind, children = d.kind, d.children
     for i in order:
         ch = children[i]
         if len(ch) == 2:  # most nodes: no inner loop
@@ -283,17 +260,6 @@ def recompute(
                 total += values[c]
             values[i] = total
         else:
-            if partial_calculation:
-                changed = []
-                for c in ch:
-                    if values[c] != baseline[c]:
-                        changed.append((baseline[c], values[c]))
-                if 2 * len(changed) < len(ch):
-                    try:
-                        values[i] = recompute_and_partial(baseline[i], changed, len(ch))
-                        continue
-                    except ZeroOldChild:
-                        pass
             product = 1
             for c in ch:
                 product *= values[c]

@@ -81,7 +81,3 @@ class PartialAssignment(DdnnfError):
 
 class VoidCircuit(DdnnfError):
     """The circuit has no satisfying assignment."""
-
-
-class ZeroOldChild(DdnnfError):
-    """Incremental product update would divide by zero; recompute fully."""

@@ -5,7 +5,6 @@ lines.  Expected values come from three sources only: the running example's
 known counts, hand-checkable constants, and the exhaustive oracle.
 """
 
-import random
 import subprocess
 import sys
 import time
@@ -23,11 +22,9 @@ from ddnnf import (
     parse_d4,
     preprocess,
     query,
-    recompute_and_partial,
     validate,
 )
 from ddnnf.engine import VARIANTS
-from ddnnf.errors import ZeroOldChild
 from ddnnf.oracle import generate_satisfiable_configs, generate_unsat_configs
 
 from conftest import UNSMOOTH_PAIR_C2D, RUNNING_EXAMPLE_C2D, RUNNING_EXAMPLE_D4
@@ -185,44 +182,3 @@ def test_criterion_09_protocol_conformance(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == golden
     _passed(9, "scripted stream session is byte-identical to the golden file")
-
-
-def test_criterion_10_folding_property():
-    rng = random.Random(99)
-    checked = zero_cases = 0
-    for _ in range(10_000):
-        arity = rng.randint(2, 12)
-        changed_count = rng.randint(1, max(1, (arity - 1) // 2))
-        changed = [
-            (0 if rng.random() < 0.05 else rng.randint(1, 10**6),
-             rng.randint(0, 10**6))
-            for _ in range(changed_count)
-        ]
-        untouched = [rng.randint(0, 10**6) for _ in range(arity - changed_count)]
-        old_value = 1
-        for old, _ in changed:
-            old_value *= old
-        for value in untouched:
-            old_value *= value
-        direct = 1
-        for _, new in changed:
-            direct *= new
-        for value in untouched:
-            direct *= value
-        if any(old == 0 for old, _ in changed):
-            try:
-                recompute_and_partial(old_value, changed, arity)
-            except ZeroOldChild:
-                zero_cases += 1
-            else:
-                raise AssertionError("zero old child must refuse to fold")
-        else:
-            assert recompute_and_partial(old_value, changed, arity) == direct
-            checked += 1
-    assert checked + zero_cases == 10_000
-    assert zero_cases > 0
-    _passed(
-        10,
-        f"{checked} foldings match direct products; {zero_cases} zero-child"
-        " cases fell back",
-    )

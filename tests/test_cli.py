@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,9 @@ from ddnnf import count_total, parse_c2d, preprocess, validate
 from ddnnf.cli import main
 
 from conftest import UNSMOOTH_PAIR_C2D, RUNNING_EXAMPLE_C2D, RUNNING_EXAMPLE_D4
+from helpers import random_c2d_text
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -117,6 +121,25 @@ def test_variant_matrix_mode(running_c2d_file, tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "variant,query,count,nodes_visited"
     assert capsys.readouterr().err.strip() == "all-equal: true"
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-partial-calculation"]])
+def test_variant_matrix_golden(tmp_path, capsys, flags):
+    # the running example's matrix, then a random n = 12 circuit's, each
+    # starting with its own header line
+    out = b""
+    for name, text in (("running", RUNNING_EXAMPLE_C2D), ("rand12", random_c2d_text(350, 12))):
+        path = tmp_path / f"{name}.nnf"
+        path.write_text(text)
+        csv = tmp_path / f"{name}.csv"
+        code = main([
+            str(path), "--variant-matrix", "--csv", str(csv),
+            "--chunk-sizes", "2", "--per-chunk", "3", "--seed", "5", *flags,
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == "all-equal: true\n"
+        out += csv.read_bytes()
+    assert out == (DATA / "variant_matrix_golden.csv").read_bytes()
 
 
 def test_optimization_flags_change_nothing(running_c2d_file, capsys):

@@ -16,6 +16,11 @@ from conftest import UNSMOOTH_PAIR_C2D, RUNNING_EXAMPLE_C2D, fixture_texts
 from ddnnf import count_all_features, parse_c2d, preprocess, query
 
 
+def test_from_literals_reads_a_generator_once():
+    a = Assumptions.from_literals(lit for lit in [1, -2])
+    assert a == Assumptions.of(include={1}, exclude={2})
+
+
 def test_variable_set_or_node(running_example):
     # left Or ranges over B and C
     assert variable_set(running_example, 9) == {2, 3}

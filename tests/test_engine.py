@@ -18,17 +18,15 @@ from ddnnf import (
     parse_d4,
     preprocess,
     query,
-    recompute_and_partial,
 )
 from ddnnf.core import ORACLE_LIMIT_DEFAULT
 from ddnnf.engine import (
     FULL,
     NO_CORE_DEAD,
-    NO_PARTIAL_CALCULATION,
     NO_PARTIAL_TRAVERSAL,
     VARIANTS,
 )
-from ddnnf.errors import VariableOutOfRange, ZeroOldChild
+from ddnnf.errors import VariableOutOfRange
 
 from helpers import (
     UNREFERENCED_C2D,
@@ -186,44 +184,6 @@ class TestMarkAncestors:
         assert small <= mark_ancestors(running_example, {-2, 3})
 
 
-class TestFolding:
-    def test_quarter_update(self):
-        assert recompute_and_partial(24, [(4, 1)], 4) == 6
-
-    def test_running_example_root(self, running_example):
-        assert recompute_and_partial(4, [(2, 1)], 3) == 2
-
-    def test_zero_new_child(self):
-        assert recompute_and_partial(12, [(3, 0)], 5) == 0
-
-    def test_zero_old_child_raises(self):
-        with pytest.raises(ZeroOldChild):
-            recompute_and_partial(0, [(0, 2)], 5)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        children=st.lists(
-            st.tuples(st.integers(1, 10**12), st.integers(0, 10**12)),
-            min_size=1,
-            max_size=8,
-        ),
-        untouched=st.lists(st.integers(1, 10**12), max_size=8),
-    )
-    def test_matches_direct_product(self, children, untouched):
-        old_value = 1
-        for old, _ in children:
-            old_value *= old
-        for value in untouched:
-            old_value *= value
-        direct = 1
-        for _, new in children:
-            direct *= new
-        for value in untouched:
-            direct *= value
-        arity = len(children) + len(untouched)
-        assert recompute_and_partial(old_value, children, arity) == direct
-
-
 def test_or_folding_engine_path():
     # root is a four-child Or over the guard cells AB, A!B, !AB, !A!B; the
     # query I={C} changes exactly one of them, on the partial rung
@@ -296,15 +256,14 @@ class TestVariantAgreement:
         data=st.data(),
     )
     def test_every_rung_matches_oracle(self, seed, n, omit, d4, data):
-        # full sweep, partial traversal with and without partial calculation,
-        # and the exhaustive oracle agree on random multi-literal assumptions
+        # full sweep, partial traversal and the exhaustive oracle agree on
+        # random multi-literal assumptions
         text = random_c2d_text(seed, n, omit=omit, tree_budget=400)
         d = preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
         oracle = ExhaustiveCounter(d)
         configs = {
             "full": FULL,
             "no-partial-traversal": NO_PARTIAL_TRAVERSAL,
-            "no-partial-calculation": NO_PARTIAL_CALCULATION,
             "always-partial": ALWAYS_PARTIAL,
         }
         literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddnnf import (
     NodeKind,
@@ -27,6 +29,7 @@ from ddnnf.errors import (
 )
 
 from conftest import RUNNING_EXAMPLE_C2D, RUNNING_EXAMPLE_D4, build_circuit, fixture_texts
+from helpers import c2d_to_d4, random_c2d_text
 
 
 class TestParseC2d:
@@ -210,6 +213,20 @@ class TestWriteC2d:
             again = preprocess(parse_c2d(write_c2d(d)))
             assert count_total(again) == count_total(d), name
             assert count_all_features(again) == count_all_features(d), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.sampled_from([4, 8, 14, 24]),
+        omit=st.integers(0, 3),
+        d4=st.booleans(),
+    )
+    def test_round_trip_preserves_table_on_random_circuits(self, seed, n, omit, d4):
+        text = random_c2d_text(seed, n, omit=omit, tree_budget=400)
+        d = preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
+        again = preprocess(parse_c2d(write_c2d(d)))
+        assert again.num_variables == d.num_variables
+        assert count_all_features(again) == count_all_features(d)
 
     def test_unreferenced_records_dropped_on_write(self):
         # lenient parse keeps the unreferenced duplicate literal; the writer

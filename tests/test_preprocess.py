@@ -237,6 +237,28 @@ class TestPreprocess:
         assert len(d.nodes) == nodes
         assert d.baseline == baselines
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.sampled_from([4, 8, 14, 24]),
+        omit=st.integers(0, 3),
+        d4=st.booleans(),
+    )
+    def test_idempotent_on_random_circuits(self, seed, n, omit, d4):
+        text = random_c2d_text(seed, n, omit=omit, tree_budget=400)
+        d = preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
+        before = _lists(d)
+        preprocess(d)
+        assert _lists(d) == before
+
+
+def _lists(d):
+    """Everything preprocessing fills or may rewrite, as plain values."""
+    return (
+        d.kind, d.literal, d.children, d.decision, d.parents, d.baseline,
+        d.inner, d.literal_index, d.core, d.dead, d.omitted, d.root,
+    )
+
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000))
