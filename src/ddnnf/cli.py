@@ -51,7 +51,6 @@ class CliOptions:
     seed: int = 42
     chunk_sizes: tuple[int, ...] = DEFAULT_CHUNK_SIZES
     per_chunk: int = DEFAULT_PER_CHUNK
-    optimizations: engine.OptimizationConfig = engine.FULL
 
 
 class _UsageError(Exception):
@@ -96,10 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     parser.add_argument("--csv", metavar="FILE", help="write results to FILE instead of stdout")
-    parser.add_argument(
-        "--threads", type=int, default=1, metavar="K",
-        help="accepted for compatibility; has no effect (work runs on one thread)",
-    )
     parser.add_argument("--seed", type=int, default=42, help="seed for generated query sets")
     parser.add_argument(
         "--chunk-sizes", default=",".join(map(str, DEFAULT_CHUNK_SIZES)),
@@ -109,31 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--per-chunk", type=int, default=DEFAULT_PER_CHUNK, metavar="N",
         help="configurations per chunk size for --variant-matrix",
     )
-
-    opt = parser.add_argument_group("optimizations")
-    opt.add_argument("--no-partial-traversal", action="store_true")
-    opt.add_argument("--no-core-dead", action="store_true")
-    for flag in (
-        "--no-partial-calculation", "--no-reuse-subtrees", "--recursive", "--or-folding",
-    ):
-        opt.add_argument(
-            flag, action="store_true",
-            help="accepted for compatibility; has no effect",
-        )
-    opt.add_argument("--bypass-fraction", type=float, default=0.2, metavar="F")
     return parser
 
 
 def _options(ns: argparse.Namespace) -> CliOptions:
-    try:
-        cfg = engine.OptimizationConfig(
-            partial_traversal=not ns.no_partial_traversal,
-            core_dead_shortcuts=not ns.no_core_dead,
-            traversal_bypass_fraction=ns.bypass_fraction,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
     opts = CliOptions(
         input_path=ns.input,
         format=ns.format,
@@ -141,7 +115,6 @@ def _options(ns: argparse.Namespace) -> CliOptions:
         csv_path=ns.csv,
         seed=ns.seed,
         per_chunk=ns.per_chunk,
-        optimizations=cfg,
     )
     try:
         opts.chunk_sizes = tuple(int(t) for t in ns.chunk_sizes.split(",") if t)
@@ -214,9 +187,8 @@ def _emit(text: str, opts: CliOptions) -> None:
 class StreamSession:
     """Answers one protocol line at a time over a preprocessed circuit."""
 
-    def __init__(self, d: Ddnnf, cfg: engine.OptimizationConfig = engine.FULL):
+    def __init__(self, d: Ddnnf):
         self.d = d
-        self.cfg = cfg
 
     def handle(self, line: str) -> tuple[str, bool]:
         """Response line and whether the session should end."""
@@ -239,7 +211,7 @@ class StreamSession:
                     if not 1 <= abs(lit) <= d.num_variables:
                         return f"error variable-out-of-range {abs(lit)}", False
                 a = Assumptions.from_literals(literals)
-                return str(engine.query(d, a, self.cfg).count), False
+                return str(engine.query(d, a).count), False
             return "error unknown-command", False
         if command == "core" and len(tokens) == 1:
             return " ".join(map(str, sorted(d.core))), False
@@ -258,7 +230,7 @@ def run_stream(opts: CliOptions, stdin=None, stdout=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     d = preprocess(_load(opts))
-    session = StreamSession(d, opts.optimizations)
+    session = StreamSession(d)
     for raw in stdin:
         response, stop = session.handle(raw.rstrip("\r\n"))
         stdout.write(response + "\n")
@@ -280,21 +252,19 @@ def run_once(opts: CliOptions) -> int:
         return 0
 
     preprocess(d)
-    cfg = opts.optimizations
-
     if opts.mode == "count":
         _emit(f"{engine.count_total(d)}\n", opts)
     elif opts.mode == "feature":
-        _emit(f"{engine.count_feature(d, opts.feature, cfg)}\n", opts)
+        _emit(f"{engine.count_feature(d, opts.feature)}\n", opts)
     elif opts.mode == "config":
         a = Assumptions.from_literals(opts.config_literals)
-        _emit(f"{engine.query(d, a, cfg).count}\n", opts)
+        _emit(f"{engine.query(d, a).count}\n", opts)
     elif opts.mode == "all_features":
         rows = engine.count_all_features(d)
         body = "".join(f"{v},{count}\n" for v, count in rows)
         _emit("feature,cardinality\n" + body, opts)
     elif opts.mode == "queries":
-        session = StreamSession(d, cfg)
+        session = StreamSession(d)
         lines = _read_text(opts.queries_path).split("\n")
         if not lines[-1]:
             lines.pop()  # the text ends with a newline, or is empty

@@ -206,8 +206,9 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
     """Keep the nodes listed in ``order``, in that order, as nodes 0, 1, ...
 
     Every child of a kept node must be kept too.  Parents, baselines,
-    ``inner`` and the literal index are carried along when already filled;
-    parents and index entries outside ``order`` are dropped.
+    ``inner`` and the literal index no longer match the new indices, so they
+    are emptied and the circuit counts as not preprocessed; preprocessing
+    refills them.
     """
     position = [-1] * len(d.kind)
     for new, old in enumerate(order):
@@ -217,23 +218,10 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
     d.decision = [d.decision[i] for i in order]
     children = d.children
     d.children = [tuple([position[c] for c in children[i]]) for i in order]
-    if d.parents:
-        parents = d.parents
-        d.parents = [
-            tuple([position[p] for p in parents[i] if position[p] >= 0])
-            for i in order
-        ]
-    if d.baseline:
-        d.baseline = [d.baseline[i] for i in order]
-    if d.inner:
-        d.inner = sorted(position[i] for i in d.inner if position[i] >= 0)
     if d.root is not None:
         d.root = position[d.root]
-    if d.literal_index:
-        d.literal_index = {
-            lit: sorted(position[i] for i in idxs if position[i] >= 0)
-            for lit, idxs in d.literal_index.items()
-        }
+    d.parents, d.baseline, d.inner, d.literal_index = [], [], [], {}
+    d.preprocessed = False
 
 
 def recompute(d: Ddnnf, values: list[int], order) -> None:

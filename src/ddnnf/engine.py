@@ -1,8 +1,8 @@
 """Counting queries over a preprocessed circuit.
 
 The baseline pass already holds every node's count under no assumptions, so
-a query only has to account for the literals it forces to zero.  The ladder
-of optimizations, each independently toggleable:
+a query only has to account for the literals it forces to zero.  The engine
+picks the rung for each query itself:
 
 * core/dead shortcuts: a query including a dead variable or excluding a core
   one is 0 without touching the circuit; included-core and excluded-dead
@@ -12,6 +12,10 @@ of optimizations, each independently toggleable:
   unmarked child's baseline.  Skipped when the assumption set exceeds
   ``traversal_bypass_fraction`` of the variables, where marking overhead
   stops paying off.
+
+:class:`OptimizationConfig` exists for the variant matrix, which switches
+rungs off one at a time to measure what each saves; every other caller
+runs ``FULL``.
 
 Both the partial pass and anything the ladder does not settle start from a
 copy of the baselines with the forced literal nodes zeroed, and recompute
@@ -40,18 +44,26 @@ from .errors import DdnnfError, VariableOutOfRange
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    partial_traversal: bool = True
+    """The rungs a query may take.
+
+    The partial rung runs when the zero literals number at most
+    ``traversal_bypass_fraction`` of the variables.  A fraction of 0 switches
+    it off, as the removed ``partial_traversal=False`` did: an empty
+    zero-literal set is answered before the check, and a non-empty one
+    always exceeds ``0 * n``.
+    """
+
     core_dead_shortcuts: bool = True
     traversal_bypass_fraction: float = 0.2
 
     def __post_init__(self):
-        if not 0 < self.traversal_bypass_fraction <= 1:
-            raise ValueError("traversal_bypass_fraction must be in (0, 1]")
+        if not 0 <= self.traversal_bypass_fraction <= 1:
+            raise ValueError("traversal_bypass_fraction must be in [0, 1]")
 
 
 FULL = OptimizationConfig()
-NAIVE = OptimizationConfig(partial_traversal=False, core_dead_shortcuts=False)
-NO_PARTIAL_TRAVERSAL = OptimizationConfig(partial_traversal=False)
+NAIVE = OptimizationConfig(core_dead_shortcuts=False, traversal_bypass_fraction=0)
+NO_PARTIAL_TRAVERSAL = OptimizationConfig(traversal_bypass_fraction=0)
 NO_CORE_DEAD = OptimizationConfig(core_dead_shortcuts=False)
 
 #: The benchmark variants, weakest first.  ``naive`` and ``reusing-subtrees``
@@ -152,7 +164,7 @@ def query(
         return QueryResult(d.baseline[d.root] * factor, 0, 0, "shortcut")
 
     values = _zeroed_baselines(d, zero_literals)
-    if cfg.partial_traversal and len(zero_literals) <= cfg.traversal_bypass_fraction * n:
+    if len(zero_literals) <= cfg.traversal_bypass_fraction * n:
         marked = mark_ancestors(d, zero_literals)
         # the marked leaves are the zeroed literal nodes, already final
         kind = d.kind
@@ -164,9 +176,9 @@ def query(
     return QueryResult(values[d.root] * factor, len(d.nodes), 0, "full")
 
 
-def count_feature(d: Ddnnf, feature: int, cfg: OptimizationConfig = FULL) -> int:
+def count_feature(d: Ddnnf, feature: int) -> int:
     """Cardinality of one feature: models that include it."""
-    return query(d, Assumptions.of(include={feature}), cfg).count
+    return query(d, Assumptions.of(include={feature})).count
 
 
 def _literal_derivatives(d: Ddnnf) -> list[int]:

@@ -114,9 +114,6 @@ def smooth(d: Ddnnf) -> Ddnnf:
         children[i] = tuple(slots)
 
     if grew:
-        # lists filled by later steps no longer match; those steps refill them
-        d.parents, d.baseline, d.inner, d.literal_index = [], [], [], {}
-        d.preprocessed = False
         toposort(d)
     d.is_smooth = True
     return d

@@ -133,14 +133,18 @@ def test_criterion_05_partial_traversal_sharpness():
 def test_criterion_06_core_dead_rule(circuits):
     running_example = circuits["running_c2d"]
     assert running_example.core == {1}
-    forced = OptimizationConfig(core_dead_shortcuts=False, partial_traversal=False)
-    assert count_feature(running_example, 1) == count_feature(running_example, 1, forced) == 4
+    forced = OptimizationConfig(core_dead_shortcuts=False, traversal_bypass_fraction=0)
+
+    def forced_count(d, v):
+        return query(d, Assumptions.of({v}), forced).count
+
+    assert count_feature(running_example, 1) == forced_count(running_example, 1) == 4
     for name, d in circuits.items():
         total = count_total(d)
         for v in d.core:
-            assert count_feature(d, v) == count_feature(d, v, forced) == total, name
+            assert count_feature(d, v) == forced_count(d, v) == total, name
         for v in d.dead:
-            assert count_feature(d, v) == count_feature(d, v, forced) == 0, name
+            assert count_feature(d, v) == forced_count(d, v) == 0, name
     _passed(6, "core/dead cardinalities match via shortcut and full traversal")
 
 

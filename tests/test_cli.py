@@ -5,12 +5,13 @@ from pathlib import Path
 import pytest
 
 from ddnnf import count_total, parse_c2d, preprocess, validate
-from ddnnf.cli import main
+from ddnnf.cli import build_parser, main
 
 from conftest import UNSMOOTH_PAIR_C2D, RUNNING_EXAMPLE_C2D, RUNNING_EXAMPLE_D4
 from helpers import random_c2d_text
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -61,31 +62,11 @@ def test_all_features_csv(running_c2d_file, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_all_features_threads_match(running_c2d_file, tmp_path):
-    single = tmp_path / "one.csv"
-    pooled = tmp_path / "four.csv"
-    assert main([str(running_c2d_file), "--all-features", "--csv", str(single)]) == 0
-    assert main([str(running_c2d_file), "--all-features", "--csv", str(pooled), "--threads", "4"]) == 0
-    assert single.read_text() == pooled.read_text()
-
-
 def test_queries_file(running_c2d_file, tmp_path, capsys):
     queries = tmp_path / "queries.txt"
     queries.write_text("count\ncount v 2\ncount v 4 -3\ncount v 2 -2\nbogus\n")
     assert main([str(running_c2d_file), "--queries", str(queries)]) == 0
     assert capsys.readouterr().out == "4\n2\n1\n0\nerror unknown-command\n"
-
-
-def test_queries_file_threads_match(running_c2d_file, tmp_path):
-    queries = tmp_path / "queries.txt"
-    queries.write_text("count\ncount v 1\ncount v 2\ncount v 3\n")
-    one = tmp_path / "one.out"
-    four = tmp_path / "four.out"
-    assert main([str(running_c2d_file), "--queries", str(queries), "--csv", str(one)]) == 0
-    assert main([
-        str(running_c2d_file), "--queries", str(queries), "--csv", str(four), "--threads", "4",
-    ]) == 0
-    assert one.read_text() == four.read_text()
 
 
 def test_validate_mode_clean(running_c2d_file, capsys):
@@ -111,20 +92,7 @@ def test_save_smoothed(tmp_path, capsys):
     assert count_total(preprocess(reparsed)) == 4
 
 
-def test_variant_matrix_mode(running_c2d_file, tmp_path, capsys):
-    out = tmp_path / "matrix.csv"
-    code = main([
-        str(running_c2d_file), "--variant-matrix", "--csv", str(out),
-        "--chunk-sizes", "2", "--per-chunk", "3", "--seed", "5",
-    ])
-    assert code == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "variant,query,count,nodes_visited"
-    assert capsys.readouterr().err.strip() == "all-equal: true"
-
-
-@pytest.mark.parametrize("flags", [[], ["--no-partial-calculation"]])
-def test_variant_matrix_golden(tmp_path, capsys, flags):
+def test_variant_matrix_golden(tmp_path, capsys):
     # the running example's matrix, then a random n = 12 circuit's, each
     # starting with its own header line
     out = b""
@@ -134,7 +102,7 @@ def test_variant_matrix_golden(tmp_path, capsys, flags):
         csv = tmp_path / f"{name}.csv"
         code = main([
             str(path), "--variant-matrix", "--csv", str(csv),
-            "--chunk-sizes", "2", "--per-chunk", "3", "--seed", "5", *flags,
+            "--chunk-sizes", "2", "--per-chunk", "3", "--seed", "5",
         ])
         assert code == 0
         assert capsys.readouterr().err == "all-equal: true\n"
@@ -142,27 +110,43 @@ def test_variant_matrix_golden(tmp_path, capsys, flags):
     assert out == (DATA / "variant_matrix_golden.csv").read_bytes()
 
 
-def test_optimization_flags_change_nothing(running_c2d_file, capsys):
-    for flags in (
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--threads", "4"],
         ["--no-partial-traversal"],
         ["--no-partial-calculation"],
         ["--no-core-dead"],
-        ["--no-reuse-subtrees", "--recursive"],
-        ["--or-folding", "--bypass-fraction", "1.0"],
-    ):
-        assert main([str(running_c2d_file), "--feature", "2", *flags]) == 0
-        assert capsys.readouterr().out == "2\n"
+        ["--no-reuse-subtrees"],
+        ["--recursive"],
+        ["--or-folding"],
+        ["--bypass-fraction", "1.0"],
+    ],
+    ids=lambda flags: flags[0],
+)
+def test_removed_speed_flags_are_usage_errors(running_c2d_file, capsys, flags):
+    # the engine picks its rungs; only --variant-matrix switches them off
+    assert main([str(running_c2d_file), "--feature", "2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
 
 
-def test_recursive_flag_on_deep_chain(tmp_path, capsys):
-    # 3000 Shannon levels are 9000 deep; the flag is a no-op and must not recurse
-    from helpers import shannon_chain_c2d
-
-    path = tmp_path / "chain.nnf"
-    path.write_text(shannon_chain_c2d(3000))
-    flags = ["--feature", "2", "--no-partial-traversal", "--recursive"]
-    assert main([str(path), *flags]) == 0
-    assert capsys.readouterr().out == f"{2**2999}\n"
+def test_every_option_is_expected_and_documented():
+    options = sorted(
+        opt
+        for action in build_parser()._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    )
+    assert options == sorted([
+        "--format", "--num-variables",
+        "--count", "--feature", "--config", "--all-features", "--queries",
+        "--stream", "--save-smoothed", "--validate", "--variant-matrix",
+        "--csv", "--seed", "--chunk-sizes", "--per-chunk",
+    ])
+    readme = README.read_text(encoding="utf-8")
+    assert [opt for opt in options if opt not in readme] == []
 
 
 def test_non_utf8_input_is_parse_error(tmp_path, running_c2d_file, capsys):

@@ -143,18 +143,21 @@ def test_mask_variables_sparse_mask():
 
 
 
-def test_renumber_carries_preprocessed_lists(circuits):
-    # leaves first is another topological order; queries must not notice
+def test_renumber_empties_preprocessed_lists(circuits):
+    # leaves first is another topological order; once preprocessing refills
+    # the lists, queries must not notice
     d = preprocess(parse_c2d(fixture_texts()["rand_n12a"][1]))
     queries = [Assumptions.of({v}, {v % 12 + 1}) for v in range(1, 13)]
     queries = [(a, cfg) for a in queries for cfg in (FULL, NO_PARTIAL_TRAVERSAL)]
-    before = [query(d, a, cfg).count for a, cfg in queries]
+    before = [query(d, a, cfg) for a, cfg in queries]
     leaves = [i for i in d.nodes if not d.children[i]]
     order = leaves + [i for i in d.nodes if d.children[i]]
     assert order != list(d.nodes)
     renumber(d, order)
+    assert (d.parents, d.baseline, d.inner, d.literal_index) == ([], [], [], {})
+    assert not d.preprocessed
     assert validate(d) == []
-    for i in d.nodes:
-        assert all(i in d.parents[c] for c in d.children[i])
-    assert [query(d, a, cfg).count for a, cfg in queries] == before
+    preprocess(d)
+    assert all(not d.children[i] for i in range(len(leaves)))
+    assert [query(d, a, cfg) for a, cfg in queries] == before
     assert count_all_features(d) == count_all_features(circuits["rand_n12a"])

@@ -22,6 +22,7 @@ from ddnnf import (
 from ddnnf.core import ORACLE_LIMIT_DEFAULT
 from ddnnf.engine import (
     FULL,
+    NAIVE,
     NO_CORE_DEAD,
     NO_PARTIAL_TRAVERSAL,
     VARIANTS,
@@ -34,6 +35,7 @@ from helpers import (
     c2d_to_d4,
     gadget_chain_c2d,
     random_c2d_text,
+    shannon_chain_c2d,
 )
 
 ALWAYS_PARTIAL = OptimizationConfig(traversal_bypass_fraction=1.0)
@@ -222,8 +224,7 @@ class TestWorkBounds:
 
     def test_full_pass_visits_every_node(self, circuits):
         d = circuits["running_c2d"]
-        off = OptimizationConfig(partial_traversal=False)
-        result = query(d, Assumptions.of({2}), off)
+        result = query(d, Assumptions.of({2}), NO_PARTIAL_TRAVERSAL)
         assert result.nodes_visited == len(d.nodes)
 
 
@@ -290,23 +291,34 @@ class TestVariantAgreement:
 
 
 def test_core_dead_shortcut_equals_forced_traversal(circuits):
-    forced = OptimizationConfig(core_dead_shortcuts=False, partial_traversal=False)
     for name, d in circuits.items():
         total = count_total(d)
         for v in d.core:
-            assert count_feature(d, v) == count_feature(d, v, forced) == total, name
+            forced = query(d, Assumptions.of({v}), NAIVE).count
+            assert count_feature(d, v) == forced == total, name
         for v in d.dead:
-            assert count_feature(d, v) == count_feature(d, v, forced) == 0, name
+            forced = query(d, Assumptions.of({v}), NAIVE).count
+            assert count_feature(d, v) == forced == 0, name
         for v in d.core:
             assert query(d, Assumptions.of(set(), {v})).count == 0, name
             assert query(d, Assumptions.of(set(), {v}), NO_CORE_DEAD).count == 0, name
 
 
 def test_bypass_threshold_switches_strategy(running_example):
+    off = OptimizationConfig(traversal_bypass_fraction=0)
+    assert query(running_example, Assumptions.of({2}), off).strategy == "full"
     narrow = OptimizationConfig(traversal_bypass_fraction=0.2)
     assert query(running_example, Assumptions.of({2}), narrow).strategy == "full"
     wide = OptimizationConfig(traversal_bypass_fraction=0.5)
     assert query(running_example, Assumptions.of({2}), wide).strategy == "partial"
+
+
+def test_full_sweep_on_deep_chain():
+    # 3000 Shannon levels are 9000 deep; the full sweep must not recurse
+    d = preprocess(parse_c2d(shannon_chain_c2d(3000)))
+    result = query(d, Assumptions.of({2}), NO_PARTIAL_TRAVERSAL)
+    assert result.count == 2**2999
+    assert result.strategy == "full"
 
 
 def test_scratch_buffers_leave_circuit_untouched(running_example):
