@@ -21,6 +21,7 @@ from .engine import (
     VARIANTS,
     OptimizationConfig,
     QueryResult,
+    SessionState,
     count_all_features,
     count_feature,
     count_total,
@@ -47,6 +48,7 @@ __all__ = [
     "NodeKind",
     "OptimizationConfig",
     "QueryResult",
+    "SessionState",
     "Violation",
     "FULL",
     "NAIVE",

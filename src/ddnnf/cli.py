@@ -17,6 +17,15 @@ Unknown or malformed lines answer "error unknown-command"; a variable
 outside 1..n answers "error variable-out-of-range <v>"; contradictory
 assumptions are a legitimate query and answer "0".
 
+A session (``--stream`` or ``--queries``) keeps one
+:class:`~ddnnf.engine.SessionState`: the zero literals and node values of
+the last ``count v`` line it evaluated.  The next such line starts from
+those values when fewer literals change than from the baselines, so a
+selection that grows by one literal recomputes only that literal's
+ancestors.  A line whose zero literals equal the kept ones (it adds only
+core, dead-excluded or omitted variables) answers from the kept root.  The
+other modes answer each query from the baselines.
+
 Exit codes: 0 success, 1 parse error (the message names the line; a circuit
 or ``--queries`` file that is not UTF-8 text is one too), 2 bad options, 3
 I/O failure.
@@ -122,6 +131,8 @@ def _options(ns: argparse.Namespace) -> CliOptions:
         raise _UsageError(f"bad --chunk-sizes {ns.chunk_sizes!r}") from None
     if any(size < 1 for size in opts.chunk_sizes):
         raise _UsageError(f"--chunk-sizes takes sizes of at least 1, got {ns.chunk_sizes!r}")
+    if ns.num_variables is not None and ns.num_variables < 0:
+        raise _UsageError(f"--num-variables takes a count of at least 0, got {ns.num_variables}")
     if ns.per_chunk < 0:
         raise _UsageError(f"--per-chunk takes a count of at least 0, got {ns.per_chunk}")
 
@@ -185,10 +196,16 @@ def _emit(text: str, opts: CliOptions) -> None:
 
 
 class StreamSession:
-    """Answers one protocol line at a time over a preprocessed circuit."""
+    """Answers one protocol line at a time over a preprocessed circuit.
+
+    The session keeps one :class:`~ddnnf.engine.SessionState`, so each
+    ``count v ...`` line may start from the previous line's values.  One
+    session serves one caller at a time.
+    """
 
     def __init__(self, d: Ddnnf):
         self.d = d
+        self.state = engine.SessionState()
 
     def handle(self, line: str) -> tuple[str, bool]:
         """Response line and whether the session should end."""
@@ -211,7 +228,7 @@ class StreamSession:
                     if not 1 <= abs(lit) <= d.num_variables:
                         return f"error variable-out-of-range {abs(lit)}", False
                 a = Assumptions.from_literals(literals)
-                return str(engine.query(d, a).count), False
+                return str(engine.query(d, a, state=self.state).count), False
             return "error unknown-command", False
         if command == "core" and len(tokens) == 1:
             return " ".join(map(str, sorted(d.core))), False

@@ -7,9 +7,10 @@ picks the rung for each query itself:
 * core/dead shortcuts: a query including a dead variable or excluding a core
   one is 0 without touching the circuit; included-core and excluded-dead
   assumptions change nothing and are dropped before marking.
-* partial traversal: climb parent pointers from the affected literal nodes,
+* partial traversal: climb parent pointers from the reset literal nodes,
   mark the ancestor closure, and recompute only marked nodes, reading every
-  unmarked child's baseline.  Skipped when the assumption set exceeds
+  unmarked child's value as it stands (its baseline, or its kept value in a
+  session).  Skipped when the reset literals exceed
   ``traversal_bypass_fraction`` of the variables, where marking overhead
   stops paying off.
 
@@ -18,12 +19,26 @@ rungs off one at a time to measure what each saves; every other caller
 runs ``FULL``.
 
 Both the partial pass and anything the ladder does not settle start from a
-copy of the baselines with the forced literal nodes zeroed, and recompute
-And and Or nodes in topological order with :func:`~ddnnf.core.recompute`,
-the loop that computes the baselines: the marked ones in the partial pass,
-all of them in the full sweep.  Every configuration returns identical
-counts; only the work differs.  Queries never mutate the circuit: per-query
-values live in local buffers, so concurrent queries are safe.
+value list whose literal nodes are right, and recompute And and Or nodes in
+topological order with :func:`~ddnnf.core.recompute`, the loop that
+computes the baselines: the ancestors of the reset literals in the partial
+pass, all of them in the full sweep.  Every configuration returns identical
+counts; only the work differs.
+
+Without a :class:`SessionState`, that list is a copy of the baselines with
+the zero literals' nodes set to 0.  With one, the state holds the zero
+literals and the value list of the last line it evaluated, and a query may
+start from that list instead: it resets only the symmetric difference of
+the old and new zero-literal sets (0 entering, baseline leaving), when that
+is smaller than the new set; on a tie it starts from the baselines.  The
+reset set, not the whole zero set, picks the rung and seeds the marking.
+An empty reset set answers the kept root times the omitted factor as a
+``"shortcut"`` with no visits.  Shortcut and contradiction lines, and lines
+with no zero literal, leave the state alone.
+
+Queries never mutate the circuit.  A stateless query keeps its values in a
+local buffer, so such queries may run concurrently; a state is updated in
+place and serves one caller at a time.
 
 The cardinality of every feature at once does not go through the ladder.
 It is one backward pass over the cached baselines (Darwiche's differential
@@ -36,7 +51,7 @@ over the variables turns them into the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import AND, LITERAL, OR, Assumptions, Ddnnf, recompute
 from .errors import DdnnfError, VariableOutOfRange
@@ -100,14 +115,15 @@ def count_total(d: Ddnnf) -> int:
     return d.baseline[d.root] * d.omitted_factor
 
 
-def mark_ancestors(d: Ddnnf, zero_literals) -> set[int]:
+def mark_ancestors(d: Ddnnf, literals) -> set[int]:
     """Ancestor closure (inclusive) of the nodes holding the given literals.
 
-    Only literals forced to zero are worth seeding: a literal forced to one
-    equals its baseline and changes nothing upstream.
+    Only literals whose nodes change value are worth seeding: those forced
+    to zero, and in a session those restored to their baseline.  A literal
+    forced to one equals its baseline and changes nothing upstream.
     """
     marked: set[int] = set()
-    stack = [i for lit in zero_literals for i in d.literal_index.get(lit, ())]
+    stack = [i for lit in literals for i in d.literal_index.get(lit, ())]
     parents = d.parents
     while stack:
         i = stack.pop()
@@ -117,18 +133,25 @@ def mark_ancestors(d: Ddnnf, zero_literals) -> set[int]:
     return marked
 
 
-def _zeroed_baselines(d: Ddnnf, zero_literals) -> list[int]:
-    """A copy of the baselines with the nodes of ``zero_literals`` at 0."""
-    values = d.baseline.copy()
-    index = d.literal_index
-    for lit in zero_literals:
-        for i in index.get(lit, ()):
-            values[i] = 0
-    return values
+@dataclass
+class SessionState:
+    """What a session keeps between lines for :func:`query` to start from.
+
+    ``zero_literals`` is the zero-literal set of the last line that
+    :func:`query` evaluated, and ``values`` that line's count for every node
+    (``None`` before the first line).  A state belongs to one circuit, and
+    :func:`query` updates it in place, so it serves one caller at a time.
+    """
+
+    zero_literals: set[int] = field(default_factory=set)
+    values: list[int] | None = None
 
 
 def query(
-    d: Ddnnf, assumptions: Assumptions, cfg: OptimizationConfig = FULL
+    d: Ddnnf,
+    assumptions: Assumptions,
+    cfg: OptimizationConfig = FULL,
+    state: SessionState | None = None,
 ) -> QueryResult:
     """Cardinality of the partial configuration given by ``assumptions``.
 
@@ -136,6 +159,10 @@ def query(
     touching the circuit.  Assumptions on omitted variables never reach the
     traversal: pinning a free variable exactly halves the omitted-variable
     correction factor.  The count is identical under every configuration.
+
+    With a ``state``, the query may start from the kept value vector of the
+    previous line instead of the baselines (see the module docstring), and
+    keeps its own vector there for the next line.
     """
     _require_preprocessed(d)
     n = d.num_variables
@@ -163,17 +190,45 @@ def query(
     if not zero_literals:
         return QueryResult(d.baseline[d.root] * factor, 0, 0, "shortcut")
 
-    values = _zeroed_baselines(d, zero_literals)
-    if len(zero_literals) <= cfg.traversal_bypass_fraction * n:
-        marked = mark_ancestors(d, zero_literals)
-        # the marked leaves are the zeroed literal nodes, already final
+    # reset the leaves that differ from the kept vector's when they are fewer
+    # than those that differ from the baselines'; a tie starts from the
+    # baselines.  The symmetric difference has len(zero_literals) + len(old)
+    # - 2 * shared literals, so only a line that takes the kept vector builds it.
+    index = d.literal_index
+    kept = state is not None and state.values is not None
+    if kept:
+        old = state.zero_literals
+        shared = len(zero_literals & old)
+        if shared == len(zero_literals) == len(old):
+            return QueryResult(state.values[d.root] * factor, 0, 0, "shortcut")
+        kept = len(old) < 2 * shared
+    if kept:
+        # an interrupted update must not leave a half-updated vector behind
+        values, state.values = state.values, None
+        delta, baseline = zero_literals ^ old, d.baseline
+        for lit in delta:
+            zero = lit in zero_literals
+            for i in index.get(lit, ()):
+                values[i] = 0 if zero else baseline[i]
+    else:
+        delta, values = zero_literals, d.baseline.copy()
+        for lit in delta:
+            for i in index.get(lit, ()):
+                values[i] = 0
+
+    if len(delta) <= cfg.traversal_bypass_fraction * n:
+        marked = mark_ancestors(d, delta)
+        # the marked leaves are the reset literal nodes, already final
         kind = d.kind
         order = sorted([i for i in marked if kind[i] is not LITERAL])
         recompute(d, values, order)
-        return QueryResult(values[d.root] * factor, len(marked), len(marked), "partial")
-
-    recompute(d, values, d.inner)
-    return QueryResult(values[d.root] * factor, len(d.nodes), 0, "full")
+        result = QueryResult(values[d.root] * factor, len(marked), len(marked), "partial")
+    else:
+        recompute(d, values, d.inner)
+        result = QueryResult(values[d.root] * factor, len(d.nodes), 0, "full")
+    if state is not None:
+        state.zero_literals, state.values = zero_literals, values
+    return result
 
 
 def count_feature(d: Ddnnf, feature: int) -> int:

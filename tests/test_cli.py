@@ -236,3 +236,11 @@ def test_variant_matrix_sizes_below_range(running_c2d_file, capsys, args, option
     captured = capsys.readouterr()
     assert captured.out == ""
     assert option in captured.err
+
+
+def test_negative_num_variables_is_usage_error(running_c2d_file, running_d4_file, capsys):
+    for path in (running_c2d_file, running_d4_file):
+        assert main([str(path), "--num-variables", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--num-variables" in captured.err

@@ -1,9 +1,23 @@
 import io
 
-from ddnnf import parse_c2d, preprocess
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ddnnf import (
+    Assumptions,
+    ExhaustiveCounter,
+    OptimizationConfig,
+    SessionState,
+    mark_ancestors,
+    parse_c2d,
+    parse_d4,
+    preprocess,
+    query,
+)
 from ddnnf.cli import CliOptions, StreamSession, run_stream
 
 from conftest import RUNNING_EXAMPLE_C2D
+from helpers import c2d_to_d4, random_c2d_text
 
 
 def session():
@@ -87,3 +101,96 @@ def test_cli_and_stream_agree(tmp_path, capsys):
     ):
         assert main([str(path), *args]) == 0
         assert capsys.readouterr().out == s.handle(line)[0] + "\n"
+
+
+def _random_circuit(seed, n, omit, d4):
+    text = random_c2d_text(seed, n, omit=omit, tree_budget=400)
+    return preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
+
+
+STEPS = (
+    "add", "add", "add", "deselect", "fresh", "large",
+    "contradiction", "exclude-core", "include-dead", "count", "core", "info",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 59),
+    n=st.sampled_from([8, 12]),
+    omit=st.integers(0, 2),
+    d4=st.booleans(),
+    steps=st.lists(st.sampled_from(STEPS), min_size=10, max_size=40),
+    data=st.data(),
+)
+def test_session_walk_matches_oracle_and_stateless_query(seed, n, omit, d4, steps, data):
+    # one session keeps its values across every kind of line; each reply
+    # must equal the oracle's and a fresh stateless query's
+    d = _random_circuit(seed, n, omit, d4)
+    oracle = ExhaustiveCounter(d)
+    s = StreamSession(d)
+    variables = range(1, n + 1)
+    signed = st.sampled_from(variables).flatmap(lambda v: st.sampled_from([v, -v]))
+    selection: list[int] = []
+    for step in steps:
+        line = selection
+        if step == "add":
+            chosen = {abs(lit) for lit in selection}
+            free = [v for v in variables if v not in chosen]
+            if free:
+                v = data.draw(st.sampled_from(free))
+                selection = line = selection + [data.draw(st.sampled_from([v, -v]))]
+        elif step == "deselect" and selection:
+            dropped = data.draw(st.sampled_from(selection))
+            selection = line = [lit for lit in selection if lit != dropped]
+        elif step == "fresh":
+            selection = line = data.draw(st.lists(signed, min_size=1, max_size=3))
+        elif step == "large":
+            # past the bypass of 0.2 * n: the line takes the full sweep
+            size = data.draw(st.integers(n // 5 + 1, n))
+            chosen = data.draw(st.permutations(variables))[:size]
+            selection = line = [data.draw(st.sampled_from([v, -v])) for v in chosen]
+        elif step == "contradiction":
+            v = data.draw(st.sampled_from(variables))
+            line = selection + [v, -v]
+        elif step == "exclude-core" and d.core:
+            line = selection + [-data.draw(st.sampled_from(sorted(d.core)))]
+        elif step == "include-dead" and d.dead:
+            line = selection + [data.draw(st.sampled_from(sorted(d.dead)))]
+        elif step in ("count", "core", "info"):
+            assert s.handle(step) == StreamSession(d).handle(step)
+            continue
+        if not line:
+            assert s.handle("count") == (str(oracle.count()), False)
+            continue
+        a = Assumptions.from_literals(line)
+        want = oracle.count(a)
+        assert query(d, a).count == want, line
+        assert s.handle("count v " + " ".join(map(str, line))) == (str(want), False), line
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 59),
+    n=st.sampled_from([8, 12]),
+    d4=st.booleans(),
+    order=st.permutations(range(1, 13)),
+    signs=st.lists(st.booleans(), min_size=12, max_size=12),
+)
+def test_superset_chain_marks_no_more_than_stateless(seed, n, d4, order, signs):
+    # growing one literal at a time, a line marks only the ancestors of its
+    # new literal, so never more than the whole set does from the baselines
+    d = _random_circuit(seed, n, 0, d4)
+    always_partial = OptimizationConfig(traversal_bypass_fraction=1.0)
+    state, full_state = SessionState(), SessionState()
+    literals = [v if sign else -v for v, sign in zip(order, signs) if v <= n]
+    for k in range(1, len(literals) + 1):
+        a = Assumptions.from_literals(literals[:k])
+        kept = query(d, a, always_partial, state)
+        fresh = query(d, a, always_partial)
+        assert kept.count == fresh.count
+        assert kept.nodes_marked <= fresh.nodes_marked, literals[:k]
+        assert kept.nodes_marked <= len(mark_ancestors(d, {-literals[k - 1]}))
+        kept, fresh = query(d, a, state=full_state), query(d, a)
+        assert kept.count == fresh.count
+        assert kept.nodes_visited <= fresh.nodes_visited, literals[:k]
