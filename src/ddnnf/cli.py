@@ -4,7 +4,8 @@ One-shot modes parse the circuit, preprocess it once, run the requested
 computation and terminate; results go to stdout or, with ``--csv``, to a
 file.  Streaming mode keeps the preprocessed circuit loaded and answers one
 newline-terminated command per line on stdin with exactly one line on
-stdout, flushed per response:
+stdout, flushed per response.  ``--queries FILE`` runs the same loop over
+the lines of FILE, so it too stops at ``exit``:
 
     count                 total model count
     count v LIT...        count under assumptions; +v includes, -v excludes
@@ -34,8 +35,9 @@ I/O failure.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
 
 from . import engine, oracle, parsing
 from .core import Assumptions, Ddnnf, validate
@@ -46,24 +48,42 @@ DEFAULT_CHUNK_SIZES = (2, 5, 10, 20, 50)
 DEFAULT_PER_CHUNK = 50
 
 
-@dataclass
-class CliOptions:
-    input_path: str
-    format: str = "auto"
-    num_variables: int | None = None
-    mode: str = "count"
-    feature: int | None = None
-    config_literals: list[int] = field(default_factory=list)
-    queries_path: str | None = None
-    save_path: str | None = None
-    csv_path: str | None = None
-    seed: int = 42
-    chunk_sizes: tuple[int, ...] = DEFAULT_CHUNK_SIZES
-    per_chunk: int = DEFAULT_PER_CHUNK
-
-
 class _UsageError(Exception):
     pass
+
+
+def _count(text: str) -> int:
+    """A count of at least 0, for ``--num-variables`` and ``--per-chunk``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a count, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"takes a count of at least 0, got {value}")
+    return value
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    """Comma-separated configuration sizes of at least 1."""
+    try:
+        sizes = tuple(int(t) for t in text.split(",") if t)
+    except ValueError:
+        message = f"expected comma-separated sizes, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+    if any(size < 1 for size in sizes):
+        raise argparse.ArgumentTypeError(f"takes sizes of at least 1, got {text!r}")
+    return sizes
+
+
+def _literals(text: str) -> list[int]:
+    """Blank-separated non-zero signed literals, at least one."""
+    try:
+        literals = [int(t) for t in text.split()]
+    except ValueError:
+        literals = []
+    if not literals or 0 in literals:
+        raise argparse.ArgumentTypeError(f"takes non-zero signed literals, got {text!r}")
+    return literals
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,13 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ddnnf",
         description="Count models of a compiled d-DNNF circuit.",
     )
-    parser.add_argument("input", help="circuit file (c2d or d4 format)")
+    parser.add_argument("input", help="circuit file (c2d or d4 format, read from the header)")
     parser.add_argument(
-        "--format", choices=["auto", "c2d", "d4"], default="auto",
-        help="input format; auto sniffs the header",
-    )
-    parser.add_argument(
-        "--num-variables", type=int, default=None, metavar="N",
+        "--num-variables", type=_count, default=None, metavar="N",
         help="variable count: required for d4 input, optional override for c2d",
     )
 
@@ -85,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--count", action="store_true", help="total count (default)")
     mode.add_argument("--feature", type=int, metavar="V", help="cardinality of one variable")
     mode.add_argument(
-        "--config", metavar="LITS",
+        "--config", type=_literals, metavar="LITS",
         help="cardinality of a partial configuration, e.g. --config '1 -3'",
     )
     mode.add_argument("--all-features", action="store_true", help="cardinality of every variable")
@@ -106,59 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", metavar="FILE", help="write results to FILE instead of stdout")
     parser.add_argument("--seed", type=int, default=42, help="seed for generated query sets")
     parser.add_argument(
-        "--chunk-sizes", default=",".join(map(str, DEFAULT_CHUNK_SIZES)),
+        "--chunk-sizes", type=_sizes, default=DEFAULT_CHUNK_SIZES,
         metavar="SIZES", help="comma-separated configuration sizes for --variant-matrix",
     )
     parser.add_argument(
-        "--per-chunk", type=int, default=DEFAULT_PER_CHUNK, metavar="N",
+        "--per-chunk", type=_count, default=DEFAULT_PER_CHUNK, metavar="N",
         help="configurations per chunk size for --variant-matrix",
     )
     return parser
-
-
-def _options(ns: argparse.Namespace) -> CliOptions:
-    opts = CliOptions(
-        input_path=ns.input,
-        format=ns.format,
-        num_variables=ns.num_variables,
-        csv_path=ns.csv,
-        seed=ns.seed,
-        per_chunk=ns.per_chunk,
-    )
-    try:
-        opts.chunk_sizes = tuple(int(t) for t in ns.chunk_sizes.split(",") if t)
-    except ValueError:
-        raise _UsageError(f"bad --chunk-sizes {ns.chunk_sizes!r}") from None
-    if any(size < 1 for size in opts.chunk_sizes):
-        raise _UsageError(f"--chunk-sizes takes sizes of at least 1, got {ns.chunk_sizes!r}")
-    if ns.num_variables is not None and ns.num_variables < 0:
-        raise _UsageError(f"--num-variables takes a count of at least 0, got {ns.num_variables}")
-    if ns.per_chunk < 0:
-        raise _UsageError(f"--per-chunk takes a count of at least 0, got {ns.per_chunk}")
-
-    if ns.feature is not None:
-        opts.mode, opts.feature = "feature", ns.feature
-    elif ns.config is not None:
-        try:
-            opts.config_literals = [int(t) for t in ns.config.split()]
-        except ValueError:
-            raise _UsageError(f"bad --config {ns.config!r}") from None
-        if not opts.config_literals or 0 in opts.config_literals:
-            raise _UsageError("--config takes non-zero signed literals")
-        opts.mode = "config"
-    elif ns.all_features:
-        opts.mode = "all_features"
-    elif ns.queries is not None:
-        opts.mode, opts.queries_path = "queries", ns.queries
-    elif ns.stream:
-        opts.mode = "stream"
-    elif ns.save_smoothed is not None:
-        opts.mode, opts.save_path = "save_smoothed", ns.save_smoothed
-    elif ns.validate:
-        opts.mode = "validate"
-    elif ns.variant_matrix:
-        opts.mode = "variant_matrix"
-    return opts
 
 
 def _read_text(path: str) -> str:
@@ -177,22 +148,28 @@ def _read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _load(opts: CliOptions) -> Ddnnf:
-    text = _read_text(opts.input_path)
-    fmt = opts.format
-    if fmt == "auto":
-        fmt = parsing.detect_format(text)
-    if fmt == parsing.D4 and opts.num_variables is None:
+def _load(args: argparse.Namespace) -> Ddnnf:
+    text = _read_text(args.input)
+    if parsing.detect_format(text) == parsing.C2D:
+        return parsing.parse_c2d(text, args.num_variables)
+    if args.num_variables is None:
         raise _UsageError("d4 input requires --num-variables")
-    return parsing.parse_text(text, fmt, opts.num_variables)
+    return parsing.parse_d4(text, args.num_variables)
 
 
-def _emit(text: str, opts: CliOptions) -> None:
-    if opts.csv_path:
-        with open(opts.csv_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+@contextmanager
+def _output(args: argparse.Namespace):
+    """The ``--csv`` file, or stdout without one."""
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
+            yield handle
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, args: argparse.Namespace) -> None:
+    with _output(args) as out:
+        out.write(text)
 
 
 class StreamSession:
@@ -242,64 +219,66 @@ class StreamSession:
         return "error unknown-command", False
 
 
-def run_stream(opts: CliOptions, stdin=None, stdout=None) -> int:
-    """Load once, then answer queries line by line until exit or EOF."""
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-    d = preprocess(_load(opts))
+def run_stream(args: argparse.Namespace, stdin=None, stdout=None) -> int:
+    """Load once, then answer protocol lines until ``exit`` or the end.
+
+    ``--stream`` reads stdin and writes stdout.  ``--queries`` reads its
+    file, whole and before the first answer, and writes the ``--csv`` file
+    or stdout.
+    """
+    d = preprocess(_load(args))
     session = StreamSession(d)
-    for raw in stdin:
-        response, stop = session.handle(raw.rstrip("\r\n"))
-        stdout.write(response + "\n")
-        stdout.flush()
-        if stop:
-            break
+    if args.queries is None:
+        lines = stdin if stdin is not None else sys.stdin
+        sink = nullcontext(stdout if stdout is not None else sys.stdout)
+    else:
+        lines, sink = io.StringIO(_read_text(args.queries)), _output(args)
+    with sink as out:
+        for raw in lines:
+            response, stop = session.handle(raw.rstrip("\r\n"))
+            out.write(response + "\n")
+            out.flush()
+            if stop:
+                break
     return 0
 
 
-def run_once(opts: CliOptions) -> int:
+def run_once(args: argparse.Namespace) -> int:
     """Parse, preprocess, run one mode, write results, terminate."""
-    d = _load(opts)
-    if opts.mode == "validate":
+    d = _load(args)
+    if args.validate:
         lines = [
             f"{v.severity} {v.kind} node={v.node}: {v.message}"
             for v in validate(d)
         ]
-        _emit(("\n".join(lines) + "\n") if lines else "ok\n", opts)
+        _emit(("\n".join(lines) + "\n") if lines else "ok\n", args)
         return 0
 
     preprocess(d)
-    if opts.mode == "count":
-        _emit(f"{engine.count_total(d)}\n", opts)
-    elif opts.mode == "feature":
-        _emit(f"{engine.count_feature(d, opts.feature)}\n", opts)
-    elif opts.mode == "config":
-        a = Assumptions.from_literals(opts.config_literals)
-        _emit(f"{engine.query(d, a).count}\n", opts)
-    elif opts.mode == "all_features":
+    if args.feature is not None:
+        _emit(f"{engine.count_feature(d, args.feature)}\n", args)
+    elif args.config is not None:
+        a = Assumptions.from_literals(args.config)
+        _emit(f"{engine.query(d, a).count}\n", args)
+    elif args.all_features:
         rows = engine.count_all_features(d)
         body = "".join(f"{v},{count}\n" for v, count in rows)
-        _emit("feature,cardinality\n" + body, opts)
-    elif opts.mode == "queries":
-        session = StreamSession(d)
-        lines = _read_text(opts.queries_path).split("\n")
-        if not lines[-1]:
-            lines.pop()  # the text ends with a newline, or is empty
-        responses = [session.handle(line)[0] for line in lines]
-        _emit("".join(r + "\n" for r in responses), opts)
-    elif opts.mode == "save_smoothed":
-        with open(opts.save_path, "w", encoding="utf-8") as handle:
+        _emit("feature,cardinality\n" + body, args)
+    elif args.save_smoothed is not None:
+        with open(args.save_smoothed, "w", encoding="utf-8") as handle:
             handle.write(parsing.write_c2d(d))
-    elif opts.mode == "variant_matrix":
+    elif args.variant_matrix:
         try:
             batch = oracle.generate_satisfiable_configs(
-                d, opts.chunk_sizes, opts.per_chunk, opts.seed
+                d, args.chunk_sizes, args.per_chunk, args.seed
             )
         except DdnnfError:
-            batch = oracle.AssumptionBatch([], list(opts.chunk_sizes), opts.seed)
+            batch = oracle.AssumptionBatch([], list(args.chunk_sizes), args.seed)
         report = oracle.run_variant_matrix(d, batch)
-        _emit(report.to_csv(), opts)
+        _emit(report.to_csv(), args)
         print(f"all-equal: {str(report.all_equal).lower()}", file=sys.stderr)
+    else:
+        _emit(f"{engine.count_total(d)}\n", args)
     return 0
 
 
@@ -309,23 +288,19 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        opts = _options(ns)
-        if opts.mode == "stream":
-            return run_stream(opts)
-        return run_once(opts)
-    except _UsageError as exc:
+        if args.stream or args.queries is not None:
+            return run_stream(args)
+        return run_once(args)
+    except (_UsageError, VariableOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except VariableOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DdnnfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

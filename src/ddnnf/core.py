@@ -49,7 +49,7 @@ class Ddnnf:
     * ``decision[i]``: the decision variable some formats attach to Or nodes,
       0 otherwise; metadata only, never consulted for counting.
 
-    The parsers fill these, ``num_variables`` and usually ``root``; a missing
+    The parsers fill these, ``num_variables`` and ``root``; a missing
     ``decision`` list means all zeros.  Preprocessing fills every other field:
 
     * ``parents[i]``: a tuple of parent indices, the inverse of ``children``;
@@ -65,7 +65,7 @@ class Ddnnf:
     literal: list[int]
     children: list[tuple[int, ...]]
     num_variables: int
-    root: int | None = None
+    root: int
     decision: list[int] = field(default_factory=list)
     parents: list[tuple[int, ...]] = field(default_factory=list)
     baseline: list[int] = field(default_factory=list)
@@ -187,12 +187,11 @@ def variable_set(d: Ddnnf, node: int) -> set[int]:
 def root_cone(d: Ddnnf) -> list[int]:
     """Indices of the nodes reachable from the root, ascending.
 
-    Without a designated root the last node stands in, as in c2d files.
     One sweep from the root down suffices, because children precede their
     parents; ascending order keeps it that way.
     """
     children = d.children
-    root = d.root if d.root is not None else len(children) - 1
+    root = d.root
     reached = [False] * (root + 1)
     reached[root] = True
     for i in range(root, -1, -1):
@@ -218,8 +217,7 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
     d.decision = [d.decision[i] for i in order]
     children = d.children
     d.children = [tuple([position[c] for c in children[i]]) for i in order]
-    if d.root is not None:
-        d.root = position[d.root]
+    d.root = position[d.root]
     d.parents, d.baseline, d.inner, d.literal_index = [], [], [], {}
     d.preprocessed = False
 
@@ -357,8 +355,7 @@ class ExhaustiveCounter:
         for ch in children:
             for c in ch:
                 uses[c] += 1
-        root = d.root if d.root is not None else n - 1
-        uses[root] += 1
+        uses[d.root] += 1
 
         tables: list[int | None] = [None] * n
         for i in range(n):
@@ -383,7 +380,7 @@ class ExhaustiveCounter:
                 uses[c] -= 1
                 if uses[c] == 0:
                     tables[c] = None
-        self._root_table: int = tables[root]  # type: ignore[assignment]
+        self._root_table: int = tables[d.root]  # type: ignore[assignment]
 
     def _column(self, v: int) -> int:
         m = self._columns.get(v)

@@ -84,13 +84,10 @@ NO_CORE_DEAD = OptimizationConfig(core_dead_shortcuts=False)
 #: The benchmark variants, weakest first.  ``naive`` and ``reusing-subtrees``
 #: run the same queries; they differ only in the visits the variant matrix
 #: reports for a full re-evaluation (see :func:`ddnnf.oracle.run_variant_matrix`).
-#: ``no-partial-calculation`` runs ``FULL``: the rung it switched off is gone,
-#: and the name stays so the matrix output keeps its rows.
 VARIANTS: dict[str, OptimizationConfig] = {
     "naive": NAIVE,
     "reusing-subtrees": NAIVE,
     "no-partial-traversal": NO_PARTIAL_TRAVERSAL,
-    "no-partial-calculation": FULL,
     "no-core-dead": NO_CORE_DEAD,
     "full": FULL,
 }

@@ -55,10 +55,6 @@ class AmbiguousRoot(ParseError):
     """No unique root node can be determined."""
 
 
-class MultipleRoots(DdnnfError):
-    """More than one parentless node and no root was designated."""
-
-
 class DecomposabilityViolation(DdnnfError):
     """An And node has children with overlapping variable sets."""
 

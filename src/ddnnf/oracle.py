@@ -77,7 +77,7 @@ def evaluate(d: Ddnnf, assignment) -> bool:
             values[i] = any([values[c] for c in children[i]])
         elif k is TRUE:
             values[i] = True
-    return values[d.root if d.root is not None else len(kind) - 1]
+    return values[d.root]
 
 
 def _extend_config(d: Ddnnf, rng: XorShift64Star, size: int) -> Assumptions:

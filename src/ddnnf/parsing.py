@@ -85,6 +85,8 @@ def parse_c2d(text: str, num_variables_override: int | None = None) -> Ddnnf:
     # node and edge counts are validated as numbers but otherwise ignored:
     # some compilers emit headers that disagree with the actual record count
     num_variables = [_int(tok, header_lineno) for tok in header[1:]][2]
+    if num_variables < 0:
+        raise MalformedHeader(f"variable count {num_variables} is below 0", header_lineno)
     if num_variables_override is not None:
         num_variables = num_variables_override
 

@@ -21,7 +21,7 @@ from .core import (
     root_cone,
     variable_masks,
 )
-from .errors import DecomposabilityViolation, MultipleRoots, NotSmooth
+from .errors import DecomposabilityViolation, NotSmooth
 from .parsing import toposort
 
 
@@ -31,11 +31,8 @@ def prune(d: Ddnnf) -> Ddnnf:
     Lenient inputs may carry unreferenced records.  They never change a
     count, but the later steps read variables off the whole node list, so a
     variable occurring only outside the root's cone would otherwise be
-    neither smoothed in nor treated as omitted.  Without a designated root
-    nothing is dropped; :func:`link_parents` resolves the root then.
+    neither smoothed in nor treated as omitted.
     """
-    if d.root is None:
-        return d
     keep = root_cone(d)
     if len(keep) < len(d.kind):
         renumber(d, keep)
@@ -120,23 +117,13 @@ def smooth(d: Ddnnf) -> Ddnnf:
 
 
 def link_parents(d: Ddnnf) -> Ddnnf:
-    """Fill ``parents`` with the exact inverse of the child relation.
-
-    Resolves the root to the unique parentless node when no root was
-    designated by the parser; extra parentless nodes are tolerated otherwise
-    (lenient inputs may carry unreferenced records).
-    """
+    """Fill ``parents`` with the exact inverse of the child relation."""
     children = d.children
     parents: list[list[int]] = [[] for _ in children]
     for i in range(len(children)):
         for c in children[i]:
             parents[c].append(i)
     d.parents = [tuple(p) for p in parents]
-    if d.root is None:
-        parentless = [i for i, p in enumerate(parents) if not p]
-        if len(parentless) != 1:
-            raise MultipleRoots(f"{len(parentless)} parentless nodes, no designated root")
-        d.root = parentless[0]
     return d
 
 

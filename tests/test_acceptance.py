@@ -118,7 +118,7 @@ def test_criterion_04_variant_matrix_equality(circuits):
             totals[variant] = visited
         for variant, visited in totals.items():
             assert totals["full"] <= visited, (name, variant)
-    _passed(4, "all six variants agree everywhere and full does the least work")
+    _passed(4, "all five variants agree everywhere and full does the least work")
 
 
 def test_criterion_05_partial_traversal_sharpness():

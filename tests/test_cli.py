@@ -121,11 +121,13 @@ def test_variant_matrix_golden(tmp_path, capsys):
         ["--recursive"],
         ["--or-folding"],
         ["--bypass-fraction", "1.0"],
+        ["--format", "c2d"],
     ],
     ids=lambda flags: flags[0],
 )
 def test_removed_speed_flags_are_usage_errors(running_c2d_file, capsys, flags):
-    # the engine picks its rungs; only --variant-matrix switches them off
+    # the engine picks its rungs; only --variant-matrix switches them off.
+    # The format is read from the header, so --format is gone too.
     assert main([str(running_c2d_file), "--feature", "2", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -140,7 +142,7 @@ def test_every_option_is_expected_and_documented():
         if opt not in ("-h", "--help")
     )
     assert options == sorted([
-        "--format", "--num-variables",
+        "--num-variables",
         "--count", "--feature", "--config", "--all-features", "--queries",
         "--stream", "--save-smoothed", "--validate", "--variant-matrix",
         "--csv", "--seed", "--chunk-sizes", "--per-chunk",
@@ -159,6 +161,13 @@ def test_non_utf8_input_is_parse_error(tmp_path, running_c2d_file, capsys):
     queries.write_bytes(b"count\ncount v \xff\n")
     assert main([str(running_c2d_file), "--queries", str(queries)]) == 1
     assert capsys.readouterr().err.startswith("parse error: line 2:")
+
+
+def test_queries_file_ends_at_exit(running_c2d_file, tmp_path, capsys):
+    queries = tmp_path / "queries.txt"
+    queries.write_text("count\nexit\ncount v 2\n")
+    assert main([str(running_c2d_file), "--queries", str(queries)]) == 0
+    assert capsys.readouterr().out == "4\nbye\n"
 
 
 def test_queries_file_newlines(running_c2d_file, tmp_path, capsys):
@@ -226,13 +235,19 @@ def test_prints_counts_beyond_int_str_guard(tmp_path):
 @pytest.mark.parametrize(
     "args, option",
     [
-        (["--chunk-sizes", "-3"], "--chunk-sizes"),
-        (["--chunk-sizes", "2,0"], "--chunk-sizes"),
-        (["--per-chunk", "-1"], "--per-chunk"),
+        (["--variant-matrix", "--chunk-sizes", "-3"], "--chunk-sizes"),
+        (["--variant-matrix", "--chunk-sizes", "2,0"], "--chunk-sizes"),
+        (["--variant-matrix", "--per-chunk", "-1"], "--per-chunk"),
+        (["--variant-matrix", "--chunk-sizes", "2,x"], "--chunk-sizes"),
+        (["--variant-matrix", "--per-chunk", "x"], "--per-chunk"),
+        (["--num-variables", "x"], "--num-variables"),
+        (["--config", "1 x"], "--config"),
+        (["--config", ""], "--config"),
     ],
 )
 def test_variant_matrix_sizes_below_range(running_c2d_file, capsys, args, option):
-    assert main([str(running_c2d_file), "--variant-matrix", *args]) == 2
+    # each option's converter rejects its value before the circuit is read
+    assert main([str(running_c2d_file), *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert option in captured.err

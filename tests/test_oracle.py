@@ -123,8 +123,8 @@ class TestVariantMatrix:
         csv = run_variant_matrix(running_example, batch).to_csv()
         lines = csv.strip().split("\n")
         assert lines[0] == "variant,query,count,nodes_visited"
-        # 6 variants x (4 features + 2 configs + 2 unsat)
-        assert len(lines) == 1 + 6 * 8
+        # 5 variants x (4 features + 2 configs + 2 unsat)
+        assert len(lines) == 1 + 5 * 8
         assert all(line.count(",") == 3 for line in lines)
 
     def test_report_reproducible(self, circuits):

@@ -71,6 +71,12 @@ class TestParseC2d:
         with pytest.raises(MalformedHeader):
             parse_c2d("")
 
+    def test_negative_variable_count(self):
+        # like --num-variables -1, a header cannot declare fewer than 0
+        with pytest.raises(MalformedHeader) as err:
+            parse_c2d("nnf 1 0 -1\nA 0\n")
+        assert err.value.line == 1
+
     def test_empty_circuit(self):
         with pytest.raises(EmptyCircuit):
             parse_c2d("nnf 0 0 0\n")

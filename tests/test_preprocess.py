@@ -24,7 +24,7 @@ from ddnnf import (
     smooth,
     validate,
 )
-from ddnnf.errors import DecomposabilityViolation, MultipleRoots, NotSmooth
+from ddnnf.errors import DecomposabilityViolation, NotSmooth
 
 from conftest import UNSMOOTH_PAIR_C2D, SHARED_SUBTREE_C2D, RUNNING_EXAMPLE_C2D, RUNNING_EXAMPLE_D4
 from helpers import (
@@ -146,17 +146,6 @@ class TestLinkParents:
     def test_running_example_or_node_parent(self):
         d = link_parents(smooth(parse_c2d(RUNNING_EXAMPLE_C2D)))
         assert d.parents[9] == (11,)
-
-    def test_multiple_roots_detected(self):
-        d = Ddnnf(
-            kind=[NodeKind.LITERAL, NodeKind.LITERAL],
-            literal=[1, 2],
-            children=[(), ()],
-            num_variables=2,
-            root=None,
-        )
-        with pytest.raises(MultipleRoots):
-            link_parents(d)
 
 
 class TestIndexLiterals:

@@ -14,7 +14,7 @@ from ddnnf import (
     preprocess,
     query,
 )
-from ddnnf.cli import CliOptions, StreamSession, run_stream
+from ddnnf.cli import StreamSession, build_parser, run_stream
 
 from conftest import RUNNING_EXAMPLE_C2D
 from helpers import c2d_to_d4, random_c2d_text
@@ -73,7 +73,7 @@ def test_run_stream_one_response_per_line(tmp_path):
     path.write_text(RUNNING_EXAMPLE_C2D)
     stdin = io.StringIO("count\nnope\ncount v 2\nexit\ncount\n")
     stdout = io.StringIO()
-    code = run_stream(CliOptions(input_path=str(path)), stdin, stdout)
+    code = run_stream(build_parser().parse_args([str(path), "--stream"]), stdin, stdout)
     assert code == 0
     # the line after exit is never answered
     assert stdout.getvalue() == "4\nerror unknown-command\n2\nbye\n"
@@ -83,7 +83,8 @@ def test_run_stream_eof_without_exit(tmp_path):
     path = tmp_path / "c.nnf"
     path.write_text(RUNNING_EXAMPLE_C2D)
     stdout = io.StringIO()
-    run_stream(CliOptions(input_path=str(path)), io.StringIO("count\n"), stdout)
+    args = build_parser().parse_args([str(path), "--stream"])
+    run_stream(args, io.StringIO("count\n"), stdout)
     assert stdout.getvalue() == "4\n"
 
 
