@@ -2,10 +2,11 @@
 
 One-shot modes parse the circuit, preprocess it once, run the requested
 computation and terminate; results go to stdout or, with ``--csv``, to a
-file.  Streaming mode keeps the preprocessed circuit loaded and answers one
-newline-terminated command per line on stdin with exactly one line on
-stdout, flushed per response.  ``--queries FILE`` runs the same loop over
-the lines of FILE, so it too stops at ``exit``:
+file.  ``--save-smoothed`` writes only its own file.  Streaming mode keeps
+the preprocessed circuit loaded and answers one newline-terminated command
+per line on stdin with exactly one line on stdout, flushed per response;
+neither takes ``--csv``.  ``--queries FILE`` runs the same loop over the
+lines of FILE, so it too stops at ``exit``:
 
     count                 total model count
     count v LIT...        count under assumptions; +v includes, -v excludes
@@ -119,7 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every optimization variant over a generated query set",
     )
 
-    parser.add_argument("--csv", metavar="FILE", help="write results to FILE instead of stdout")
+    parser.add_argument(
+        "--csv", metavar="FILE",
+        help="write results to FILE instead of stdout; serves --count, --feature,"
+        " --config, --all-features, --queries, --validate and --variant-matrix,"
+        " and is a usage error with --stream or --save-smoothed",
+    )
     parser.add_argument("--seed", type=int, default=42, help="seed for generated query sets")
     parser.add_argument(
         "--chunk-sizes", type=_sizes, default=DEFAULT_CHUNK_SIZES,
@@ -289,6 +295,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.csv is not None and (args.stream or args.save_smoothed is not None):
+            mode = "--stream" if args.stream else "--save-smoothed"
+            parser.error(f"argument --csv: not allowed with argument {mode}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

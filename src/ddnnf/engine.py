@@ -36,17 +36,23 @@ An empty reset set answers the kept root times the omitted factor as a
 ``"shortcut"`` with no visits.  Shortcut and contradiction lines, and lines
 with no zero literal, leave the state alone.
 
-Queries never mutate the circuit.  A stateless query keeps its values in a
-local buffer, so such queries may run concurrently; a state is updated in
-place and serves one caller at a time.
+Queries never mutate the circuit's lists.  A stateless query keeps its
+values in a local buffer, so such queries may run concurrently; a state is
+updated in place and serves one caller at a time.
 
-The cardinality of every feature at once does not go through the ladder.
-It is one backward pass over the cached baselines (Darwiche's differential
-approach): on a smooth, decomposable circuit the count is multilinear in
-each literal's indicator, so forcing ``-v`` to zero removes exactly the
-partial derivative of the root count with respect to that literal.  One
-root-to-leaves sweep yields every literal node's derivative, and one pass
-over the variables turns them into the table.
+The cardinality of a feature does not go through the ladder either, alone or
+all at once.  It reads cached sums of one backward pass over the baselines
+(Darwiche's differential approach): on a smooth, decomposable circuit the
+count is multilinear in each literal's indicator, so forcing ``-v`` to zero
+removes exactly the partial derivative of the root count with respect to
+that literal.  One root-to-leaves sweep yields every literal node's
+derivative, and the sum over each literal's nodes is kept on the circuit as
+``Ddnnf.derivative_sums``.  The first :func:`count_feature` or
+:func:`count_all_features` call that needs it fills it; ``--count``,
+streams and set-up never pay for it.  The fill is idempotent: readers that
+race on an empty cache each compute the same sums and store a complete
+dict, so concurrent stateless readers stay safe.  After that a lookup is a
+dict read and the table one pass over the variables.
 """
 
 from __future__ import annotations
@@ -228,11 +234,6 @@ def query(
     return result
 
 
-def count_feature(d: Ddnnf, feature: int) -> int:
-    """Cardinality of one feature: models that include it."""
-    return query(d, Assumptions.of(include={feature})).count
-
-
 def _literal_derivatives(d: Ddnnf) -> list[int]:
     """Partial derivative of the root count with respect to each leaf.
 
@@ -278,31 +279,60 @@ def _literal_derivatives(d: Ddnnf) -> list[int]:
     return derivative
 
 
+def _derivative_sums(d: Ddnnf) -> dict[int, int]:
+    """``d.derivative_sums``, filled from one backward pass on first use.
+
+    The per-node derivative list lives only until its sums are taken.
+    """
+    sums = d.derivative_sums
+    if sums is None:
+        derivative = _literal_derivatives(d)
+        sums = {
+            lit: sum(derivative[i] for i in nodes)
+            for lit, nodes in d.literal_index.items()
+        }
+        d.derivative_sums = sums
+    return sums
+
+
+def _feature_count(d: Ddnnf, v: int) -> int:
+    """Cardinality of variable ``v``, taking the shortcuts :func:`query` takes.
+
+    In the same order: an omitted variable halves the free factor, a dead
+    one counts 0, a core one counts every model.  Any other ``v`` counts
+    the root baseline minus the derivative sum of ``-v``, times the
+    omitted-variable factor.
+    """
+    n = d.num_variables
+    if not 1 <= v <= n:
+        raise VariableOutOfRange(f"variable {v} outside 1..{n}")
+    root_count = d.baseline[d.root]
+    factor = d.omitted_factor
+    if v in d.omitted:
+        return root_count * factor // 2
+    if v in d.dead:
+        return 0
+    if v in d.core:
+        return root_count * factor
+    return (root_count - _derivative_sums(d)[-v]) * factor
+
+
+def count_feature(d: Ddnnf, feature: int) -> int:
+    """Cardinality of one feature: models that include it.
+
+    Equals ``query(d, Assumptions.of({feature})).count``, read from the
+    cached derivative sums instead of a partial pass.
+    """
+    _require_preprocessed(d)
+    return _feature_count(d, feature)
+
+
 def count_all_features(d: Ddnnf) -> list[tuple[int, int]]:
     """(variable, cardinality) for every variable, ascending.
 
-    One backward pass (:func:`_literal_derivatives`) and one pass over the
-    variables, with no per-feature query.  Each variable takes the same
-    shortcuts :func:`query` takes, in the same order: an omitted variable
-    halves the free factor, a dead one counts 0, a core one counts every
-    model.  Any other ``v`` counts the root baseline minus the derivatives
-    of the nodes holding ``-v``, times the omitted-variable factor.  The
-    table equals ``count_feature`` on every variable.
+    :func:`count_feature` over ``1..n``, with no per-feature query: one
+    backward pass fills the derivative sums the first time, and every later
+    table or lookup reads them.
     """
     _require_preprocessed(d)
-    derivative = _literal_derivatives(d)
-    root_count = d.baseline[d.root]
-    factor = d.omitted_factor
-    rows = []
-    for v in range(1, d.num_variables + 1):
-        if v in d.omitted:
-            count = root_count * factor // 2
-        elif v in d.dead:
-            count = 0
-        elif v in d.core:
-            count = root_count * factor
-        else:
-            removed = sum(derivative[i] for i in d.literal_index.get(-v, ()))
-            count = (root_count - removed) * factor
-        rows.append((v, count))
-    return rows
+    return [(v, _feature_count(d, v)) for v in range(1, d.num_variables + 1)]

@@ -56,10 +56,24 @@ def _content_lines(text: str):
 
 
 def detect_format(text: str) -> str:
-    """"c2d" iff the first non-blank line starts with ``nnf``, else "d4"."""
-    for _, tokens in _content_lines(text):
-        return C2D if tokens[0] == "nnf" else D4
-    raise EmptyInput("no content", 1)
+    """"c2d" iff the first non-blank line starts with ``nnf``, else "d4".
+
+    Splits a prefix of ``text`` that doubles until it holds a whole content
+    line, so a large file is not split into lines only to read its first.
+    """
+    size = 256
+    while True:
+        lines = text[:size].splitlines()
+        whole = size >= len(text)
+        if not whole:
+            del lines[-1:]  # the prefix may cut its last line short
+        for raw in lines:
+            tokens = raw.split("#", 1)[0].split()
+            if tokens:
+                return C2D if tokens[0] == "nnf" else D4
+        if whole:
+            raise EmptyInput("no content", 1)
+        size *= 2
 
 
 def _int(token: str, lineno: int) -> int:

@@ -4,7 +4,9 @@ Six steps, in order: prune the circuit to the root's cone, smooth it, link
 child-to-parent pointers, index the literal nodes, detect core and dead
 variables, and compute every node's baseline count under no assumptions.
 Preprocessing is the only phase that mutates shared circuit state;
-afterwards the circuit is read-only and queries may run concurrently.
+afterwards the circuit is read-only and queries may run concurrently.  The
+one later write, the feature lookups' derivative-sum cache, is filled once
+and idempotently (see :mod:`ddnnf.engine`).
 """
 
 from __future__ import annotations
@@ -164,8 +166,10 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
     Leaves start at their own count (a literal and True count 1, False 0),
     then :func:`~ddnnf.core.recompute` evaluates the And and Or nodes in
     order; their indices are kept as ``inner`` for the queries' full sweep.
+    The derivative sums are taken from the baselines, so they are dropped.
     """
     kind = d.kind
+    d.derivative_sums = None
     d.inner = [i for i, k in enumerate(kind) if k is AND or k is OR]
     d.baseline = [0 if k is FALSE else 1 for k in kind]
     recompute(d, d.baseline, d.inner)

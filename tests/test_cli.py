@@ -62,6 +62,21 @@ def test_all_features_csv(running_c2d_file, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("mode", [["--stream"], ["--save-smoothed", "smooth.nnf"]])
+def test_csv_with_stream_or_save_smoothed_is_usage_error(
+    running_c2d_file, tmp_path, capsys, monkeypatch, mode
+):
+    # neither mode writes its results through --csv, so the pairing is refused
+    # before the circuit is read, and no file is created
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main([str(running_c2d_file), *mode, "--csv", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --csv: not allowed with argument {mode[0]}" in captured.err
+    assert list(tmp_path.iterdir()) == [running_c2d_file]
+
+
 def test_queries_file(running_c2d_file, tmp_path, capsys):
     queries = tmp_path / "queries.txt"
     queries.write_text("count\ncount v 2\ncount v 4 -3\ncount v 2 -2\nbogus\n")

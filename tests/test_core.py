@@ -150,14 +150,17 @@ def test_renumber_empties_preprocessed_lists(circuits):
     queries = [Assumptions.of({v}, {v % 12 + 1}) for v in range(1, 13)]
     queries = [(a, cfg) for a in queries for cfg in (FULL, NO_PARTIAL_TRAVERSAL)]
     before = [query(d, a, cfg) for a, cfg in queries]
+    table = count_all_features(d)
+    assert d.derivative_sums is not None
     leaves = [i for i in d.nodes if not d.children[i]]
     order = leaves + [i for i in d.nodes if d.children[i]]
     assert order != list(d.nodes)
     renumber(d, order)
     assert (d.parents, d.baseline, d.inner, d.literal_index) == ([], [], [], {})
+    assert d.derivative_sums is None
     assert not d.preprocessed
     assert validate(d) == []
     preprocess(d)
     assert all(not d.children[i] for i in range(len(leaves)))
     assert [query(d, a, cfg) for a, cfg in queries] == before
-    assert count_all_features(d) == count_all_features(circuits["rand_n12a"])
+    assert count_all_features(d) == table == count_all_features(circuits["rand_n12a"])

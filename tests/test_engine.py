@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from ddnnf import (
     parse_d4,
     preprocess,
     query,
+    write_c2d,
 )
 from ddnnf.core import ORACLE_LIMIT_DEFAULT
 from ddnnf.engine import (
@@ -27,8 +29,9 @@ from ddnnf.engine import (
     NO_PARTIAL_TRAVERSAL,
     VARIANTS,
 )
-from ddnnf.errors import VariableOutOfRange
+from ddnnf.errors import DdnnfError, VariableOutOfRange
 
+from conftest import RUNNING_EXAMPLE_C2D, fixture_texts
 from helpers import (
     UNREFERENCED_C2D,
     UNREFERENCED_D4,
@@ -153,11 +156,146 @@ class TestCountAllFeatures:
         _assert_table_exact(preprocess(d))
 
 
+def _with_core_and_dead(text):
+    """The c2d circuit conjoined with ``x(n+1)`` and ``-x(n+2)``, over n + 2
+    variables, so it has a core and a dead variable besides its own."""
+    header, *records = text.splitlines()
+    _, _, edges, n = header.split()
+    n, root = int(n), len(records) - 1
+    records += [f"L {n + 1}", f"L {-(n + 2)}", f"A 3 {root} {root + 1} {root + 2}"]
+    return f"nnf {len(records)} {int(edges) + 3} {n + 2}\n" + "\n".join(records) + "\n"
+
+
+class TestFeatureLookups:
+    """count_feature reads the derivative sums the circuit caches."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.sampled_from([4, 8, 14, 20]),
+        omit=st.integers(1, 3),
+        d4=st.booleans(),
+        table_first=st.booleans(),
+        data=st.data(),
+    )
+    def test_lookups_match_oracle_query_and_table(self, seed, n, omit, d4, table_first, data):
+        text = _with_core_and_dead(random_c2d_text(seed, n, omit=omit, tree_budget=400))
+        n += 2
+        d = preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
+        assert d.omitted and {n - 1} <= d.core and {n} <= d.dead
+        assert d.derivative_sums is None
+        variables = range(1, n + 1)
+        # either call may fill the cache; the other then reads it
+        if table_first:
+            table = count_all_features(d)
+            lookups = [count_feature(d, v) for v in variables]
+        else:
+            lookups = [count_feature(d, v) for v in variables]
+            table = count_all_features(d)
+        # only a variable the shortcuts do not settle reads the sums
+        free = set(variables) - d.core - d.dead - d.omitted
+        assert (d.derivative_sums is not None) == bool(free)
+        assert table == list(zip(variables, lookups))
+        oracle = ExhaustiveCounter(d)
+        for v in variables:
+            a = Assumptions.of({v})
+            assert lookups[v - 1] == oracle.count(a) == query(d, a).count, v
+
+        # re-rooting renumbers; the second preprocess must not read the old sums
+        inner = [i for i in d.nodes if d.children[i] and i != d.root]
+        if inner:
+            d.root = data.draw(st.sampled_from(inner))
+            fresh = preprocess(parse_c2d(write_c2d(d)))
+            preprocess(d)
+            assert d.derivative_sums is None
+            want = [count_feature(fresh, v) for v in variables]
+            assert [count_feature(d, v) for v in variables] == want
+            assert count_all_features(d) == count_all_features(fresh)
+            oracle = ExhaustiveCounter(fresh)
+            assert want == [oracle.count(Assumptions.of({v})) for v in variables]
+
+    def test_reroot_does_not_read_stale_sums(self):
+        # the running example's left Or, (B and not C) or (not B and C), as
+        # the root: A and D become omitted, and B counts 1 * 4.  The old sums
+        # would give (2 - 2) * 4 for B.
+        d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
+        assert count_all_features(d) == [(1, 4), (2, 2), (3, 2), (4, 2)]
+        d.root = next(
+            i for i in d.nodes
+            if d.kind[i] is NodeKind.OR and d.decision[i] == 0
+        )
+        preprocess(d)
+        assert count_feature(d, 2) == 4
+        assert count_all_features(d) == [(1, 4), (2, 4), (3, 4), (4, 4)]
+
+    def test_preprocess_drops_sums_without_renumber(self):
+        # (x1 or not x1) and ((x2 and True) or not x2); turning the True leaf
+        # into False changes the counts but keeps every node reachable and
+        # the circuit smooth, so nothing renumbers.  The old sums would give
+        # (2 - 2) * 1 for x1.
+        text = "nnf 9 10 2\nL 1\nL -1\nL 2\nL -2\nA 0\nO 1 2 0 1\nA 2 2 4\nO 2 2 6 3\nA 2 5 7\n"
+        d = preprocess(parse_c2d(text))
+        assert count_all_features(d) == [(1, 2), (2, 2)]
+        nodes = len(d.nodes)
+        d.kind[4] = NodeKind.FALSE
+        preprocess(d)
+        assert len(d.nodes) == nodes
+        want = preprocess(parse_c2d(text.replace("A 0\n", "O 0 0\n")))
+        assert count_all_features(d) == count_all_features(want) == [(1, 1), (2, 0)]
+
+    def test_fill_keeps_one_sum_per_literal(self):
+        d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
+        assert count_feature(d, 1) == 4  # core: needs no sums
+        assert d.derivative_sums is None
+        assert count_feature(d, 2) == 2
+        assert sorted(d.derivative_sums) == sorted(d.literal_index)
+        # forcing -2 to zero removes the two models with not B
+        assert d.derivative_sums[-2] == 2
+
+    def test_requires_preprocessing(self):
+        d = parse_c2d(RUNNING_EXAMPLE_C2D)
+        with pytest.raises(DdnnfError):
+            count_feature(d, 2)
+        with pytest.raises(DdnnfError):
+            count_all_features(d)
+
+    @pytest.mark.parametrize("v", [0, 5, -2])
+    def test_out_of_range(self, v):
+        d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
+        with pytest.raises(VariableOutOfRange):
+            count_feature(d, v)
+        count_all_features(d)
+        with pytest.raises(VariableOutOfRange):
+            count_feature(d, v)
+
+
+def test_concurrent_first_lookups_fill_one_cache(circuits):
+    # readers racing on an empty cache each store complete, equal sums
+    from concurrent.futures import ThreadPoolExecutor
+
+    text = fixture_texts()["rand_n24"][1]
+    want = count_all_features(circuits["rand_n24"])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            d = preprocess(parse_c2d(text))
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(count_feature, d, v) for v in range(1, 25) for _ in range(2)
+                ]
+                got = [f.result(timeout=60) for f in futures]
+            assert got == [c for _, c in want for _ in range(2)]
+            assert count_all_features(d) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _assert_table_exact(d):
     """The table equals per-feature queries, and the oracle where it fits."""
     table = count_all_features(d)
     variables = range(1, d.num_variables + 1)
-    assert table == [(v, count_feature(d, v)) for v in variables]
+    assert table == [(v, query(d, Assumptions.of({v})).count) for v in variables]
     if d.num_variables <= ORACLE_LIMIT_DEFAULT:
         oracle = ExhaustiveCounter(d)
         assert table == [(v, oracle.count(Assumptions.of({v}))) for v in variables]

@@ -190,6 +190,28 @@ class TestDetectFormat:
         with pytest.raises(EmptyInput):
             detect_format("   \n# only a comment\n")
 
+    # blank lines, comments and a comment longer than the first prefix
+    # detect_format splits, with \r\n and \r line ends among them
+    LEADING = "\n  \r\n# a comment\r\t\n#" + "x" * 5000 + "\n\n"
+
+    def test_leading_blank_and_comment_lines(self):
+        assert detect_format(self.LEADING + RUNNING_EXAMPLE_C2D) == "c2d"
+        assert detect_format(self.LEADING + RUNNING_EXAMPLE_D4) == "d4"
+        with pytest.raises(EmptyInput):
+            detect_format(self.LEADING)
+        # the parsers still number the lines of the whole text
+        with pytest.raises(IndexOutOfRange) as err:
+            parse_text(self.LEADING + "nnf 2 1 1\nL 1\nA 1 5\n")
+        assert err.value.line == 9
+
+    def test_first_line_at_every_prefix_cut(self):
+        # whichever character a prefix ends on, the first whole line decides
+        for pad in range(240, 280):
+            text = "#" * pad + "\r\n" + RUNNING_EXAMPLE_D4
+            assert detect_format(text) == "d4"
+            assert detect_format("\n" * pad + RUNNING_EXAMPLE_C2D) == "c2d"
+        assert detect_format("#" * 300 + "\rnnf 1 0 1\nL 1\n") == "c2d"
+
     def test_parse_text_dispatch(self):
         assert count_total(preprocess(parse_text(RUNNING_EXAMPLE_C2D))) == 4
         assert count_total(preprocess(parse_text(RUNNING_EXAMPLE_D4, num_variables=4))) == 4
