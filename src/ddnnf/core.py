@@ -58,11 +58,11 @@ class Ddnnf:
       the order a bottom-up pass recomputes them in;
     * ``literal_index``, ``core``, ``dead`` and ``omitted``.
 
-    ``derivative_sums`` maps each literal to the partial derivative of the
-    root count summed over the nodes holding it: the models that forcing the
-    literal to zero removes.  It is ``None`` until the first feature lookup
-    or table fills it (see :mod:`ddnnf.engine`), and ``renumber`` and
-    ``compute_baseline`` empty it again.
+    ``derivative_sums`` maps each variable ``v`` to the partial derivative
+    of the root count summed over the nodes holding ``-v``: the models that
+    forcing ``-v`` to zero removes.  It is ``None`` until the first
+    all-features table fills it (see :mod:`ddnnf.engine`), and
+    ``compute_baseline``, which every preprocess runs, empties it again.
 
     Per-query values and marks live in query-local buffers, never here.
     """
@@ -213,10 +213,9 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
     """Keep the nodes listed in ``order``, in that order, as nodes 0, 1, ...
 
     Every child of a kept node must be kept too.  Parents, baselines,
-    ``inner`` and the literal index no longer match the new indices, and the
-    derivative sums may no longer match the circuit, so they are emptied and
-    the circuit counts as not preprocessed; preprocessing refills the lists,
-    and the next feature lookup the sums.
+    ``inner`` and the literal index no longer match the new indices, so they
+    are emptied and the circuit counts as not preprocessed; preprocessing
+    refills them.
     """
     position = [-1] * len(d.kind)
     for new, old in enumerate(order):
@@ -228,7 +227,6 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
     d.children = [tuple([position[c] for c in children[i]]) for i in order]
     d.root = position[d.root]
     d.parents, d.baseline, d.inner, d.literal_index = [], [], [], {}
-    d.derivative_sums = None
     d.preprocessed = False
 
 

@@ -40,19 +40,20 @@ Queries never mutate the circuit's lists.  A stateless query keeps its
 values in a local buffer, so such queries may run concurrently; a state is
 updated in place and serves one caller at a time.
 
-The cardinality of a feature does not go through the ladder either, alone or
-all at once.  It reads cached sums of one backward pass over the baselines
-(Darwiche's differential approach): on a smooth, decomposable circuit the
-count is multilinear in each literal's indicator, so forcing ``-v`` to zero
-removes exactly the partial derivative of the root count with respect to
-that literal.  One root-to-leaves sweep yields every literal node's
-derivative, and the sum over each literal's nodes is kept on the circuit as
-``Ddnnf.derivative_sums``.  The first :func:`count_feature` or
-:func:`count_all_features` call that needs it fills it; ``--count``,
-streams and set-up never pay for it.  The fill is idempotent: readers that
-race on an empty cache each compute the same sums and store a complete
-dict, so concurrent stateless readers stay safe.  After that a lookup is a
-dict read and the table one pass over the variables.
+The cardinality of every feature at once does not go through the ladder.
+It is one backward pass over the cached baselines (Darwiche's differential
+approach): on a smooth, decomposable circuit the count is multilinear in
+each literal's indicator, so forcing ``-v`` to zero removes exactly the
+partial derivative of the root count with respect to that literal.  One
+root-to-leaves sweep yields every literal node's derivative, and the sum
+over the nodes of each ``-v`` is kept on the circuit as
+``Ddnnf.derivative_sums``.  The first :func:`count_all_features` call fills
+it; ``--count``, streams and set-up never pay for it.  The fill is
+idempotent: tables that race on an empty cache each compute the same sums
+and store a complete dict, so concurrent stateless readers stay safe.
+Once it is filled, :func:`count_feature` reads it too, and a lookup is a
+dict read; before that a lookup is one partial query, which costs far less
+than the backward pass.
 """
 
 from __future__ import annotations
@@ -279,23 +280,7 @@ def _literal_derivatives(d: Ddnnf) -> list[int]:
     return derivative
 
 
-def _derivative_sums(d: Ddnnf) -> dict[int, int]:
-    """``d.derivative_sums``, filled from one backward pass on first use.
-
-    The per-node derivative list lives only until its sums are taken.
-    """
-    sums = d.derivative_sums
-    if sums is None:
-        derivative = _literal_derivatives(d)
-        sums = {
-            lit: sum(derivative[i] for i in nodes)
-            for lit, nodes in d.literal_index.items()
-        }
-        d.derivative_sums = sums
-    return sums
-
-
-def _feature_count(d: Ddnnf, v: int) -> int:
+def _feature_count(d: Ddnnf, sums: dict[int, int], v: int) -> int:
     """Cardinality of variable ``v``, taking the shortcuts :func:`query` takes.
 
     In the same order: an omitted variable halves the free factor, a dead
@@ -314,25 +299,38 @@ def _feature_count(d: Ddnnf, v: int) -> int:
         return 0
     if v in d.core:
         return root_count * factor
-    return (root_count - _derivative_sums(d)[-v]) * factor
+    return (root_count - sums.get(v, 0)) * factor
 
 
 def count_feature(d: Ddnnf, feature: int) -> int:
     """Cardinality of one feature: models that include it.
 
-    Equals ``query(d, Assumptions.of({feature})).count``, read from the
-    cached derivative sums instead of a partial pass.
+    Equals ``query(d, Assumptions.of({feature})).count``.  It is read from
+    the derivative sums once a table has filled them, and otherwise is that
+    query.
     """
     _require_preprocessed(d)
-    return _feature_count(d, feature)
+    sums = d.derivative_sums
+    if sums is None:
+        return query(d, Assumptions.of(include={feature})).count
+    return _feature_count(d, sums, feature)
 
 
 def count_all_features(d: Ddnnf) -> list[tuple[int, int]]:
     """(variable, cardinality) for every variable, ascending.
 
-    :func:`count_feature` over ``1..n``, with no per-feature query: one
-    backward pass fills the derivative sums the first time, and every later
-    table or lookup reads them.
+    The first table fills the derivative sums from one backward pass
+    (:func:`_literal_derivatives`), whose per-node list lives only until
+    they are taken; every later table or lookup reads them.  The table
+    equals ``count_feature`` on every variable.
     """
     _require_preprocessed(d)
-    return [(v, _feature_count(d, v)) for v in range(1, d.num_variables + 1)]
+    sums = d.derivative_sums
+    if sums is None:
+        derivative = _literal_derivatives(d)
+        sums = d.derivative_sums = {
+            -lit: sum(derivative[i] for i in nodes)
+            for lit, nodes in d.literal_index.items()
+            if lit < 0
+        }
+    return [(v, _feature_count(d, sums, v)) for v in range(1, d.num_variables + 1)]

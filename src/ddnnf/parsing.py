@@ -58,19 +58,16 @@ def _content_lines(text: str):
 def detect_format(text: str) -> str:
     """"c2d" iff the first non-blank line starts with ``nnf``, else "d4".
 
-    Splits a prefix of ``text`` that doubles until it holds a whole content
+    Reads a prefix of ``text`` that doubles until it holds a whole content
     line, so a large file is not split into lines only to read its first.
     """
     size = 256
     while True:
-        lines = text[:size].splitlines()
         whole = size >= len(text)
-        if not whole:
-            del lines[-1:]  # the prefix may cut its last line short
-        for raw in lines:
-            tokens = raw.split("#", 1)[0].split()
-            if tokens:
-                return C2D if tokens[0] == "nnf" else D4
+        # unless it is all of text, the prefix may cut its last line short
+        prefix = text if whole else text[: text.rfind("\n", 0, size) + 1]
+        for _, tokens in _content_lines(prefix):
+            return C2D if tokens[0] == "nnf" else D4
         if whole:
             raise EmptyInput("no content", 1)
         size *= 2

@@ -157,10 +157,10 @@ def test_renumber_empties_preprocessed_lists(circuits):
     assert order != list(d.nodes)
     renumber(d, order)
     assert (d.parents, d.baseline, d.inner, d.literal_index) == ([], [], [], {})
-    assert d.derivative_sums is None
     assert not d.preprocessed
     assert validate(d) == []
     preprocess(d)
+    assert d.derivative_sums is None
     assert all(not d.children[i] for i in range(len(leaves)))
     assert [query(d, a, cfg) for a, cfg in queries] == before
     assert count_all_features(d) == table == count_all_features(circuits["rand_n12a"])

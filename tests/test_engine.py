@@ -167,7 +167,7 @@ def _with_core_and_dead(text):
 
 
 class TestFeatureLookups:
-    """count_feature reads the derivative sums the circuit caches."""
+    """count_feature reads the derivative sums a table caches on the circuit."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -175,26 +175,21 @@ class TestFeatureLookups:
         n=st.sampled_from([4, 8, 14, 20]),
         omit=st.integers(1, 3),
         d4=st.booleans(),
-        table_first=st.booleans(),
         data=st.data(),
     )
-    def test_lookups_match_oracle_query_and_table(self, seed, n, omit, d4, table_first, data):
+    def test_lookups_match_oracle_query_and_table(self, seed, n, omit, d4, data):
         text = _with_core_and_dead(random_c2d_text(seed, n, omit=omit, tree_budget=400))
         n += 2
         d = preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
         assert d.omitted and {n - 1} <= d.core and {n} <= d.dead
-        assert d.derivative_sums is None
         variables = range(1, n + 1)
-        # either call may fill the cache; the other then reads it
-        if table_first:
-            table = count_all_features(d)
-            lookups = [count_feature(d, v) for v in variables]
-        else:
-            lookups = [count_feature(d, v) for v in variables]
-            table = count_all_features(d)
-        # only a variable the shortcuts do not settle reads the sums
-        free = set(variables) - d.core - d.dead - d.omitted
-        assert (d.derivative_sums is not None) == bool(free)
+        # a lookup before any table is a partial query and fills nothing
+        before = [count_feature(d, v) for v in variables]
+        assert d.derivative_sums is None
+        table = count_all_features(d)
+        assert d.derivative_sums is not None
+        lookups = [count_feature(d, v) for v in variables]
+        assert lookups == before
         assert table == list(zip(variables, lookups))
         oracle = ExhaustiveCounter(d)
         for v in variables:
@@ -207,10 +202,9 @@ class TestFeatureLookups:
             d.root = data.draw(st.sampled_from(inner))
             fresh = preprocess(parse_c2d(write_c2d(d)))
             preprocess(d)
-            assert d.derivative_sums is None
+            assert count_all_features(d) == count_all_features(fresh)
             want = [count_feature(fresh, v) for v in variables]
             assert [count_feature(d, v) for v in variables] == want
-            assert count_all_features(d) == count_all_features(fresh)
             oracle = ExhaustiveCounter(fresh)
             assert want == [oracle.count(Assumptions.of({v})) for v in variables]
 
@@ -225,8 +219,8 @@ class TestFeatureLookups:
             if d.kind[i] is NodeKind.OR and d.decision[i] == 0
         )
         preprocess(d)
-        assert count_feature(d, 2) == 4
         assert count_all_features(d) == [(1, 4), (2, 4), (3, 4), (4, 4)]
+        assert count_feature(d, 2) == 4
 
     def test_preprocess_drops_sums_without_renumber(self):
         # (x1 or not x1) and ((x2 and True) or not x2); turning the True leaf
@@ -243,14 +237,14 @@ class TestFeatureLookups:
         want = preprocess(parse_c2d(text.replace("A 0\n", "O 0 0\n")))
         assert count_all_features(d) == count_all_features(want) == [(1, 1), (2, 0)]
 
-    def test_fill_keeps_one_sum_per_literal(self):
+    def test_table_fills_one_sum_per_negative_literal(self):
         d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
-        assert count_feature(d, 1) == 4  # core: needs no sums
-        assert d.derivative_sums is None
-        assert count_feature(d, 2) == 2
-        assert sorted(d.derivative_sums) == sorted(d.literal_index)
+        count_all_features(d)
+        # keyed by variable; A is core, so -1 labels no node
+        assert sorted(d.derivative_sums) == sorted(-lit for lit in d.literal_index if lit < 0)
+        assert sorted(d.derivative_sums) == [2, 3, 4]
         # forcing -2 to zero removes the two models with not B
-        assert d.derivative_sums[-2] == 2
+        assert d.derivative_sums[2] == 2
 
     def test_requires_preprocessing(self):
         d = parse_c2d(RUNNING_EXAMPLE_C2D)
@@ -269,8 +263,9 @@ class TestFeatureLookups:
             count_feature(d, v)
 
 
-def test_concurrent_first_lookups_fill_one_cache(circuits):
-    # readers racing on an empty cache each store complete, equal sums
+def test_concurrent_first_tables_fill_one_cache(circuits):
+    # tables racing on an empty cache each store complete, equal sums, and
+    # lookups racing with them read either the sums or a partial query
     from concurrent.futures import ThreadPoolExecutor
 
     text = fixture_texts()["rand_n24"][1]
@@ -281,11 +276,10 @@ def test_concurrent_first_lookups_fill_one_cache(circuits):
         for _ in range(5):
             d = preprocess(parse_c2d(text))
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [
-                    pool.submit(count_feature, d, v) for v in range(1, 25) for _ in range(2)
-                ]
-                got = [f.result(timeout=60) for f in futures]
-            assert got == [c for _, c in want for _ in range(2)]
+                tables = [pool.submit(count_all_features, d) for _ in range(4)]
+                lookups = [pool.submit(count_feature, d, v) for v in range(1, 25)]
+                assert [f.result(timeout=60) for f in tables] == [want] * 4
+                assert [f.result(timeout=60) for f in lookups] == [c for _, c in want]
             assert count_all_features(d) == want
     finally:
         sys.setswitchinterval(interval)
