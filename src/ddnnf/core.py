@@ -60,8 +60,8 @@ class Ddnnf:
 
     ``derivative_sums`` maps each variable ``v`` to the partial derivative
     of the root count summed over the nodes holding ``-v``: the models that
-    forcing ``-v`` to zero removes.  It is ``None`` until the first
-    all-features table fills it (see :mod:`ddnnf.engine`), and
+    forcing ``-v`` to zero removes.  It is ``None`` until an all-features
+    table stores it (see :mod:`ddnnf.engine`), and
     ``compute_baseline``, which every preprocess runs, empties it again.
 
     Per-query values and marks live in query-local buffers, never here.

@@ -47,13 +47,13 @@ each literal's indicator, so forcing ``-v`` to zero removes exactly the
 partial derivative of the root count with respect to that literal.  One
 root-to-leaves sweep yields every literal node's derivative, and the sum
 over the nodes of each ``-v`` is kept on the circuit as
-``Ddnnf.derivative_sums``.  The first :func:`count_all_features` call fills
-it; ``--count``, streams and set-up never pay for it.  The fill is
-idempotent: tables that race on an empty cache each compute the same sums
-and store a complete dict, so concurrent stateless readers stay safe.
-Once it is filled, :func:`count_feature` reads it too, and a lookup is a
-dict read; before that a lookup is one partial query, which costs far less
-than the backward pass.
+``Ddnnf.derivative_sums``.  Every :func:`count_all_features` call takes
+the sweep and stores the sums, so a table costs the same whatever ran
+before it; ``--count``, streams and set-up never pay for it.  The store is
+idempotent: racing tables each compute the same sums and store a complete
+dict, so concurrent stateless readers stay safe.  Once a table has stored
+them, :func:`count_feature` reads them, and a lookup is a dict read; before
+that a lookup is one partial query, which costs far less than the sweep.
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ def count_feature(d: Ddnnf, feature: int) -> int:
     """Cardinality of one feature: models that include it.
 
     Equals ``query(d, Assumptions.of({feature})).count``.  It is read from
-    the derivative sums once a table has filled them, and otherwise is that
+    the derivative sums once a table has stored them, and otherwise is that
     query.
     """
     _require_preprocessed(d)
@@ -319,18 +319,17 @@ def count_feature(d: Ddnnf, feature: int) -> int:
 def count_all_features(d: Ddnnf) -> list[tuple[int, int]]:
     """(variable, cardinality) for every variable, ascending.
 
-    The first table fills the derivative sums from one backward pass
-    (:func:`_literal_derivatives`), whose per-node list lives only until
-    they are taken; every later table or lookup reads them.  The table
-    equals ``count_feature`` on every variable.
+    Every table takes one backward pass (:func:`_literal_derivatives`),
+    whose per-node list lives only until the derivative sums are taken,
+    and stores the sums for later lookups.  It does not read sums an
+    earlier table stored, so the first table and the hundredth cost the
+    same.  The table equals ``count_feature`` on every variable.
     """
     _require_preprocessed(d)
-    sums = d.derivative_sums
-    if sums is None:
-        derivative = _literal_derivatives(d)
-        sums = d.derivative_sums = {
-            -lit: sum(derivative[i] for i in nodes)
-            for lit, nodes in d.literal_index.items()
-            if lit < 0
-        }
+    derivative = _literal_derivatives(d)
+    sums = d.derivative_sums = {
+        -lit: sum(derivative[i] for i in nodes)
+        for lit, nodes in d.literal_index.items()
+        if lit < 0
+    }
     return [(v, _feature_count(d, sums, v)) for v in range(1, d.num_variables + 1)]

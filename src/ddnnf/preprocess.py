@@ -5,8 +5,8 @@ child-to-parent pointers, index the literal nodes, detect core and dead
 variables, and compute every node's baseline count under no assumptions.
 Preprocessing is the only phase that mutates shared circuit state;
 afterwards the circuit is read-only and queries may run concurrently.  The
-one later write, the all-features table's derivative-sum cache, is filled
-once and idempotently (see :mod:`ddnnf.engine`).
+one later write, the derivative-sum cache each all-features table stores,
+is idempotent (see :mod:`ddnnf.engine`).
 """
 
 from __future__ import annotations

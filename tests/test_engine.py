@@ -246,6 +246,15 @@ class TestFeatureLookups:
         # forcing -2 to zero removes the two models with not B
         assert d.derivative_sums[2] == 2
 
+    def test_every_table_takes_the_sweep(self):
+        # a later table stores fresh, equal sums instead of reading the
+        # stored ones, so its cost does not depend on the tables before it
+        d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
+        table = count_all_features(d)
+        first = d.derivative_sums
+        assert count_all_features(d) == table
+        assert d.derivative_sums == first and d.derivative_sums is not first
+
     def test_requires_preprocessing(self):
         d = parse_c2d(RUNNING_EXAMPLE_C2D)
         with pytest.raises(DdnnfError):
