@@ -224,7 +224,15 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
     d.literal = [d.literal[i] for i in order]
     d.decision = [d.decision[i] for i in order]
     children = d.children
-    d.children = [tuple([position[c] for c in children[i]]) for i in order]
+    renamed: list[tuple[int, ...]] = []
+    for i in order:
+        ch = children[i]
+        if len(ch) == 2:  # most nodes: no inner loop
+            a, b = ch
+            renamed.append((position[a], position[b]))
+        else:
+            renamed.append(tuple([position[c] for c in ch]))
+    d.children = renamed
     d.root = position[d.root]
     d.parents, d.baseline, d.inner, d.literal_index = [], [], [], {}
     d.preprocessed = False

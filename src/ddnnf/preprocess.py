@@ -3,6 +3,9 @@
 Six steps, in order: prune the circuit to the root's cone, smooth it, link
 child-to-parent pointers, index the literal nodes, detect core and dead
 variables, and compute every node's baseline count under no assumptions.
+Each step is one pass over node lists that are already in topological
+order, and each keeps that order: pruning drops nodes, and smoothing places
+the nodes it adds where their children precede them, so nothing is sorted.
 Preprocessing is the only phase that mutates shared circuit state;
 afterwards the circuit is read-only and queries may run concurrently.  The
 one later write, the derivative-sum cache each all-features table stores,
@@ -21,10 +24,13 @@ from .core import (
     recompute,
     renumber,
     root_cone,
-    variable_masks,
 )
 from .errors import DecomposabilityViolation, NotSmooth
-from .parsing import toposort
+
+# Smoothing emits its order directly, so ``parse_d4`` is toposort's only
+# caller.  The name stays importable here because perfbench's tracer wraps it
+# by module and attribute, and fails to install when the attribute is missing.
+from .parsing import toposort  # noqa: F401
 
 
 def prune(d: Ddnnf) -> Ddnnf:
@@ -41,6 +47,21 @@ def prune(d: Ddnnf) -> Ddnnf:
     return d
 
 
+def _shares_variables(node: int) -> DecomposabilityViolation:
+    return DecomposabilityViolation(f"And node {node} has children sharing variables")
+
+
+def _note_deficits(deficits, i: int, ch, union: int, kind, masks) -> None:
+    """Append Or node ``i`` and the variables each non-False child lacks."""
+    lacking = [
+        (slot, tuple(mask_variables(union ^ masks[c])))
+        for slot, c in enumerate(ch)
+        if masks[c] != union and kind[c] is not FALSE
+    ]
+    if lacking:
+        deficits.append((i, lacking))
+
+
 def smooth(d: Ddnnf) -> Ddnnf:
     """Equalize the variable sets of every Or node's children.
 
@@ -49,71 +70,111 @@ def smooth(d: Ddnnf) -> Ddnnf:
     is unchanged.  A missing-variable And child with a single reference is
     extended in place, anything else is wrapped in a fresh And node.  False
     children need no gadgets because their count absorbs any completion.
-    Idempotent: smoothing a smooth circuit adds no nodes.
-    """
-    kind, literal, children, decision = d.kind, d.literal, d.children, d.decision
-    masks = variable_masks(d)
-    for i in range(len(kind)):
-        if kind[i] is AND:
-            seen = 0
-            for c in children[i]:
-                if seen & masks[c]:
-                    raise DecomposabilityViolation(
-                        f"And node {i} has children sharing variables"
-                    )
-                seen |= masks[c]
+    Idempotent: smoothing a smooth circuit changes nothing.
 
+    One bottom-up pass over the nodes, which are in topological order,
+    computes every node's variable mask, checks decomposability at And
+    nodes and notes the variables each Or child lacks.  A mask is freed as
+    soon as its last parent has read it, so the masks live at any time stay
+    few however wide they are.  The circuit changes only after the pass:
+    a :class:`DecomposabilityViolation` leaves it as it was.  A circuit
+    that grew is renumbered once, with every gadget node first (their
+    children are only gadget leaves), then the original nodes in their
+    order, each wrapper And just before its Or.
+    """
+    kind, literal, children = d.kind, d.literal, d.children
     original = len(kind)
-    refs = [0] * original
+    uses = [0] * original
     for ch in children:
         for c in ch:
-            refs[c] += 1
+            uses[c] += 1
+    refs = uses.copy()
 
-    def add(k, lit: int, ch: tuple[int, ...], dec: int, mask: int) -> int:
-        kind.append(k)
-        literal.append(lit)
-        children.append(ch)
-        decision.append(dec)
-        masks.append(mask)
-        return len(kind) - 1
-
-    gadget_for: dict[int, int] = {}
-
-    def gadget(v: int) -> int:
-        idx = gadget_for.get(v)
-        if idx is None:
-            bit = 1 << (v - 1)
-            pos = add(LITERAL, v, (), 0, bit)
-            neg = add(LITERAL, -v, (), 0, bit)
-            idx = gadget_for[v] = add(OR, 0, (pos, neg), v, bit)
-        return idx
-
-    grew = False
+    # (Or node, [(slot, variables the child lacks), ...]) in node order
+    deficits: list[tuple[int, list[tuple[int, tuple[int, ...]]]]] = []
+    masks = [0] * original
     for i in range(original):
-        if kind[i] is not OR:
+        k = kind[i]
+        if k is LITERAL:
+            masks[i] = 1 << (abs(literal[i]) - 1)
+            continue
+        ch = children[i]
+        if len(ch) == 2:  # most nodes: no inner loops
+            a, b = ch
+            ma, mb = masks[a], masks[b]
+            if k is AND and ma & mb:
+                raise _shares_variables(i)
+            union = masks[i] = ma | mb
+            if k is OR and ma != mb:
+                _note_deficits(deficits, i, ch, union, kind, masks)
+            uses[a] -= 1
+            if not uses[a]:
+                masks[a] = 0
+            uses[b] -= 1
+            if not uses[b]:
+                masks[b] = 0
             continue
         union = 0
-        for c in children[i]:
-            if kind[c] is not FALSE:
+        if k is AND:
+            for c in ch:
+                m = masks[c]
+                if union & m:
+                    raise _shares_variables(i)
+                union |= m
+        else:
+            for c in ch:
                 union |= masks[c]
-        slots = list(children[i])
-        for slot, c in enumerate(slots):
-            if kind[c] is FALSE:
-                continue
-            missing = union & ~masks[c]
-            if not missing:
-                continue
-            gadgets = tuple([gadget(v) for v in mask_variables(missing)])
-            if kind[c] is AND and refs[c] == 1:
-                children[c] += gadgets
-                masks[c] = union
-            else:
-                slots[slot] = add(AND, 0, (c,) + gadgets, 0, union)
-            grew = True
-        children[i] = tuple(slots)
+            if k is OR:
+                _note_deficits(deficits, i, ch, union, kind, masks)
+        masks[i] = union
+        for c in ch:
+            uses[c] -= 1
+            if not uses[c]:
+                masks[c] = 0
+    del masks
 
-    if grew:
-        toposort(d)
+    if deficits:
+        decision = d.decision
+        front: list[int] = []  # the gadget nodes
+
+        def add(k, lit: int, ch: tuple[int, ...], dec: int) -> int:
+            kind.append(k)
+            literal.append(lit)
+            children.append(ch)
+            decision.append(dec)
+            return len(kind) - 1
+
+        gadget_for: dict[int, int] = {}
+
+        def gadget(v: int) -> int:
+            idx = gadget_for.get(v)
+            if idx is None:
+                pos = add(LITERAL, v, (), 0)
+                neg = add(LITERAL, -v, (), 0)
+                idx = gadget_for[v] = add(OR, 0, (pos, neg), v)
+                front.extend((pos, neg, idx))
+            return idx
+
+        rest: list[int] = []  # the original nodes and the wrapper Ands
+        placed = 0  # the original nodes below this one are in ``rest``
+        for i, lacking in deficits:
+            slots = list(children[i])
+            wrappers = []
+            for slot, variables in lacking:
+                c = slots[slot]
+                gadgets = tuple([gadget(v) for v in variables])
+                if kind[c] is AND and refs[c] == 1:
+                    children[c] += gadgets
+                else:
+                    slots[slot] = add(AND, 0, (c,) + gadgets, 0)
+                    wrappers.append(slots[slot])
+            children[i] = tuple(slots)
+            if wrappers:
+                rest.extend(range(placed, i))
+                rest.extend(wrappers)
+                placed = i
+        rest.extend(range(placed, original))
+        renumber(d, front + rest)
     d.is_smooth = True
     return d
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ddnnf import (
     Assumptions,
     Ddnnf,
+    ExhaustiveCounter,
     NodeKind,
     brute_force_count,
     compute_baseline,
@@ -23,10 +24,18 @@ from ddnnf import (
     query,
     smooth,
     validate,
+    write_c2d,
 )
 from ddnnf.errors import DecomposabilityViolation, NotSmooth
 
-from conftest import UNSMOOTH_PAIR_C2D, SHARED_SUBTREE_C2D, RUNNING_EXAMPLE_C2D, RUNNING_EXAMPLE_D4
+from conftest import (
+    RUNNING_EXAMPLE_C2D,
+    RUNNING_EXAMPLE_D4,
+    SHARED_SUBTREE_C2D,
+    UNSMOOTH_PAIR_C2D,
+    build_circuit,
+    fixture_texts,
+)
 from helpers import (
     UNREFERENCED_C2D,
     UNREFERENCED_D4,
@@ -83,6 +92,17 @@ class TestSmooth:
         )
         with pytest.raises(DecomposabilityViolation):
             smooth(d)
+
+    def test_violation_leaves_circuit_unchanged(self):
+        # the Or (A and B) or not-A misses B in its second branch and sits
+        # below an And that shares B with its sibling, so the refusal comes
+        # after a smoothing decision has been found
+        text = "nnf 7 7 2\nL 1\nL 2\nA 2 0 1\nL -1\nO 1 2 2 3\nL -2\nA 2 4 5\n"
+        d = parse_c2d(text)
+        before = (list(d.kind), list(d.literal), list(d.children), list(d.decision), d.root)
+        with pytest.raises(DecomposabilityViolation):
+            smooth(d)
+        assert (d.kind, d.literal, d.children, d.decision, d.root) == before
 
     def test_growth_drops_lists_of_later_steps(self):
         d = compute_baseline(link_parents(parse_c2d(UNSMOOTH_PAIR_C2D)))
@@ -340,3 +360,40 @@ def test_unreferenced_records_change_no_count(seed, n, omit, extra, d4):
         clean_d, polluted_d = parse_c2d(text), parse_c2d(polluted)
     clean = _profile(preprocess(clean_d), random.Random(seed))
     assert _profile(preprocess(polluted_d), random.Random(seed)) == clean
+
+
+def _check_emitted_order(d):
+    """The order and the contents a preprocessed circuit must have."""
+    assert all(c < i for i in d.nodes for c in d.children[i])
+    assert d.root == len(d.nodes) - 1
+    assert [v for v in validate(d) if v.kind == "smoothness"] == []
+    lists = (list(d.kind), list(d.literal), list(d.children), list(d.decision))
+    smooth(d)
+    assert (d.kind, d.literal, d.children, d.decision) == lists
+
+    again = preprocess(parse_c2d(write_c2d(d), d.num_variables))
+    assert count_all_features(again) == count_all_features(d)
+    assumptions = [Assumptions()] + [
+        Assumptions.from_literals([lit])
+        for v in range(1, d.num_variables + 1)
+        for lit in (v, -v)
+    ]
+    oracle, reparsed = ExhaustiveCounter(d), ExhaustiveCounter(again)
+    assert [oracle.count(a) for a in assumptions] == [reparsed.count(a) for a in assumptions]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.sampled_from([4, 8, 14]),
+    omit=st.integers(0, 2),
+    d4=st.booleans(),
+)
+def test_emitted_order_on_random_circuits(seed, n, omit, d4):
+    text = random_c2d_text(seed, n, omit=omit, tree_budget=300)
+    _check_emitted_order(preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text)))
+
+
+@pytest.mark.parametrize("name", sorted(fixture_texts()))
+def test_emitted_order_on_fixtures(name):
+    _check_emitted_order(preprocess(build_circuit(*fixture_texts()[name])))
