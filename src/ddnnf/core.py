@@ -54,8 +54,8 @@ class Ddnnf:
 
     * ``parents[i]``: a tuple of parent indices, the inverse of ``children``;
     * ``baseline[i]``: the node's count under no assumptions;
-    * ``inner``: the indices of the And and Or nodes, ascending, which is
-      the order a bottom-up pass recomputes them in;
+    * ``tape``: the And and Or nodes compiled to the instructions of one
+      forward sweep (see :func:`compile_tape`);
     * ``literal_index``, ``core``, ``dead`` and ``omitted``.
 
     ``derivative_sums`` maps each variable ``v`` to the partial derivative
@@ -75,7 +75,7 @@ class Ddnnf:
     decision: list[int] = field(default_factory=list)
     parents: list[tuple[int, ...]] = field(default_factory=list)
     baseline: list[int] = field(default_factory=list)
-    inner: list[int] = field(default_factory=list)
+    tape: list[tuple[int, int, int]] = field(default_factory=list)
     literal_index: dict[int, list[int]] = field(default_factory=dict)
     core: frozenset[int] = frozenset()
     dead: frozenset[int] = frozenset()
@@ -212,9 +212,9 @@ def root_cone(d: Ddnnf) -> list[int]:
 def renumber(d: Ddnnf, order: list[int]) -> None:
     """Keep the nodes listed in ``order``, in that order, as nodes 0, 1, ...
 
-    Every child of a kept node must be kept too.  Parents, baselines,
-    ``inner`` and the literal index no longer match the new indices, so they
-    are emptied and the circuit counts as not preprocessed; preprocessing
+    Every child of a kept node must be kept too.  Parents, baselines, the
+    tape and the literal index no longer match the new indices, so they are
+    emptied and the circuit counts as not preprocessed; preprocessing
     refills them.
     """
     position = [-1] * len(d.kind)
@@ -234,7 +234,7 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
             renamed.append(tuple([position[c] for c in ch]))
     d.children = renamed
     d.root = position[d.root]
-    d.parents, d.baseline, d.inner, d.literal_index = [], [], [], {}
+    d.parents, d.baseline, d.tape, d.literal_index = [], [], [], {}
     d.preprocessed = False
 
 
@@ -244,8 +244,8 @@ def recompute(d: Ddnnf, values: list[int], order) -> None:
     ``values`` holds a count for every node; ``order`` lists And and Or
     nodes only, ascending, so each node reads its children's final values.
     And nodes multiply, stopping at the first zero factor, and Or nodes add,
-    in place.  This one loop serves the baseline pass, the full sweep and
-    the partial pass of a query.
+    in place.  This is a query's partial pass over its marked nodes; a pass
+    over every node runs the tape instead (:func:`sweep`).
     """
     kind, children = d.kind, d.children
     for i in order:
@@ -270,6 +270,58 @@ def recompute(d: Ddnnf, values: list[int], order) -> None:
             values[i] = product
 
 
+def compile_tape(d: Ddnnf) -> list[tuple[int, int, int]]:
+    """Compile the And and Or nodes into the instructions of one forward sweep.
+
+    An instruction ``(dst, a, b)`` sets ``values[dst] = values[a] * values[b]``
+    for an And node, and an Or node's ``(~dst, a, b)`` sets
+    ``values[dst] = values[a] + values[b]``.  The instructions follow node
+    order, so each reads final values.  A node with k >= 3 children takes
+    k - 1 instructions that accumulate into its own slot (``(i, c0, c1)``,
+    then ``(i, i, c2)``, ...), which nothing reads before the chain ends.  A
+    one-child node multiplies its child by the constant 1 that the sweep's
+    value list holds in one extra slot after the nodes, at index
+    ``len(d.nodes)``.  A node without children takes no instruction: its
+    value is constant, 1 for an And and 0 for an Or, and the value list must
+    start with it.
+
+    The tape is data, not code: building it costs one pass over the nodes,
+    and :func:`sweep` pays no per-node kind test or child-count branch.
+    """
+    kind, children = d.kind, d.children
+    one = len(kind)
+    tape: list[tuple[int, int, int]] = []
+    append = tape.append
+    for i in range(one):
+        k = kind[i]
+        if k is AND:
+            dst = i
+        elif k is OR:
+            dst = ~i
+        else:
+            continue
+        ch = children[i]
+        if len(ch) == 2:  # most nodes: one instruction
+            a, b = ch
+            append((dst, a, b))
+        elif len(ch) > 2:
+            append((dst, ch[0], ch[1]))
+            for c in ch[2:]:
+                append((dst, i, c))
+        elif ch:
+            append((i, ch[0], one))
+    return tape
+
+
+def sweep(tape: list[tuple[int, int, int]], values: list[int]) -> None:
+    """Run a :func:`compile_tape` tape over ``values``, in place."""
+    for dst, a, b in tape:
+        if dst < 0:
+            values[~dst] = values[a] + values[b]
+        else:
+            values[dst] = values[a] * values[b]
+
+
 def present_variables(d: Ddnnf) -> set[int]:
     """Variables that occur in at least one literal node."""
     return {abs(lit) for lit in d.literal if lit}
@@ -284,41 +336,59 @@ def validate(d: Ddnnf) -> list[Violation]:
     and "smoothness" (Or children differ in variable set; False children are
     ignored since their count absorbs any completion).  Determinism is a
     trust assumption on the compiler and is not checked.
+
+    One pass in node order computes each node's variable mask as
+    :func:`variable_masks` does, reading only children below the node, and
+    frees a mask once its last such parent has read it, so the masks live
+    at any time stay few however wide they are.
     """
     out: list[Violation] = []
-    masks = variable_masks(d)
-    kind, children = d.kind, d.children
+    kind, literal, children = d.kind, d.literal, d.children
     n = len(kind)
+    uses = [0] * n
     for i in range(n):
         for c in children[i]:
-            if not 0 <= c < n:
+            if 0 <= c < i:
+                uses[c] += 1
+    masks = [0] * n
+    for i in range(n):
+        k = kind[i]
+        if k is LITERAL:
+            masks[i] = 1 << (abs(literal[i]) - 1)
+        below = []
+        for c in children[i]:
+            if 0 <= c < i:
+                below.append(c)
+            elif not 0 <= c < n:
                 out.append(Violation("dangling-child", i, f"child {c} outside node list"))
-            elif c >= i:
+            else:
                 out.append(Violation("cycle", i, f"child {c} does not precede node {i}"))
-        if kind[i] is AND:
-            seen = 0
-            for c in children[i]:
-                if not 0 <= c < i:
-                    continue
-                if seen & masks[c]:
-                    out.append(
-                        Violation("decomposability", i, "children share variables")
-                    )
-                    break
-                seen |= masks[c]
-        elif kind[i] is OR:
-            child_masks = {
-                masks[c]
-                for c in children[i]
-                if 0 <= c < i and kind[c] is not FALSE
-            }
-            if len(child_masks) > 1:
+        if k is AND:
+            union, shared = 0, False
+            for c in below:
+                m = masks[c]
+                if union & m:
+                    shared = True
+                union |= m
+            masks[i] = union
+            if shared:
+                out.append(Violation("decomposability", i, "children share variables"))
+        elif k is OR:
+            union = 0
+            for c in below:
+                union |= masks[c]
+            masks[i] = union
+            if len({masks[c] for c in below if kind[c] is not FALSE}) > 1:
                 severity = "error" if d.is_smooth else "info"
                 out.append(
                     Violation(
                         "smoothness", i, "children differ in variable set", severity
                     )
                 )
+        for c in below:
+            uses[c] -= 1
+            if not uses[c]:
+                masks[c] = 0
     return out
 
 

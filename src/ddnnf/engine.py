@@ -19,21 +19,23 @@ rungs off one at a time to measure what each saves; every other caller
 runs ``FULL``.
 
 Both the partial pass and anything the ladder does not settle start from a
-value list whose literal nodes are right, and recompute And and Or nodes in
-topological order with :func:`~ddnnf.core.recompute`, the loop that
-computes the baselines: the ancestors of the reset literals in the partial
-pass, all of them in the full sweep.  Every configuration returns identical
-counts; only the work differs.
+value list whose literal nodes are right: one count per node, then the
+constant 1 of the tape's extra slot.  The partial pass recomputes the
+ancestors of the reset literals in topological order with
+:func:`~ddnnf.core.recompute`.  The full sweep runs the circuit's tape
+(:func:`~ddnnf.core.sweep`), the instructions that computed the baselines,
+with no per-node dispatch.  Every configuration returns identical counts;
+only the work differs.
 
-Without a :class:`SessionState`, that list is a copy of the baselines with
-the zero literals' nodes set to 0.  With one, the state holds the zero
-literals and the value list of the last line it evaluated, and a query may
-start from that list instead: it resets only the symmetric difference of
-the old and new zero-literal sets (0 entering, baseline leaving), when that
-is smaller than the new set; on a tie it starts from the baselines.  The
-reset set, not the whole zero set, picks the rung and seeds the marking.
-An empty reset set answers the kept root times the omitted factor as a
-``"shortcut"`` with no visits.  Shortcut and contradiction lines, and lines
+Without a :class:`SessionState`, that list is a copy of the baselines and
+the constant slot, with the zero literals' nodes set to 0.  With one, the
+state holds the zero literals and the value list of the last line it
+evaluated, and a query may start from that list instead: it resets only the
+symmetric difference of the old and new zero-literal sets (0 entering,
+baseline leaving), when that is smaller than the new set; on a tie it
+starts from the baselines.  The reset set, not the whole zero set, picks
+the rung and seeds the marking.  An empty reset set answers the kept root
+times the omitted factor as a ``"shortcut"`` with no visits.  Shortcut and contradiction lines, and lines
 with no zero literal, leave the state alone.
 
 Queries never mutate the circuit's lists.  A stateless query keeps its
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import AND, LITERAL, OR, Assumptions, Ddnnf, recompute
+from .core import AND, LITERAL, OR, Assumptions, Ddnnf, recompute, sweep
 from .errors import DdnnfError, VariableOutOfRange
 
 
@@ -143,8 +145,9 @@ class SessionState:
 
     ``zero_literals`` is the zero-literal set of the last line that
     :func:`query` evaluated, and ``values`` that line's count for every node
-    (``None`` before the first line).  A state belongs to one circuit, and
-    :func:`query` updates it in place, so it serves one caller at a time.
+    followed by the tape's constant slot (``None`` before the first line).
+    A state belongs to one circuit, and :func:`query` updates it in place,
+    so it serves one caller at a time.
     """
 
     zero_literals: set[int] = field(default_factory=set)
@@ -215,7 +218,7 @@ def query(
             for i in index.get(lit, ()):
                 values[i] = 0 if zero else baseline[i]
     else:
-        delta, values = zero_literals, d.baseline.copy()
+        delta, values = zero_literals, d.baseline + [1]  # the tape's constant slot
         for lit in delta:
             for i in index.get(lit, ()):
                 values[i] = 0
@@ -228,7 +231,7 @@ def query(
         recompute(d, values, order)
         result = QueryResult(values[d.root] * factor, len(marked), len(marked), "partial")
     else:
-        recompute(d, values, d.inner)
+        sweep(d.tape, values)
         result = QueryResult(values[d.root] * factor, len(d.nodes), 0, "full")
     if state is not None:
         state.zero_literals, state.values = zero_literals, values

@@ -20,10 +20,11 @@ from .core import (
     LITERAL,
     OR,
     Ddnnf,
+    compile_tape,
     mask_variables,
-    recompute,
     renumber,
     root_cone,
+    sweep,
 )
 from .errors import DecomposabilityViolation, NotSmooth
 
@@ -224,16 +225,26 @@ def compute_core_dead(d: Ddnnf) -> tuple[frozenset[int], frozenset[int]]:
 def compute_baseline(d: Ddnnf) -> Ddnnf:
     """Store every node's count under no assumptions as its baseline.
 
+    Compiles the And and Or nodes into ``tape``, the instructions of the one
+    forward sweep (:func:`~ddnnf.core.compile_tape`), and runs it once.
     Leaves start at their own count (a literal and True count 1, False 0),
-    then :func:`~ddnnf.core.recompute` evaluates the And and Or nodes in
-    order; their indices are kept as ``inner`` for the queries' full sweep.
-    The derivative sums are taken from the baselines, so they are dropped.
+    childless Or nodes at 0 and childless And nodes at 1.  The sweep's
+    constant slot is dropped again, so ``baseline`` holds one count per
+    node.  The derivative sums are taken from the baselines, so they are
+    dropped.
     """
-    kind = d.kind
+    kind, children = d.kind, d.children
     d.derivative_sums = None
-    d.inner = [i for i, k in enumerate(kind) if k is AND or k is OR]
-    d.baseline = [0 if k is FALSE else 1 for k in kind]
-    recompute(d, d.baseline, d.inner)
+    d.tape = compile_tape(d)
+    # a node with children starts at 1 and the tape overwrites it
+    values = [
+        1 if ch or (k is not FALSE and k is not OR) else 0
+        for k, ch in zip(kind, children)
+    ]
+    values.append(1)
+    sweep(d.tape, values)
+    values.pop()
+    d.baseline = values
     return d
 
 

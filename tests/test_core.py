@@ -156,7 +156,7 @@ def test_renumber_empties_preprocessed_lists(circuits):
     order = leaves + [i for i in d.nodes if d.children[i]]
     assert order != list(d.nodes)
     renumber(d, order)
-    assert (d.parents, d.baseline, d.inner, d.literal_index) == ([], [], [], {})
+    assert (d.parents, d.baseline, d.tape, d.literal_index) == ([], [], [], {})
     assert not d.preprocessed
     assert validate(d) == []
     preprocess(d)

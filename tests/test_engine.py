@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -21,7 +22,7 @@ from ddnnf import (
     query,
     write_c2d,
 )
-from ddnnf.core import ORACLE_LIMIT_DEFAULT
+from ddnnf.core import ORACLE_LIMIT_DEFAULT, recompute, sweep
 from ddnnf.engine import (
     FULL,
     NAIVE,
@@ -413,8 +414,13 @@ class TestVariantAgreement:
             literals = data.draw(st.lists(literal, min_size=1, max_size=n))
             a = Assumptions.from_literals(literals)
             want = oracle.count(a)
-            for name, cfg in configs.items():
-                assert query(d, a, cfg).count == want, (name, literals)
+            results = {name: query(d, a, cfg) for name, cfg in configs.items()}
+            for name, result in results.items():
+                assert result.count == want, (name, literals)
+            # the same reset literals that the partial rung climbs from run
+            # the tape when the bypass fraction is 0
+            if results["always-partial"].strategy == "partial":
+                assert results["no-partial-traversal"].strategy == "full", literals
 
     def test_monotone_in_assumptions(self, circuits):
         rng = random.Random(13)
@@ -452,6 +458,80 @@ def test_bypass_threshold_switches_strategy(running_example):
     assert query(running_example, Assumptions.of({2}), narrow).strategy == "full"
     wide = OptimizationConfig(traversal_bypass_fraction=0.5)
     assert query(running_example, Assumptions.of({2}), wide).strategy == "partial"
+
+
+# Circuits for the tape's corner cases: (format, text, num_variables).
+TAPE_CIRCUITS = {
+    # x1 under a one-child And, and (x2 or not x2) under a one-child Or
+    "one_child_nodes": (
+        "c2d", "nnf 7 6 2\nL 1\nA 1 0\nL 2\nL -2\nO 2 2 2 3\nO 0 1 4\nA 2 1 5\n", None,
+    ),
+    # the root is a one-child And over a one-child Or
+    "one_child_root": ("c2d", "nnf 5 4 2\nL 1\nL 2\nA 2 0 1\nO 0 1 2\nA 1 3\n", None),
+    # a four-child Or over the cells of x1, x2 under a three-child And
+    "wide_nodes": (
+        "c2d",
+        "nnf 14 17 4\nL 1\nL -1\nL 2\nL -2\nL 3\nL 4\nL -3\nA 2 0 2\nA 2 0 3\n"
+        "A 2 1 2\nA 2 1 3\nO 0 4 7 8 9 10\nO 3 2 4 6\nA 3 11 12 5\n",
+        None,
+    ),
+    # a five-child And with two False children, first and fourth
+    "false_in_wide_and": (
+        "c2d",
+        "nnf 9 12 3\nL 1\nL 2\nO 0 0\nL 3\nO 0 0\nA 5 2 0 1 4 3\nL -1\nA 3 6 1 3\n"
+        "O 1 2 5 7\n",
+        None,
+    ),
+    # d4 nodes without edges: an empty And is True, an empty Or is False
+    "childless_nodes": ("d4", "o 1 0\na 2 0\no 3 0\n1 2 1 0\n1 3 0\n", 1),
+}
+
+
+class TestTape:
+    @pytest.mark.parametrize("name", sorted(TAPE_CIRCUITS))
+    def test_corner_cases_match_oracle_and_partial_rung(self, name):
+        fmt, text, n = TAPE_CIRCUITS[name]
+        d = preprocess(parse_c2d(text) if fmt == "c2d" else parse_d4(text, n))
+        inner = [
+            d.children[i] for i in d.nodes
+            if d.kind[i] in (NodeKind.AND, NodeKind.OR) and d.children[i]
+        ]
+        # a k-child node takes k - 1 instructions, a one-child node one
+        assert len(d.tape) == sum(max(len(ch) - 1, 1) for ch in inner)
+        oracle = ExhaustiveCounter(d)
+        assert count_total(d) == oracle.count()
+        n = d.num_variables
+        for signs in itertools.product((0, 1, -1), repeat=n):
+            literals = [v * sign for v, sign in zip(range(1, n + 1), signs) if sign]
+            a = Assumptions.from_literals(literals)
+            full = query(d, a, NAIVE)  # no shortcut, bypass fraction 0
+            if literals and set(map(abs, literals)) - d.omitted:
+                assert full.strategy == "full", literals
+            assert full.count == query(d, a, ALWAYS_PARTIAL).count == oracle.count(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.sampled_from([4, 8, 14, 20]),
+        omit=st.integers(0, 3),
+        d4=st.booleans(),
+        data=st.data(),
+    )
+    def test_sweep_matches_recompute_of_every_node(self, seed, n, omit, d4, data):
+        # core.recompute over every And and Or node is the reference for the
+        # tape, from arbitrary leaf weights, zeros included
+        text = random_c2d_text(seed, n, omit=omit, tree_budget=400)
+        d = preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
+        values = d.baseline + [1]
+        for i in d.nodes:
+            if d.kind[i] is NodeKind.LITERAL:
+                values[i] = data.draw(st.integers(0, 3))
+        reference = values.copy()
+        inner = [i for i in d.nodes if d.kind[i] in (NodeKind.AND, NodeKind.OR)]
+        recompute(d, reference, inner)
+        sweep(d.tape, values)
+        assert values == reference
+        assert values[-1] == 1
 
 
 def test_full_sweep_on_deep_chain():

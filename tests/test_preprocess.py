@@ -107,7 +107,7 @@ class TestSmooth:
     def test_growth_drops_lists_of_later_steps(self):
         d = compute_baseline(link_parents(parse_c2d(UNSMOOTH_PAIR_C2D)))
         smooth(d)
-        assert (d.parents, d.baseline, d.inner) == ([], [], [])
+        assert (d.parents, d.baseline, d.tape) == ([], [], [])
         assert count_total(preprocess(d)) == 4
 
     def test_false_child_needs_no_gadgets(self):
@@ -265,7 +265,7 @@ def _lists(d):
     """Everything preprocessing fills or may rewrite, as plain values."""
     return (
         d.kind, d.literal, d.children, d.decision, d.parents, d.baseline,
-        d.inner, d.literal_index, d.core, d.dead, d.omitted, d.root,
+        d.tape, d.literal_index, d.core, d.dead, d.omitted, d.root,
     )
 
 

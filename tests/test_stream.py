@@ -1,5 +1,7 @@
 import io
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,6 +170,37 @@ def test_session_walk_matches_oracle_and_stateless_query(seed, n, omit, d4, step
         want = oracle.count(a)
         assert query(d, a).count == want, line
         assert s.handle("count v " + " ".join(map(str, line))) == (str(want), False), line
+
+
+@pytest.mark.parametrize("d4", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_session_alternates_full_and_partial_lines(seed, d4):
+    # the tape leaves its value list, constant slot included, in the session
+    # state; lines that flip one literal run the partial pass from it, and
+    # lines that flip a third of them run the tape from it again
+    n = 12
+    d = _random_circuit(seed, n, 0, d4)
+    oracle = ExhaustiveCounter(d)
+    s, state = StreamSession(d), SessionState()
+    rng = random.Random(seed)
+    free = [v for v in range(1, n + 1) if v not in d.core | d.dead | d.omitted]
+    taken = []
+    selection: list[int] = []
+    for step in range(12):
+        if step % 3 == 0:  # near-complete, every sign the other way
+            sign = 1 if step % 6 == 0 else -1
+            selection = [sign * v for v in rng.sample(free, len(free) - 1)]
+        else:
+            flips = set(rng.sample(selection, 1 if step % 3 == 1 else len(selection) // 3))
+            selection = [-lit if lit in flips else lit for lit in selection]
+        a = Assumptions.from_literals(selection)
+        kept = state.values
+        taken.append(query(d, a, state=state).strategy)
+        taken.append(state.values is kept)
+        want = str(oracle.count(a))
+        assert s.handle("count v " + " ".join(map(str, selection))) == (want, False)
+    # (rung, whether the line started from the kept value list)
+    assert taken == ["full", False, "partial", True, "full", True] * 4
 
 
 @settings(max_examples=40, deadline=None)
