@@ -7,8 +7,8 @@ import pytest
 from ddnnf import count_total, parse_c2d, preprocess, validate
 from ddnnf.cli import build_parser, main
 
-from conftest import UNSMOOTH_PAIR_C2D, RUNNING_EXAMPLE_C2D, RUNNING_EXAMPLE_D4
-from helpers import random_c2d_text
+from conftest import UNSMOOTH_PAIR_C2D, RUNNING_EXAMPLE_C2D, RUNNING_EXAMPLE_D4, fixture_texts
+from helpers import c2d_to_d4, random_c2d_text
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -123,6 +123,27 @@ def test_variant_matrix_golden(tmp_path, capsys):
         assert capsys.readouterr().err == "all-equal: true\n"
         out += csv.read_bytes()
     assert out == (DATA / "variant_matrix_golden.csv").read_bytes()
+
+
+def all_features_cases():
+    """(name, format, text, num_variables or None): the conftest fixtures,
+    then one generator circuit with omitted variables and its d4 twin."""
+    cases = [(name, *spec) for name, spec in fixture_texts().items()]
+    text = random_c2d_text(11, 60, omit=3)
+    cases += [("gen_s11_n60", "c2d", text, None), ("gen_s11_n60_d4", "d4", c2d_to_d4(text), 60)]
+    return cases
+
+
+def test_all_features_golden(tmp_path, capsys):
+    # stdout of --all-features on every case, each after a "== name ==" line
+    out = ""
+    for name, fmt, text, n in all_features_cases():
+        path = tmp_path / f"{name}.{fmt}"
+        path.write_text(text)
+        extra = [] if n is None else ["--num-variables", str(n)]
+        assert main([str(path), "--all-features", *extra]) == 0, name
+        out += f"== {name} ==\n" + capsys.readouterr().out
+    assert out == (DATA / "all_features_golden.txt").read_text()
 
 
 @pytest.mark.parametrize(
