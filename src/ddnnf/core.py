@@ -55,14 +55,19 @@ class Ddnnf:
     * ``parents[i]``: a tuple of parent indices, the inverse of ``children``;
     * ``baseline[i]``: the node's count under no assumptions;
     * ``tape``: the And and Or nodes compiled to the instructions of one
-      forward sweep (see :func:`compile_tape`);
+      forward sweep, and ``scratch``, the number of slots it writes after
+      the nodes and the constant slot (see :func:`compile_tape`);
     * ``literal_index``, ``core``, ``dead`` and ``omitted``.
 
-    ``derivative_sums`` maps each variable ``v`` to the partial derivative
-    of the root count summed over the nodes holding ``-v``: the models that
-    forcing ``-v`` to zero removes.  It is ``None`` until an all-features
-    table stores it (see :mod:`ddnnf.engine`), and
-    ``compute_baseline``, which every preprocess runs, empties it again.
+    Two fields are filled by all-features tables, not by preprocessing (see
+    :mod:`ddnnf.engine`), and ``compute_baseline``, which every preprocess
+    runs, empties both again:
+
+    * ``derivative_sums`` maps each variable ``v`` to the partial derivative
+      of the root count summed over the nodes holding ``-v``: the models
+      that forcing ``-v`` to zero removes;
+    * ``scratch_baseline`` holds the tape's ``scratch`` slot values under
+      no assumptions, which the backward pass reads.
 
     Per-query values and marks live in query-local buffers, never here.
     """
@@ -76,12 +81,14 @@ class Ddnnf:
     parents: list[tuple[int, ...]] = field(default_factory=list)
     baseline: list[int] = field(default_factory=list)
     tape: list[tuple[int, int, int]] = field(default_factory=list)
+    scratch: int = 0
     literal_index: dict[int, list[int]] = field(default_factory=dict)
     core: frozenset[int] = frozenset()
     dead: frozenset[int] = frozenset()
     omitted: frozenset[int] = frozenset()
     # filled by call history, not by the circuit, so equality ignores it
     derivative_sums: dict[int, int] | None = field(default=None, compare=False)
+    scratch_baseline: list[int] | None = field(default=None, compare=False)
     is_smooth: bool = False
     preprocessed: bool = False
 
@@ -235,6 +242,7 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
     d.children = renamed
     d.root = position[d.root]
     d.parents, d.baseline, d.tape, d.literal_index = [], [], [], {}
+    d.scratch = 0
     d.preprocessed = False
 
 
@@ -270,26 +278,35 @@ def recompute(d: Ddnnf, values: list[int], order) -> None:
             values[i] = product
 
 
-def compile_tape(d: Ddnnf) -> list[tuple[int, int, int]]:
+def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
     """Compile the And and Or nodes into the instructions of one forward sweep.
 
     An instruction ``(dst, a, b)`` sets ``values[dst] = values[a] * values[b]``
     for an And node, and an Or node's ``(~dst, a, b)`` sets
     ``values[dst] = values[a] + values[b]``.  The instructions follow node
-    order, so each reads final values.  A node with k >= 3 children takes
-    k - 1 instructions that accumulate into its own slot (``(i, c0, c1)``,
-    then ``(i, i, c2)``, ...), which nothing reads before the chain ends.  A
-    one-child node multiplies its child by the constant 1 that the sweep's
-    value list holds in one extra slot after the nodes, at index
-    ``len(d.nodes)``.  A node without children takes no instruction: its
-    value is constant, 1 for an And and 0 for an Or, and the value list must
-    start with it.
+    order, so each reads final values, and every slot is written by one
+    instruction at most.  A one-child node multiplies its child by the
+    constant 1 that the sweep's value list holds in one extra slot after the
+    nodes, at index ``len(d.nodes)``.  A node with k >= 3 children takes
+    k - 1 instructions through k - 2 fresh scratch slots numbered after the
+    constant slot: ``s1 = c0 . c1``, ``s2 = s1 . c2``, ..., and
+    ``node = s(k-2) . c(k-1)``.  A node without children takes no
+    instruction: its value is constant, 1 for an And and 0 for an Or, and
+    the value list must start with it.
+
+    Returns the tape and its scratch slot count.  A value list for
+    :func:`sweep` holds every node, the constant slot and the scratch slots;
+    the scratch slots may start with any value, since the sweep writes each
+    before any instruction reads it.  Because every slot is written once,
+    the tape run backwards is the reverse-mode derivative of the sweep
+    (see :mod:`ddnnf.engine`).
 
     The tape is data, not code: building it costs one pass over the nodes,
     and :func:`sweep` pays no per-node kind test or child-count branch.
     """
     kind, children = d.kind, d.children
     one = len(kind)
+    free = one + 1  # the next scratch slot
     tape: list[tuple[int, int, int]] = []
     append = tape.append
     for i in range(one):
@@ -305,16 +322,22 @@ def compile_tape(d: Ddnnf) -> list[tuple[int, int, int]]:
             a, b = ch
             append((dst, a, b))
         elif len(ch) > 2:
-            append((dst, ch[0], ch[1]))
-            for c in ch[2:]:
-                append((dst, i, c))
+            prev = ch[0]
+            for c in ch[1:-1]:
+                append((free if dst >= 0 else ~free, prev, c))
+                prev = free
+                free += 1
+            append((dst, prev, ch[-1]))
         elif ch:
             append((i, ch[0], one))
-    return tape
+    return tape, free - one - 1
 
 
 def sweep(tape: list[tuple[int, int, int]], values: list[int]) -> None:
-    """Run a :func:`compile_tape` tape over ``values``, in place."""
+    """Run a :func:`compile_tape` tape over ``values``, in place.
+
+    ``values`` must hold the tape's scratch slots after the constant slot.
+    """
     for dst, a, b in tape:
         if dst < 0:
             values[~dst] = values[a] + values[b]

@@ -20,7 +20,10 @@ runs ``FULL``.
 
 Both the partial pass and anything the ladder does not settle start from a
 value list whose literal nodes are right: one count per node, then the
-constant 1 of the tape's extra slot.  The partial pass recomputes the
+constant 1 of the tape's extra slot.  The full sweep also needs the
+tape's scratch slots after it, so that rung appends them to a list that
+lacks them; their start values do not matter, since the tape writes each
+before it reads it.  The partial pass never touches them.  The partial pass recomputes the
 ancestors of the reset literals in topological order with
 :func:`~ddnnf.core.recompute`.  The full sweep runs the circuit's tape
 (:func:`~ddnnf.core.sweep`), the instructions that computed the baselines,
@@ -43,26 +46,35 @@ values in a local buffer, so such queries may run concurrently; a state is
 updated in place and serves one caller at a time.
 
 The cardinality of every feature at once does not go through the ladder.
-It is one backward pass over the cached baselines (Darwiche's differential
-approach): on a smooth, decomposable circuit the count is multilinear in
-each literal's indicator, so forcing ``-v`` to zero removes exactly the
-partial derivative of the root count with respect to that literal.  One
-root-to-leaves sweep yields every literal node's derivative, and the sum
-over the nodes of each ``-v`` is kept on the circuit as
-``Ddnnf.derivative_sums``.  Every :func:`count_all_features` call takes
-the sweep and stores the sums, so a table costs the same whatever ran
-before it; ``--count``, streams and set-up never pay for it.  The store is
-idempotent: racing tables each compute the same sums and store a complete
+It is one backward pass (Darwiche's differential approach): on a smooth,
+decomposable circuit the count is multilinear in each literal's
+indicator, so forcing ``-v`` to zero removes exactly the partial
+derivative of the root count with respect to that literal.  The pass runs
+the tape in reverse.  Every tape slot is written once, so each
+instruction ``(dst, a, b)`` hands ``dst``'s finished derivative to its two
+operands: an Or instruction adds it to both, an And instruction adds it
+times the other operand's value.  No division is needed, and a zero value
+just multiplies.  The values are the baselines, the constant slot and the
+tape's scratch slots under no assumptions.  The first table sweeps for
+the scratch values and keeps them on the circuit as
+``Ddnnf.scratch_baseline``, so set-up, queries and session vectors never
+hold them.  The sum over the nodes of each ``-v`` is kept on the circuit
+as ``Ddnnf.derivative_sums``.  Every :func:`count_all_features` call
+takes the backward pass and stores the sums, so a table costs the same
+whatever ran before it, the first one's sweep aside; ``--count``, streams
+and set-up never pay for it.  The stores are idempotent: racing tables
+each compute the same values and store one complete list and one complete
 dict, so concurrent stateless readers stay safe.  Once a table has stored
-them, :func:`count_feature` reads them, and a lookup is a dict read; before
-that a lookup is one partial query, which costs far less than the sweep.
+the sums, :func:`count_feature` reads them, and a lookup is a dict read;
+before that a lookup is one partial query, which costs far less than the
+pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import AND, LITERAL, OR, Assumptions, Ddnnf, recompute, sweep
+from .core import LITERAL, Assumptions, Ddnnf, recompute, sweep
 from .errors import DdnnfError, VariableOutOfRange
 
 
@@ -146,6 +158,10 @@ class SessionState:
     ``zero_literals`` is the zero-literal set of the last line that
     :func:`query` evaluated, and ``values`` that line's count for every node
     followed by the tape's constant slot (``None`` before the first line).
+    Once a line has taken the full sweep, ``values`` also carries the tape's
+    scratch slots after the constant slot.  A partial line leaves them
+    stale, which is safe because the next full sweep writes each scratch
+    slot before reading it, and nothing else reads them.
     A state belongs to one circuit, and :func:`query` updates it in place,
     so it serves one caller at a time.
     """
@@ -231,6 +247,8 @@ def query(
         recompute(d, values, order)
         result = QueryResult(values[d.root] * factor, len(marked), len(marked), "partial")
     else:
+        if len(values) == len(d.kind) + 1:  # no scratch slots yet
+            values += [0] * d.scratch
         sweep(d.tape, values)
         result = QueryResult(values[d.root] * factor, len(d.nodes), 0, "full")
     if state is not None:
@@ -238,49 +256,56 @@ def query(
     return result
 
 
-def _literal_derivatives(d: Ddnnf) -> list[int]:
-    """Partial derivative of the root count with respect to each leaf.
+def _slot_values(d: Ddnnf) -> list[int]:
+    """Every tape slot's value under no assumptions.
 
-    Sweeps the node list from the root down.  An Or node passes its
-    derivative to each child unchanged.  An And node passes its derivative
-    times the product of the other children's baselines: with no zero child
-    that product is the node's baseline divided by the child's (exact, since
-    the baseline is the product of the children); with one zero child only
-    that child gets the product of the rest; with two or more, no child
-    does.  An inner node's entry is reset to 0 once passed on, so the big
-    ints do not all live at once; only the leaves keep theirs.
+    The baselines, the constant 1, then the scratch slots.  The first table
+    runs the forward sweep for the scratch values and stores them on the
+    circuit as one complete list; later tables read that list.
     """
-    kind, children, baseline = d.kind, d.children, d.baseline
-    derivative = [0] * len(kind)
+    values = d.baseline + [1]
+    scratch = d.scratch_baseline
+    if scratch is None:
+        values += [0] * d.scratch
+        sweep(d.tape, values)
+        d.scratch_baseline = values[len(d.kind) + 1:]
+    else:
+        values += scratch
+    return values
+
+
+def _derivative_sums(d: Ddnnf) -> dict[int, int]:
+    """Each variable's derivative sum: the tape run backwards.
+
+    Starts from the root's derivative 1.  Since every slot is written once,
+    a slot's derivative is complete when the reversed tape reaches the
+    instruction that wrote it; the instruction passes it to both operands,
+    unchanged for an Or and times the other operand's value for an And.
+    The slot's entry is then reset to 0, so inner derivatives do not all
+    live at once; the leaves, never written by the tape, keep theirs.
+    """
+    values = _slot_values(d)
+    derivative = [0] * len(values)
     derivative[d.root] = 1
-    for i in range(d.root, -1, -1):
-        g = derivative[i]
-        if not g:
-            continue
-        k = kind[i]
-        if k is OR:
-            for c in children[i]:
-                derivative[c] += g
-        elif k is AND:
-            zeros, zero = 0, -1
-            for c in children[i]:
-                if not baseline[c]:
-                    zeros += 1
-                    zero = c
-            if not zeros:
-                scaled = g * baseline[i]
-                for c in children[i]:
-                    derivative[c] += scaled // baseline[c]
-            elif zeros == 1:
-                rest = g
-                for c in children[i]:
-                    if c != zero:
-                        rest *= baseline[c]
-                derivative[zero] += rest
+    for dst, a, b in reversed(d.tape):
+        if dst < 0:
+            dst = ~dst
+            g = derivative[dst]
+            if g:
+                derivative[dst] = 0
+                derivative[a] += g
+                derivative[b] += g
         else:
-            continue  # leaves keep theirs
-        derivative[i] = 0
-    return derivative
+            g = derivative[dst]
+            if g:
+                derivative[dst] = 0
+                derivative[a] += g * values[b]
+                derivative[b] += g * values[a]
+    return {
+        -lit: sum([derivative[i] for i in nodes])
+        for lit, nodes in d.literal_index.items()
+        if lit < 0
+    }
 
 
 def _feature_count(d: Ddnnf, sums: dict[int, int], v: int) -> int:
@@ -297,7 +322,7 @@ def _feature_count(d: Ddnnf, sums: dict[int, int], v: int) -> int:
     root_count = d.baseline[d.root]
     factor = d.omitted_factor
     if v in d.omitted:
-        return root_count * factor // 2
+        return root_count * (factor >> 1)  # factor is a power of two, at least 2
     if v in d.dead:
         return 0
     if v in d.core:
@@ -322,17 +347,13 @@ def count_feature(d: Ddnnf, feature: int) -> int:
 def count_all_features(d: Ddnnf) -> list[tuple[int, int]]:
     """(variable, cardinality) for every variable, ascending.
 
-    Every table takes one backward pass (:func:`_literal_derivatives`),
-    whose per-node list lives only until the derivative sums are taken,
-    and stores the sums for later lookups.  It does not read sums an
-    earlier table stored, so the first table and the hundredth cost the
-    same.  The table equals ``count_feature`` on every variable.
+    Every table takes one backward pass (:func:`_derivative_sums`), whose
+    per-slot list lives only until the derivative sums are taken, and
+    stores the sums for later lookups.  It does not read sums an earlier
+    table stored, so the first table and the hundredth cost the same, but
+    for the first one's forward sweep for the scratch baselines.  The table
+    equals ``count_feature`` on every variable.
     """
     _require_preprocessed(d)
-    derivative = _literal_derivatives(d)
-    sums = d.derivative_sums = {
-        -lit: sum(derivative[i] for i in nodes)
-        for lit, nodes in d.literal_index.items()
-        if lit < 0
-    }
+    sums = d.derivative_sums = _derivative_sums(d)
     return [(v, _feature_count(d, sums, v)) for v in range(1, d.num_variables + 1)]

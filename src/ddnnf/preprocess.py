@@ -8,8 +8,9 @@ order, and each keeps that order: pruning drops nodes, and smoothing places
 the nodes it adds where their children precede them, so nothing is sorted.
 Preprocessing is the only phase that mutates shared circuit state;
 afterwards the circuit is read-only and queries may run concurrently.  The
-one later write, the derivative-sum cache each all-features table stores,
-is idempotent (see :mod:`ddnnf.engine`).
+later writes, the derivative sums each all-features table stores and the
+scratch baselines the first one stores, are idempotent (see
+:mod:`ddnnf.engine`).
 """
 
 from __future__ import annotations
@@ -228,22 +229,23 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
     Compiles the And and Or nodes into ``tape``, the instructions of the one
     forward sweep (:func:`~ddnnf.core.compile_tape`), and runs it once.
     Leaves start at their own count (a literal and True count 1, False 0),
-    childless Or nodes at 0 and childless And nodes at 1.  The sweep's
-    constant slot is dropped again, so ``baseline`` holds one count per
-    node.  The derivative sums are taken from the baselines, so they are
-    dropped.
+    childless Or nodes at 0 and childless And nodes at 1.  The sweep's value
+    list also holds the constant slot and the tape's scratch slots; both are
+    dropped again, so ``baseline`` holds one count per node.  The
+    derivative sums and the scratch baselines, which all-features tables
+    keep, belong to the old baselines, so they are dropped.
     """
     kind, children = d.kind, d.children
-    d.derivative_sums = None
-    d.tape = compile_tape(d)
+    d.derivative_sums = d.scratch_baseline = None
+    d.tape, d.scratch = compile_tape(d)
     # a node with children starts at 1 and the tape overwrites it
     values = [
         1 if ch or (k is not FALSE and k is not OR) else 0
         for k, ch in zip(kind, children)
     ]
-    values.append(1)
+    values += [1] + [0] * d.scratch
     sweep(d.tape, values)
-    values.pop()
+    del values[len(kind):]
     d.baseline = values
     return d
 

@@ -118,6 +118,72 @@ class TestCountFeature:
             count_feature(running_example, 0)
 
 
+# Circuits for the tape's corner cases: (format, text, num_variables).
+TAPE_CIRCUITS = {
+    # x1 under a one-child And, and (x2 or not x2) under a one-child Or
+    "one_child_nodes": (
+        "c2d", "nnf 7 6 2\nL 1\nA 1 0\nL 2\nL -2\nO 2 2 2 3\nO 0 1 4\nA 2 1 5\n", None,
+    ),
+    # the root is a one-child And over a one-child Or
+    "one_child_root": ("c2d", "nnf 5 4 2\nL 1\nL 2\nA 2 0 1\nO 0 1 2\nA 1 3\n", None),
+    # a four-child Or over the cells of x1, x2 under a three-child And
+    "wide_nodes": (
+        "c2d",
+        "nnf 14 17 4\nL 1\nL -1\nL 2\nL -2\nL 3\nL 4\nL -3\nA 2 0 2\nA 2 0 3\n"
+        "A 2 1 2\nA 2 1 3\nO 0 4 7 8 9 10\nO 3 2 4 6\nA 3 11 12 5\n",
+        None,
+    ),
+    # a five-child And with two False children, first and fourth
+    "false_in_wide_and": (
+        "c2d",
+        "nnf 9 12 3\nL 1\nL 2\nO 0 0\nL 3\nO 0 0\nA 5 2 0 1 4 3\nL -1\nA 3 6 1 3\n"
+        "O 1 2 5 7\n",
+        None,
+    ),
+    # d4 nodes without edges: an empty And is True, an empty Or is False
+    "childless_nodes": ("d4", "o 1 0\na 2 0\no 3 0\n1 2 1 0\n1 3 0\n", 1),
+    # x1 and x2 and False and x3, or not x1 and (x2 or not x2) and x3: the
+    # False child zeroes the wide And's chain after x1, whose count is 0
+    "one_false_in_wide_and": (
+        "c2d",
+        "nnf 10 11 3\nL 1\nL 2\nO 0 0\nL 3\nA 4 0 1 2 3\nL -1\nL -2\nO 2 2 1 6\n"
+        "A 3 5 7 3\nO 1 2 4 8\n",
+        None,
+    ),
+    # the root is a leaf, so the tape is empty; x1 is omitted
+    "leaf_root": ("c2d", "nnf 1 0 2\nL -2\n", None),
+}
+
+
+def _assert_tape_structure(d):
+    """Every slot is written once, and only after what it reads."""
+    n = len(d.nodes)
+    inner = [
+        i for i in d.nodes
+        if d.kind[i] in (NodeKind.AND, NodeKind.OR) and d.children[i]
+    ]
+    widths = [len(d.children[i]) for i in inner]
+    # a k-child node takes k - 1 instructions, k - 2 of them into scratch
+    # slots; a one-child node takes one
+    assert len(d.tape) == sum(max(k - 1, 1) for k in widths)
+    assert d.scratch == sum(max(k - 2, 0) for k in widths)
+    scratch = range(n + 1, n + 1 + d.scratch)
+    childless = {i for i in d.nodes if not d.children[i]}
+    written = set()
+    for dst, a, b in d.tape:
+        for operand in (a, b):
+            assert operand in childless or operand == n or operand in written
+        dst = ~dst if dst < 0 else dst
+        assert dst not in written
+        written.add(dst)
+    assert written == set(inner) | set(scratch)
+
+
+def _tape_circuit(name):
+    fmt, text, n = TAPE_CIRCUITS[name]
+    return preprocess(parse_c2d(text) if fmt == "c2d" else parse_d4(text, n))
+
+
 class TestCountAllFeatures:
     def test_running_example(self, running_example):
         assert count_all_features(running_example) == [(1, 4), (2, 2), (3, 2), (4, 2)]
@@ -138,6 +204,19 @@ class TestCountAllFeatures:
         assert any(NodeKind.FALSE in d.kind for d in cases)
         for d in cases:
             _assert_table_exact(d)
+
+    @pytest.mark.parametrize("name", sorted(TAPE_CIRCUITS))
+    def test_tape_corner_cases(self, name):
+        d = _tape_circuit(name)
+        _assert_table_exact(d)
+        # a second table reads the scratch baselines the first one kept
+        assert d.scratch_baseline is not None
+        _assert_table_exact(d)
+
+    def test_leaf_root_has_empty_tape(self):
+        d = _tape_circuit("leaf_root")
+        assert d.tape == [] and d.scratch == 0
+        assert count_all_features(d) == [(1, 1), (2, 0)]
 
     def test_deep_chain_known_answer(self):
         # the per-feature path takes tens of seconds here, so compare to 2**2999
@@ -274,12 +353,15 @@ class TestFeatureLookups:
 
 
 def test_concurrent_first_tables_fill_one_cache(circuits):
-    # tables racing on an empty cache each store complete, equal sums, and
-    # lookups racing with them read either the sums or a partial query
+    # tables racing on empty caches each store complete, equal sums and
+    # scratch baselines, and lookups racing with them read either the sums
+    # or a partial query
     from concurrent.futures import ThreadPoolExecutor
 
     text = fixture_texts()["rand_n24"][1]
-    want = count_all_features(circuits["rand_n24"])
+    reference = circuits["rand_n24"]
+    want = count_all_features(reference)
+    assert reference.scratch and len(reference.scratch_baseline) == reference.scratch
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -291,6 +373,8 @@ def test_concurrent_first_tables_fill_one_cache(circuits):
                 assert [f.result(timeout=60) for f in tables] == [want] * 4
                 assert [f.result(timeout=60) for f in lookups] == [c for _, c in want]
             assert count_all_features(d) == want
+            # the racing first tables each stored a complete list
+            assert d.scratch_baseline == reference.scratch_baseline
     finally:
         sys.setswitchinterval(interval)
 
@@ -460,44 +544,11 @@ def test_bypass_threshold_switches_strategy(running_example):
     assert query(running_example, Assumptions.of({2}), wide).strategy == "partial"
 
 
-# Circuits for the tape's corner cases: (format, text, num_variables).
-TAPE_CIRCUITS = {
-    # x1 under a one-child And, and (x2 or not x2) under a one-child Or
-    "one_child_nodes": (
-        "c2d", "nnf 7 6 2\nL 1\nA 1 0\nL 2\nL -2\nO 2 2 2 3\nO 0 1 4\nA 2 1 5\n", None,
-    ),
-    # the root is a one-child And over a one-child Or
-    "one_child_root": ("c2d", "nnf 5 4 2\nL 1\nL 2\nA 2 0 1\nO 0 1 2\nA 1 3\n", None),
-    # a four-child Or over the cells of x1, x2 under a three-child And
-    "wide_nodes": (
-        "c2d",
-        "nnf 14 17 4\nL 1\nL -1\nL 2\nL -2\nL 3\nL 4\nL -3\nA 2 0 2\nA 2 0 3\n"
-        "A 2 1 2\nA 2 1 3\nO 0 4 7 8 9 10\nO 3 2 4 6\nA 3 11 12 5\n",
-        None,
-    ),
-    # a five-child And with two False children, first and fourth
-    "false_in_wide_and": (
-        "c2d",
-        "nnf 9 12 3\nL 1\nL 2\nO 0 0\nL 3\nO 0 0\nA 5 2 0 1 4 3\nL -1\nA 3 6 1 3\n"
-        "O 1 2 5 7\n",
-        None,
-    ),
-    # d4 nodes without edges: an empty And is True, an empty Or is False
-    "childless_nodes": ("d4", "o 1 0\na 2 0\no 3 0\n1 2 1 0\n1 3 0\n", 1),
-}
-
-
 class TestTape:
     @pytest.mark.parametrize("name", sorted(TAPE_CIRCUITS))
     def test_corner_cases_match_oracle_and_partial_rung(self, name):
-        fmt, text, n = TAPE_CIRCUITS[name]
-        d = preprocess(parse_c2d(text) if fmt == "c2d" else parse_d4(text, n))
-        inner = [
-            d.children[i] for i in d.nodes
-            if d.kind[i] in (NodeKind.AND, NodeKind.OR) and d.children[i]
-        ]
-        # a k-child node takes k - 1 instructions, a one-child node one
-        assert len(d.tape) == sum(max(len(ch) - 1, 1) for ch in inner)
+        d = _tape_circuit(name)
+        _assert_tape_structure(d)
         oracle = ExhaustiveCounter(d)
         assert count_total(d) == oracle.count()
         n = d.num_variables
@@ -519,7 +570,8 @@ class TestTape:
     )
     def test_sweep_matches_recompute_of_every_node(self, seed, n, omit, d4, data):
         # core.recompute over every And and Or node is the reference for the
-        # tape, from arbitrary leaf weights, zeros included
+        # tape, from arbitrary leaf weights, zeros included; the scratch
+        # slots start with arbitrary values too
         text = random_c2d_text(seed, n, omit=omit, tree_budget=400)
         d = preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
         values = d.baseline + [1]
@@ -529,9 +581,32 @@ class TestTape:
         reference = values.copy()
         inner = [i for i in d.nodes if d.kind[i] in (NodeKind.AND, NodeKind.OR)]
         recompute(d, reference, inner)
+        values += data.draw(st.lists(st.integers(0, 3), min_size=d.scratch, max_size=d.scratch))
         sweep(d.tape, values)
-        assert values == reference
-        assert values[-1] == 1
+        assert values[: len(d.nodes) + 1] == reference
+        assert reference[-1] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.sampled_from([4, 8, 14, 20]),
+        omit=st.integers(0, 3),
+    )
+    def test_structure_on_random_circuits(self, seed, n, omit):
+        text = random_c2d_text(seed, n, omit=omit, tree_budget=400)
+        for d in (parse_c2d(text), parse_d4(c2d_to_d4(text), n)):
+            _assert_tape_structure(preprocess(d))
+
+    def test_baseline_keeps_one_entry_per_node(self):
+        # the scratch slots stay off the baselines until a table needs them
+        d = _tape_circuit("wide_nodes")
+        assert d.scratch == 3
+        assert len(d.baseline) == len(d.nodes)
+        assert d.scratch_baseline is None
+        count_all_features(d)
+        values = d.baseline + [1] + [0] * d.scratch
+        sweep(d.tape, values)
+        assert d.scratch_baseline == values[len(d.nodes) + 1:]
 
 
 def test_full_sweep_on_deep_chain():

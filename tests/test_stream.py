@@ -10,6 +10,7 @@ from ddnnf import (
     ExhaustiveCounter,
     OptimizationConfig,
     SessionState,
+    count_all_features,
     mark_ancestors,
     parse_c2d,
     parse_d4,
@@ -17,6 +18,7 @@ from ddnnf import (
     query,
 )
 from ddnnf.cli import StreamSession, build_parser, run_stream
+from ddnnf.engine import NAIVE
 
 from conftest import RUNNING_EXAMPLE_C2D
 from helpers import c2d_to_d4, random_c2d_text
@@ -201,6 +203,42 @@ def test_session_alternates_full_and_partial_lines(seed, d4):
         assert s.handle("count v " + " ".join(map(str, selection))) == (want, False)
     # (rung, whether the line started from the kept value list)
     assert taken == ["full", False, "partial", True, "full", True] * 4
+
+
+@pytest.mark.parametrize("d4", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_partial_lines_leave_scratch_stale_and_unread(seed, d4):
+    # full lines (NAIVE) write the tape's scratch slots into the kept vector;
+    # partial lines from it leave them as they were, and the next full line
+    # from that vector overwrites them before reading.  Tables between the
+    # lines read the circuit's own scratch baselines, never the session's.
+    n = 12
+    d = _random_circuit(seed, n, 0, d4)
+    assert d.scratch
+    oracle = ExhaustiveCounter(d)
+    table = count_all_features(d)
+    always_partial = OptimizationConfig(traversal_bypass_fraction=1.0)
+    state = SessionState()
+    rng = random.Random(seed)
+    free = [v for v in range(1, n + 1) if v not in d.core | d.dead | d.omitted]
+    assert len(free) >= 3
+    selection = [rng.choice((v, -v)) for v in free]
+    scratch = slice(len(d.nodes) + 1, None)
+    for step in range(10):
+        if step:
+            flip = rng.choice(selection)
+            selection = [-lit if lit == flip else lit for lit in selection]
+        a = Assumptions.from_literals(selection)
+        kept = state.values
+        before = kept[scratch] if kept else None
+        result = query(d, a, always_partial if step % 2 else NAIVE, state)
+        assert result.count == oracle.count(a), selection
+        assert result.strategy == ("partial" if step % 2 else "full")
+        assert step == 0 or state.values is kept  # each line starts from the last
+        assert len(state.values) == len(d.nodes) + 1 + d.scratch
+        if step % 2:
+            assert state.values[scratch] == before
+        assert count_all_features(d) == table
 
 
 @settings(max_examples=40, deadline=None)
