@@ -20,15 +20,15 @@ runs ``FULL``.
 
 Both the partial pass and anything the ladder does not settle start from a
 value list whose literal nodes are right: one count per node, then the
-constant 1 of the tape's extra slot.  The full sweep also needs the
-tape's scratch slots after it, so that rung appends them to a list that
-lacks them; their start values do not matter, since the tape writes each
-before it reads it.  The partial pass never touches them.  The partial pass recomputes the
+constant 1 of the tape's extra slot.  The partial pass recomputes the
 ancestors of the reset literals in topological order with
 :func:`~ddnnf.core.recompute`.  The full sweep runs the circuit's tape
 (:func:`~ddnnf.core.sweep`), the instructions that computed the baselines,
-with no per-node dispatch.  Every configuration returns identical counts;
-only the work differs.
+with no per-node dispatch.  The tape also writes scratch slots after the
+constant slot, so the full sweep appends them to a list that lacks them;
+their start values do not matter, since the tape writes each before it
+reads it.  The partial pass never touches them.  Every configuration
+returns identical counts; only the work differs.
 
 Without a :class:`SessionState`, that list is a copy of the baselines and
 the constant slot, with the zero literals' nodes set to 0.  With one, the
