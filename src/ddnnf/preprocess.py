@@ -230,8 +230,8 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
     forward sweep (:func:`~ddnnf.core.compile_tape`), and runs it once.
     Leaves start at their own count (a literal and True count 1, False 0),
     childless Or nodes at 0 and childless And nodes at 1.  The sweep's value
-    list also holds the constant slot and the tape's scratch slots; both are
-    dropped again, so ``baseline`` holds one count per node.  The
+    list also holds the constant slot and the tape's scratch slots; neither
+    is kept, so ``baseline`` holds one count per node.  The
     derivative sums and the scratch baselines, which all-features tables
     keep, belong to the old baselines, so they are dropped.
     """
@@ -245,8 +245,7 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
     ]
     values += [1] + [0] * d.scratch
     sweep(d.tape, values)
-    del values[len(kind):]
-    d.baseline = values
+    d.baseline = values[:len(kind)]  # a copy, so no spare capacity is kept
     return d
 
 
