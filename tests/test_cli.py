@@ -143,7 +143,7 @@ def test_all_features_golden(tmp_path, capsys):
         extra = [] if n is None else ["--num-variables", str(n)]
         assert main([str(path), "--all-features", *extra]) == 0, name
         out += f"== {name} ==\n" + capsys.readouterr().out
-    assert out == (DATA / "all_features_golden.txt").read_text()
+    assert out.encode() == (DATA / "all_features_golden.txt").read_bytes()
 
 
 @pytest.mark.parametrize(
