@@ -13,7 +13,6 @@ from .core import (
     Violation,
     brute_force_count,
     validate,
-    variable_set,
 )
 from .engine import (
     FULL,
@@ -71,6 +70,5 @@ __all__ = [
     "query",
     "smooth",
     "validate",
-    "variable_set",
     "write_c2d",
 ]

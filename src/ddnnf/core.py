@@ -55,19 +55,16 @@ class Ddnnf:
     * ``parents[i]``: a tuple of parent indices, the inverse of ``children``;
     * ``baseline[i]``: the node's count under no assumptions;
     * ``tape``: the And and Or nodes compiled to the instructions of one
-      forward sweep, and ``scratch``, the number of slots it writes after
-      the nodes and the constant slot (see :func:`compile_tape`);
+      forward sweep (see :func:`compile_tape`), and ``scratch_baseline``,
+      the values under no assumptions of the slots it writes after the
+      nodes and the constant slot;
     * ``literal_index``, ``core``, ``dead`` and ``omitted``.
 
-    Two fields are filled by all-features tables, not by preprocessing (see
+    One field is filled by all-features tables, not by preprocessing (see
     :mod:`ddnnf.engine`), and ``compute_baseline``, which every preprocess
-    runs, empties both again:
-
-    * ``derivative_sums`` maps each variable ``v`` to the partial derivative
-      of the root count summed over the nodes holding ``-v``: the models
-      that forcing ``-v`` to zero removes;
-    * ``scratch_baseline`` holds the tape's ``scratch`` slot values under
-      no assumptions, which the backward pass reads.
+    runs, empties it again: ``derivative_sums`` maps each variable ``v`` to
+    the partial derivative of the root count summed over the nodes holding
+    ``-v``, the models that forcing ``-v`` to zero removes.
 
     Per-query values and marks live in query-local buffers, never here.
     """
@@ -81,14 +78,13 @@ class Ddnnf:
     parents: list[tuple[int, ...]] = field(default_factory=list)
     baseline: list[int] = field(default_factory=list)
     tape: list[tuple[int, int, int]] = field(default_factory=list)
-    scratch: int = 0
+    scratch_baseline: list[int] = field(default_factory=list)
     literal_index: dict[int, list[int]] = field(default_factory=dict)
     core: frozenset[int] = frozenset()
     dead: frozenset[int] = frozenset()
     omitted: frozenset[int] = frozenset()
     # filled by call history, not by the circuit, so equality ignores it
     derivative_sums: dict[int, int] | None = field(default=None, compare=False)
-    scratch_baseline: list[int] | None = field(default=None, compare=False)
     is_smooth: bool = False
     preprocessed: bool = False
 
@@ -161,27 +157,6 @@ class Violation:
     severity: str = "error"
 
 
-def variable_masks(d: Ddnnf) -> list[int]:
-    """Per-node variable sets as bitmasks (bit v-1 stands for variable v).
-
-    Tolerates malformed child references (they contribute nothing) so that
-    :func:`validate` can run on broken circuits.
-    """
-    kind, literal, children = d.kind, d.literal, d.children
-    masks = [0] * len(kind)
-    for i in range(len(kind)):
-        k = kind[i]
-        if k is LITERAL:
-            masks[i] = 1 << (abs(literal[i]) - 1)
-        elif k is AND or k is OR:
-            m = 0
-            for c in children[i]:
-                if 0 <= c < i:
-                    m |= masks[c]
-            masks[i] = m
-    return masks
-
-
 def mask_variables(mask: int):
     """Yield the variables of a bitmask in ascending order.
 
@@ -192,11 +167,6 @@ def mask_variables(mask: int):
         low = mask & -mask
         yield low.bit_length()
         mask ^= low
-
-
-def variable_set(d: Ddnnf, node: int) -> set[int]:
-    """Variables of all literals reachable from ``node``."""
-    return set(mask_variables(variable_masks(d)[node]))
 
 
 def root_cone(d: Ddnnf) -> list[int]:
@@ -242,7 +212,7 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
     d.children = renamed
     d.root = position[d.root]
     d.parents, d.baseline, d.tape, d.literal_index = [], [], [], {}
-    d.scratch = 0
+    d.scratch_baseline = []
     d.preprocessed = False
 
 
@@ -297,9 +267,10 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
     Returns the tape and its scratch slot count.  A value list for
     :func:`sweep` holds every node, the constant slot and the scratch slots;
     the scratch slots may start with any value, since the sweep writes each
-    before any instruction reads it.  Because every slot is written once,
-    the tape run backwards is the reverse-mode derivative of the sweep
-    (see :mod:`ddnnf.engine`).
+    before any instruction reads it.  Set-up's sweep keeps their values
+    under no assumptions as ``Ddnnf.scratch_baseline``.  Because every slot
+    is written once, the tape run backwards is the reverse-mode derivative
+    of the sweep, which reads those values (see :mod:`ddnnf.engine`).
 
     The tape is data, not code: building it costs one pass over the nodes,
     and :func:`sweep` pays no per-node kind test or child-count branch.
@@ -360,10 +331,10 @@ def validate(d: Ddnnf) -> list[Violation]:
     ignored since their count absorbs any completion).  Determinism is a
     trust assumption on the compiler and is not checked.
 
-    One pass in node order computes each node's variable mask as
-    :func:`variable_masks` does, reading only children below the node, and
-    frees a mask once its last such parent has read it, so the masks live
-    at any time stay few however wide they are.
+    One pass in node order computes each node's variable mask (bit v-1
+    stands for variable v), reading only children below the node, and frees
+    a mask once its last such parent has read it, so the masks live at any
+    time stay few however wide they are.
     """
     out: list[Violation] = []
     kind, literal, children = d.kind, d.literal, d.children

@@ -55,19 +55,18 @@ instruction ``(dst, a, b)`` hands ``dst``'s finished derivative to its two
 operands: an Or instruction adds it to both, an And instruction adds it
 times the other operand's value.  No division is needed, and a zero value
 just multiplies.  The values are the baselines, the constant slot and the
-tape's scratch slots under no assumptions.  The first table sweeps for
-the scratch values and keeps them on the circuit as
-``Ddnnf.scratch_baseline``, so set-up, queries and session vectors never
-hold them.  The sum over the nodes of each ``-v`` is kept on the circuit
-as ``Ddnnf.derivative_sums``.  Every :func:`count_all_features` call
-takes the backward pass and stores the sums, so a table costs the same
-whatever ran before it, the first one's sweep aside; ``--count``, streams
-and set-up never pay for it.  The stores are idempotent: racing tables
-each compute the same values and store one complete list and one complete
-dict, so concurrent stateless readers stay safe.  Once a table has stored
-the sums, :func:`count_feature` reads them, and a lookup is a dict read;
-before that a lookup is one partial query, which costs far less than the
-pass.
+tape's scratch slots under no assumptions, all kept by set-up's sweep:
+``Ddnnf.baseline`` and ``Ddnnf.scratch_baseline``, so no table sweeps
+forward, and a query's start list never holds the scratch slots.  The sum
+over the nodes of each ``-v`` is kept on the circuit as
+``Ddnnf.derivative_sums``.  Every :func:`count_all_features` call takes
+the backward pass and stores the sums, so a table costs the same whatever
+ran before it; ``--count``, streams and set-up never pay for it.  The
+store is idempotent: racing tables each compute the same sums and store
+one complete dict, so concurrent stateless readers stay safe.  Once a
+table has stored the sums, :func:`count_feature` reads them, and a lookup
+is a dict read; before that a lookup is one partial query, which costs
+far less than the pass.
 """
 
 from __future__ import annotations
@@ -161,7 +160,8 @@ class SessionState:
     Once a line has taken the full sweep, ``values`` also carries the tape's
     scratch slots after the constant slot.  A partial line leaves them
     stale, which is safe because the next full sweep writes each scratch
-    slot before reading it, and nothing else reads them.
+    slot before reading it, and nothing else reads them: tables read the
+    scratch baselines set-up kept on the circuit.
     A state belongs to one circuit, and :func:`query` updates it in place,
     so it serves one caller at a time.
     """
@@ -248,30 +248,12 @@ def query(
         result = QueryResult(values[d.root] * factor, len(marked), len(marked), "partial")
     else:
         if len(values) == len(d.kind) + 1:  # no scratch slots yet
-            values += [0] * d.scratch
+            values += d.scratch_baseline  # any start values would do
         sweep(d.tape, values)
         result = QueryResult(values[d.root] * factor, len(d.nodes), 0, "full")
     if state is not None:
         state.zero_literals, state.values = zero_literals, values
     return result
-
-
-def _slot_values(d: Ddnnf) -> list[int]:
-    """Every tape slot's value under no assumptions.
-
-    The baselines, the constant 1, then the scratch slots.  The first table
-    runs the forward sweep for the scratch values and stores them on the
-    circuit as one complete list; later tables read that list.
-    """
-    values = d.baseline + [1]
-    scratch = d.scratch_baseline
-    if scratch is None:
-        values += [0] * d.scratch
-        sweep(d.tape, values)
-        d.scratch_baseline = values[len(d.kind) + 1:]
-    else:
-        values += scratch
-    return values
 
 
 def _derivative_sums(d: Ddnnf) -> dict[int, int]:
@@ -284,7 +266,7 @@ def _derivative_sums(d: Ddnnf) -> dict[int, int]:
     The slot's entry is then reset to 0, so inner derivatives do not all
     live at once; the leaves, never written by the tape, keep theirs.
     """
-    values = _slot_values(d)
+    values = d.baseline + [1] + d.scratch_baseline
     derivative = [0] * len(values)
     derivative[d.root] = 1
     for dst, a, b in reversed(d.tape):
@@ -349,10 +331,10 @@ def count_all_features(d: Ddnnf) -> list[tuple[int, int]]:
 
     Every table takes one backward pass (:func:`_derivative_sums`), whose
     per-slot list lives only until the derivative sums are taken, and
-    stores the sums for later lookups.  It does not read sums an earlier
-    table stored, so the first table and the hundredth cost the same, but
-    for the first one's forward sweep for the scratch baselines.  The table
-    equals ``count_feature`` on every variable.
+    stores the sums for later lookups.  It reads the values set-up kept and
+    not sums an earlier table stored, so the first table and the hundredth
+    cost the same, and no table sweeps forward.  The table equals
+    ``count_feature`` on every variable.
     """
     _require_preprocessed(d)
     sums = d.derivative_sums = _derivative_sums(d)

@@ -176,8 +176,10 @@ def parse_d4(text: str, num_variables: int) -> Ddnnf:
     implicit And node wrapping the child plus one literal leaf per listed
     literal; literal leaves are shared across edges.  The root is the node
     declared with index 1 when it is parentless, otherwise the unique
-    parentless node.  Node order in the file carries no meaning, so the
-    result is topologically sorted before returning.
+    parentless node.  A declared ``a`` or ``o`` node that gets no edge is
+    the constant True or False, as ``A 0`` and ``O d 0`` are in c2d.  Node
+    order in the file carries no meaning, so the result is topologically
+    sorted before returning.
     """
     declared: dict[int, int] = {}  # d4 index -> node position
     kind: list[NodeKind] = []
@@ -247,6 +249,10 @@ def parse_d4(text: str, num_variables: int) -> Ddnnf:
         raise EmptyCircuit("no records", 1)
     if not declared:
         raise EmptyCircuit("no node declarations", 1)
+    for pos in declared.values():
+        if not children[pos]:
+            k = kind[pos]
+            kind[pos] = TRUE if k is AND else FALSE if k is OR else k
 
     root_pos = declared.get(1)
     if root_pos is None or root_pos in has_parent:

@@ -8,9 +8,8 @@ order, and each keeps that order: pruning drops nodes, and smoothing places
 the nodes it adds where their children precede them, so nothing is sorted.
 Preprocessing is the only phase that mutates shared circuit state;
 afterwards the circuit is read-only and queries may run concurrently.  The
-later writes, the derivative sums each all-features table stores and the
-scratch baselines the first one stores, are idempotent (see
-:mod:`ddnnf.engine`).
+one later write, the derivative sums each all-features table stores, is
+idempotent (see :mod:`ddnnf.engine`).
 """
 
 from __future__ import annotations
@@ -230,22 +229,25 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
     forward sweep (:func:`~ddnnf.core.compile_tape`), and runs it once.
     Leaves start at their own count (a literal and True count 1, False 0),
     childless Or nodes at 0 and childless And nodes at 1.  The sweep's value
-    list also holds the constant slot and the tape's scratch slots; neither
-    is kept, so ``baseline`` holds one count per node.  The
-    derivative sums and the scratch baselines, which all-features tables
-    keep, belong to the old baselines, so they are dropped.
+    list also holds the constant slot and the tape's scratch slots.  Each
+    part is kept as an exact-size copy: ``baseline`` holds one count per
+    node, and ``scratch_baseline`` the scratch slots' values, which the
+    all-features tables' backward pass reads.  The derivative sums that
+    tables keep belong to the old baselines, so they are dropped.
     """
     kind, children = d.kind, d.children
-    d.derivative_sums = d.scratch_baseline = None
-    d.tape, d.scratch = compile_tape(d)
+    d.derivative_sums = None
+    d.tape, scratch = compile_tape(d)
     # a node with children starts at 1 and the tape overwrites it
     values = [
         1 if ch or (k is not FALSE and k is not OR) else 0
         for k, ch in zip(kind, children)
     ]
-    values += [1] + [0] * d.scratch
+    values += [1] + [0] * scratch
     sweep(d.tape, values)
-    d.baseline = values[:len(kind)]  # a copy, so no spare capacity is kept
+    n = len(kind)
+    d.baseline = values[:n]
+    d.scratch_baseline = values[n + 1:]
     return d
 
 

@@ -6,7 +6,6 @@ from ddnnf import (
     NodeKind,
     brute_force_count,
     validate,
-    variable_set,
 )
 from ddnnf.core import mask_variables, present_variables, renumber
 from ddnnf.engine import FULL, NO_PARTIAL_TRAVERSAL
@@ -19,20 +18,6 @@ from ddnnf import count_all_features, parse_c2d, preprocess, query
 def test_from_literals_reads_a_generator_once():
     a = Assumptions.from_literals(lit for lit in [1, -2])
     assert a == Assumptions.of(include={1}, exclude={2})
-
-
-def test_variable_set_or_node(running_example):
-    # left Or ranges over B and C
-    assert variable_set(running_example, 9) == {2, 3}
-
-
-def test_variable_set_single_literal(running_example):
-    neg_d = running_example.literal.index(-4)
-    assert variable_set(running_example, neg_d) == {4}
-
-
-def test_variable_set_root(running_example):
-    assert variable_set(running_example, running_example.root) == {1, 2, 3, 4}
 
 
 def test_validate_running_example_clean(running_example):
@@ -128,7 +113,8 @@ def test_parent_child_duality(circuits):
 
 def test_root_covers_all_non_omitted_variables(circuits):
     for name, d in circuits.items():
-        covered = variable_set(d, d.root) | set(d.omitted)
+        # after pruning every node is in the root's cone
+        covered = present_variables(d) | set(d.omitted)
         assert covered == set(range(1, d.num_variables + 1)), name
 
 
@@ -157,11 +143,11 @@ def test_renumber_empties_preprocessed_lists(circuits):
     assert order != list(d.nodes)
     renumber(d, order)
     assert (d.parents, d.baseline, d.tape, d.literal_index) == ([], [], [], {})
-    assert d.scratch == 0
+    assert d.scratch_baseline == []
     assert not d.preprocessed
     assert validate(d) == []
     preprocess(d)
-    assert d.derivative_sums is None and d.scratch_baseline is None
+    assert d.derivative_sums is None
     assert all(not d.children[i] for i in range(len(leaves)))
     assert [query(d, a, cfg) for a, cfg in queries] == before
     assert count_all_features(d) == table == count_all_features(circuits["rand_n12a"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ddnnf import (
     Assumptions,
+    Ddnnf,
     ExhaustiveCounter,
     NodeKind,
     OptimizationConfig,
@@ -142,6 +143,19 @@ TAPE_CIRCUITS = {
     ),
     # d4 nodes without edges: an empty And is True, an empty Or is False
     "childless_nodes": ("d4", "o 1 0\na 2 0\no 3 0\n1 2 1 0\n1 3 0\n", 1),
+    # the same circuit built directly, with a childless And and a childless
+    # Or, which no parser returns but a library caller may build
+    "childless_and_or": (
+        "built",
+        lambda: Ddnnf(
+            [NodeKind.AND, NodeKind.LITERAL, NodeKind.AND, NodeKind.OR, NodeKind.OR],
+            [0, 1, 0, 0, 0],
+            [(), (), (0, 1), (), (2, 3)],
+            1,
+            root=4,
+        ),
+        None,
+    ),
     # x1 and x2 and False and x3, or not x1 and (x2 or not x2) and x3: the
     # False child zeroes the wide And's chain after x1, whose count is 0
     "one_false_in_wide_and": (
@@ -166,8 +180,8 @@ def _assert_tape_structure(d):
     # a k-child node takes k - 1 instructions, k - 2 of them into scratch
     # slots; a one-child node takes one
     assert len(d.tape) == sum(max(k - 1, 1) for k in widths)
-    assert d.scratch == sum(max(k - 2, 0) for k in widths)
-    scratch = range(n + 1, n + 1 + d.scratch)
+    assert len(d.scratch_baseline) == sum(max(k - 2, 0) for k in widths)
+    scratch = range(n + 1, n + 1 + len(d.scratch_baseline))
     childless = {i for i in d.nodes if not d.children[i]}
     written = set()
     for dst, a, b in d.tape:
@@ -181,6 +195,8 @@ def _assert_tape_structure(d):
 
 def _tape_circuit(name):
     fmt, text, n = TAPE_CIRCUITS[name]
+    if fmt == "built":
+        return preprocess(text())
     return preprocess(parse_c2d(text) if fmt == "c2d" else parse_d4(text, n))
 
 
@@ -209,13 +225,12 @@ class TestCountAllFeatures:
     def test_tape_corner_cases(self, name):
         d = _tape_circuit(name)
         _assert_table_exact(d)
-        # a second table reads the scratch baselines the first one kept
-        assert d.scratch_baseline is not None
+        # a second table, after the first stored its sums
         _assert_table_exact(d)
 
     def test_leaf_root_has_empty_tape(self):
         d = _tape_circuit("leaf_root")
-        assert d.tape == [] and d.scratch == 0
+        assert d.tape == [] and d.scratch_baseline == []
         assert count_all_features(d) == [(1, 1), (2, 0)]
 
     def test_deep_chain_known_answer(self):
@@ -353,15 +368,13 @@ class TestFeatureLookups:
 
 
 def test_concurrent_first_tables_fill_one_cache(circuits):
-    # tables racing on empty caches each store complete, equal sums and
-    # scratch baselines, and lookups racing with them read either the sums
-    # or a partial query
+    # tables racing on an empty cache each store complete, equal sums, and
+    # lookups racing with them read either the sums or a partial query
     from concurrent.futures import ThreadPoolExecutor
 
     text = fixture_texts()["rand_n24"][1]
     reference = circuits["rand_n24"]
     want = count_all_features(reference)
-    assert reference.scratch and len(reference.scratch_baseline) == reference.scratch
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -373,8 +386,6 @@ def test_concurrent_first_tables_fill_one_cache(circuits):
                 assert [f.result(timeout=60) for f in tables] == [want] * 4
                 assert [f.result(timeout=60) for f in lookups] == [c for _, c in want]
             assert count_all_features(d) == want
-            # the racing first tables each stored a complete list
-            assert d.scratch_baseline == reference.scratch_baseline
     finally:
         sys.setswitchinterval(interval)
 
@@ -581,7 +592,8 @@ class TestTape:
         reference = values.copy()
         inner = [i for i in d.nodes if d.kind[i] in (NodeKind.AND, NodeKind.OR)]
         recompute(d, reference, inner)
-        values += data.draw(st.lists(st.integers(0, 3), min_size=d.scratch, max_size=d.scratch))
+        scratch = len(d.scratch_baseline)
+        values += data.draw(st.lists(st.integers(0, 3), min_size=scratch, max_size=scratch))
         sweep(d.tape, values)
         assert values[: len(d.nodes) + 1] == reference
         assert reference[-1] == 1
@@ -597,16 +609,22 @@ class TestTape:
         for d in (parse_c2d(text), parse_d4(c2d_to_d4(text), n)):
             _assert_tape_structure(preprocess(d))
 
-    def test_baseline_keeps_one_entry_per_node(self):
-        # the scratch slots stay off the baselines until a table needs them
-        d = _tape_circuit("wide_nodes")
-        assert d.scratch == 3
+    @pytest.mark.parametrize("name", sorted(TAPE_CIRCUITS))
+    def test_setup_keeps_scratch_baselines(self, name):
+        # set-up keeps the scratch part of its sweep next to one baseline
+        # per node, and a table reads both without sweeping or replacing them
+        d = _tape_circuit(name)
+        _assert_tape_structure(d)
         assert len(d.baseline) == len(d.nodes)
-        assert d.scratch_baseline is None
-        count_all_features(d)
-        values = d.baseline + [1] + [0] * d.scratch
+        values = d.baseline + [1] + [0] * len(d.scratch_baseline)
         sweep(d.tape, values)
         assert d.scratch_baseline == values[len(d.nodes) + 1:]
+        assert d.baseline == values[: len(d.nodes)]
+        baseline, scratch = d.baseline, d.scratch_baseline
+        before = (baseline.copy(), scratch.copy())
+        count_all_features(d)
+        assert d.baseline is baseline and d.scratch_baseline is scratch
+        assert (baseline, scratch) == before
 
 
 def test_full_sweep_on_deep_chain():

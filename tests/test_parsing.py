@@ -132,6 +132,21 @@ class TestParseD4:
         # xor over 3,4 has 2 models; omitted variables 1,2 double each
         assert count_total(preprocess(d)) == 8
 
+    def test_edgeless_nodes_are_constants(self):
+        # an edgeless a is True and an edgeless o False, as A 0 and O d 0
+        # are in c2d; the twin declares the constants as t and f
+        edges = "1 2 1 0\n1 3 0\n"
+        edgeless = parse_d4("o 1 0\na 2 0\no 3 0\n" + edges, 2)
+        twin = parse_d4("o 1 0\nt 2 0\nf 3 0\n" + edges, 2)
+        assert edgeless.kind == twin.kind
+        assert {NodeKind.TRUE, NodeKind.FALSE} <= set(edgeless.kind)
+        assert edgeless.children == twin.children
+        assert validate(edgeless) == validate(twin) == []
+        # smoothing adds no gadget under the False
+        assert len(preprocess(edgeless).nodes) == len(preprocess(twin).nodes) == 5
+        assert count_total(edgeless) == count_total(twin) == 2
+        assert count_all_features(edgeless) == count_all_features(twin) == [(1, 2), (2, 1)]
+
     def test_shared_literal_nodes(self):
         d = parse_d4("o 1 0\nt 2 0\n1 2 3 0\n1 2 -3 3 0\n", 3)
         lits = [d.literal[i] for i in d.nodes if d.kind[i] is NodeKind.LITERAL]

@@ -214,7 +214,7 @@ def test_partial_lines_leave_scratch_stale_and_unread(seed, d4):
     # lines read the circuit's own scratch baselines, never the session's.
     n = 12
     d = _random_circuit(seed, n, 0, d4)
-    assert d.scratch
+    assert d.scratch_baseline
     oracle = ExhaustiveCounter(d)
     table = count_all_features(d)
     always_partial = OptimizationConfig(traversal_bypass_fraction=1.0)
@@ -235,7 +235,7 @@ def test_partial_lines_leave_scratch_stale_and_unread(seed, d4):
         assert result.count == oracle.count(a), selection
         assert result.strategy == ("partial" if step % 2 else "full")
         assert step == 0 or state.values is kept  # each line starts from the last
-        assert len(state.values) == len(d.nodes) + 1 + d.scratch
+        assert len(state.values) == len(d.nodes) + 1 + len(d.scratch_baseline)
         if step % 2:
             assert state.values[scratch] == before
         assert count_all_features(d) == table
