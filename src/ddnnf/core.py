@@ -60,11 +60,16 @@ class Ddnnf:
       nodes and the constant slot;
     * ``literal_index``, ``core``, ``dead`` and ``omitted``.
 
-    One field is filled by all-features tables, not by preprocessing (see
+    Two fields are filled by all-features tables, not by preprocessing (see
     :mod:`ddnnf.engine`), and ``compute_baseline``, which every preprocess
-    runs, empties it again: ``derivative_sums`` maps each variable ``v`` to
-    the partial derivative of the root count summed over the nodes holding
-    ``-v``, the models that forcing ``-v`` to zero removes.
+    runs, empties them again:
+
+    * ``adjoint``: the backward pass compiled from the tape and the values
+      under no assumptions (see :func:`compile_adjoint`), built by the first
+      table;
+    * ``derivative_sums``: maps each variable ``v`` to the partial
+      derivative of the root count summed over the nodes holding ``-v``, the
+      models that forcing ``-v`` to zero removes.
 
     Per-query values and marks live in query-local buffers, never here.
     """
@@ -83,7 +88,10 @@ class Ddnnf:
     core: frozenset[int] = frozenset()
     dead: frozenset[int] = frozenset()
     omitted: frozenset[int] = frozenset()
-    # filled by call history, not by the circuit, so equality ignores it
+    # filled by call history, not by the circuit, so equality ignores them
+    adjoint: list[tuple[int, int, int, int, int]] | None = field(
+        default=None, compare=False
+    )
     derivative_sums: dict[int, int] | None = field(default=None, compare=False)
     is_smooth: bool = False
     preprocessed: bool = False
@@ -270,7 +278,8 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
     before any instruction reads it.  Set-up's sweep keeps their values
     under no assumptions as ``Ddnnf.scratch_baseline``.  Because every slot
     is written once, the tape run backwards is the reverse-mode derivative
-    of the sweep, which reads those values (see :mod:`ddnnf.engine`).
+    of the sweep, which reads those values; :func:`compile_adjoint` compiles
+    that run once per circuit (see :mod:`ddnnf.engine`).
 
     The tape is data, not code: building it costs one pass over the nodes,
     and :func:`sweep` pays no per-node kind test or child-count branch.
@@ -304,6 +313,62 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
     return tape, free - one - 1
 
 
+def compile_adjoint(d: Ddnnf) -> list[tuple[int, int, int, int, int]]:
+    """Compile the tape's reverse run into the all-features backward pass.
+
+    Only the derivatives of negative-literal nodes are ever summed, so the
+    program keeps an instruction only when its destination is in the root's
+    cone and its own cone holds a negative-literal node, and hands a
+    derivative only to the operands whose cones hold one.  Each kept tape
+    instruction, taken in reverse order, becomes ``(dst, a, ma, b, mb)``:
+    add ``g * ma`` to ``a``'s derivative and ``g * mb`` to ``b``'s, where
+    ``g`` is ``dst``'s finished derivative; ``b`` is -1 when only one
+    operand needs a derivative.  The multipliers are baked from the values
+    under no assumptions: 1 for an Or, the other operand's value for an And
+    (``Ddnnf.baseline``, the constant slot's 1 or
+    ``Ddnnf.scratch_baseline``), so the program serves only the unconditioned
+    table.  Every int the program holds is one the tape or the values
+    already hold: an Or's destination is the positive slot index its
+    parent's instruction reads.
+    """
+    tape = d.tape
+    values = d.baseline + [1] + d.scratch_baseline
+    # wanted[s]: slot s's cone holds a negative-literal node
+    wanted = bytearray(len(values))
+    for i, lit in enumerate(d.literal):
+        if lit < 0:
+            wanted[i] = 1
+    for dst, a, b in tape:
+        if wanted[a] or wanted[b]:
+            wanted[~dst if dst < 0 else dst] = 1
+    # name[s]: slot s as an int the tape holds, once an instruction kept
+    # before it reads s; None means no derivative ever reaches s
+    name: list[int | None] = [None] * len(values)
+    name[d.root] = d.root
+    program: list[tuple[int, int, int, int, int]] = []
+    append = program.append
+    for dst, a, b in reversed(tape):
+        if dst < 0:
+            dst = name[~dst]
+            ma = mb = 1
+        else:
+            dst = name[dst]
+            ma, mb = values[b], values[a]
+        if dst is None:  # outside the root's cone, or no negative literal below
+            continue
+        if wanted[a]:
+            name[a] = a
+            if wanted[b]:
+                name[b] = b
+                append((dst, a, ma, b, mb))
+            else:
+                append((dst, a, ma, -1, 1))
+        elif wanted[b]:
+            name[b] = b
+            append((dst, b, mb, -1, 1))
+    return program
+
+
 def sweep(tape: list[tuple[int, int, int]], values: list[int]) -> None:
     """Run a :func:`compile_tape` tape over ``values``, in place.
 
@@ -314,6 +379,16 @@ def sweep(tape: list[tuple[int, int, int]], values: list[int]) -> None:
             values[~dst] = values[a] + values[b]
         else:
             values[dst] = values[a] * values[b]
+
+
+def counts_zero(kind: list[NodeKind], children: list[tuple[int, ...]], i: int) -> bool:
+    """Node ``i`` is constant False: a FALSE leaf, or an Or without children.
+
+    Such a node counts 0 under any assumption, so it absorbs any completion
+    and smoothing need not give it an Or sibling's variables.
+    """
+    k = kind[i]
+    return k is FALSE or (k is OR and not children[i])
 
 
 def present_variables(d: Ddnnf) -> set[int]:
@@ -327,9 +402,10 @@ def validate(d: Ddnnf) -> list[Violation]:
     Reported kinds: "dangling-child" (index outside the node list), "cycle"
     (child index not strictly below its parent, which is the only way the
     flat lists can loop), "decomposability" (And children share variables)
-    and "smoothness" (Or children differ in variable set; False children are
-    ignored since their count absorbs any completion).  Determinism is a
-    trust assumption on the compiler and is not checked.
+    and "smoothness" (Or children differ in variable set; False children and
+    childless Or children are ignored since their count, 0, absorbs any
+    completion).  Determinism is a trust assumption on the compiler and is
+    not checked.
 
     One pass in node order computes each node's variable mask (bit v-1
     stands for variable v), reading only children below the node, and frees
@@ -372,7 +448,7 @@ def validate(d: Ddnnf) -> list[Violation]:
             for c in below:
                 union |= masks[c]
             masks[i] = union
-            if len({masks[c] for c in below if kind[c] is not FALSE}) > 1:
+            if len({masks[c] for c in below if not counts_zero(kind, children, c)}) > 1:
                 severity = "error" if d.is_smooth else "info"
                 out.append(
                     Violation(

@@ -49,22 +49,29 @@ The cardinality of every feature at once does not go through the ladder.
 It is one backward pass (Darwiche's differential approach): on a smooth,
 decomposable circuit the count is multilinear in each literal's
 indicator, so forcing ``-v`` to zero removes exactly the partial
-derivative of the root count with respect to that literal.  The pass runs
-the tape in reverse.  Every tape slot is written once, so each
+derivative of the root count with respect to that literal.  The pass is
+the tape run in reverse.  Every tape slot is written once, so each
 instruction ``(dst, a, b)`` hands ``dst``'s finished derivative to its two
 operands: an Or instruction adds it to both, an And instruction adds it
 times the other operand's value.  No division is needed, and a zero value
 just multiplies.  The values are the baselines, the constant slot and the
 tape's scratch slots under no assumptions, all kept by set-up's sweep:
 ``Ddnnf.baseline`` and ``Ddnnf.scratch_baseline``, so no table sweeps
-forward, and a query's start list never holds the scratch slots.  The sum
-over the nodes of each ``-v`` is kept on the circuit as
-``Ddnnf.derivative_sums``.  Every :func:`count_all_features` call takes
-the backward pass and stores the sums, so a table costs the same whatever
-ran before it; ``--count``, streams and set-up never pay for it.  The
-store is idempotent: racing tables each compute the same sums and store
-one complete dict, so concurrent stateless readers stay safe.  Once a
-table has stored the sums, :func:`count_feature` reads them, and a lookup
+forward, and a query's start list never holds the scratch slots.
+
+Those values are fixed once set-up ends, so the first
+:func:`count_all_features` call compiles the reversed tape into an adjoint
+program (:func:`~ddnnf.core.compile_adjoint`) with each multiplier baked
+in, and keeps only the instructions that lead to a negative literal; it
+stores the program as ``Ddnnf.adjoint``, and later tables only run it.
+The first table therefore costs about one pass more than the rest.
+The sum over the nodes of each ``-v`` is kept on the circuit as
+``Ddnnf.derivative_sums``.  Every table runs the program and stores fresh
+sums; ``--count``, streams and set-up never pay for either.  Both stores
+are idempotent: racing first tables each compile an equal program and
+store one complete list, and racing tables each compute the same sums and
+store one complete dict, so concurrent stateless readers stay safe.  Once
+a table has stored the sums, :func:`count_feature` reads them, and a lookup
 is a dict read; before that a lookup is one partial query, which costs
 far less than the pass.
 """
@@ -73,7 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import LITERAL, Assumptions, Ddnnf, recompute, sweep
+from .core import LITERAL, Assumptions, Ddnnf, compile_adjoint, recompute, sweep
 from .errors import DdnnfError, VariableOutOfRange
 
 
@@ -257,32 +264,35 @@ def query(
 
 
 def _derivative_sums(d: Ddnnf) -> dict[int, int]:
-    """Each variable's derivative sum: the tape run backwards.
+    """Each variable's derivative sum: the circuit's adjoint program run once.
 
-    Starts from the root's derivative 1.  Since every slot is written once,
-    a slot's derivative is complete when the reversed tape reaches the
-    instruction that wrote it; the instruction passes it to both operands,
-    unchanged for an Or and times the other operand's value for an And.
-    The slot's entry is then reset to 0, so inner derivatives do not all
-    live at once; the leaves, never written by the tape, keep theirs.
+    The first call on a preprocessed circuit compiles the program
+    (:func:`~ddnnf.core.compile_adjoint`) and stores it as ``d.adjoint``.
+    The run starts from the root's derivative 1.  Since every slot is
+    written once, a slot's derivative is complete when the program reaches
+    the instruction that wrote it; the instruction hands it on, unchanged
+    where the multiplier is 1 and stored as it is into a slot that still
+    holds 0, so an Or or a leaf-guarded And allocates no product, and a
+    slot's first share no sum.  The slot's entry is then reset to 0, so
+    inner derivatives do not all live at once.
     """
-    values = d.baseline + [1] + d.scratch_baseline
-    derivative = [0] * len(values)
+    program = d.adjoint
+    if program is None:
+        # racing first tables each compile an equal program and store it whole
+        program = d.adjoint = compile_adjoint(d)
+    derivative = [0] * (len(d.baseline) + 1 + len(d.scratch_baseline))
     derivative[d.root] = 1
-    for dst, a, b in reversed(d.tape):
-        if dst < 0:
-            dst = ~dst
-            g = derivative[dst]
-            if g:
-                derivative[dst] = 0
-                derivative[a] += g
-                derivative[b] += g
-        else:
-            g = derivative[dst]
-            if g:
-                derivative[dst] = 0
-                derivative[a] += g * values[b]
-                derivative[b] += g * values[a]
+    for dst, a, ma, b, mb in program:
+        g = derivative[dst]
+        if g:
+            derivative[dst] = 0
+            x = g if ma == 1 else g * ma
+            y = derivative[a]
+            derivative[a] = y + x if y else x
+            if b >= 0:
+                x = g if mb == 1 else g * mb
+                y = derivative[b]
+                derivative[b] = y + x if y else x
     return {
         -lit: sum([derivative[i] for i in nodes])
         for lit, nodes in d.literal_index.items()
@@ -329,13 +339,28 @@ def count_feature(d: Ddnnf, feature: int) -> int:
 def count_all_features(d: Ddnnf) -> list[tuple[int, int]]:
     """(variable, cardinality) for every variable, ascending.
 
-    Every table takes one backward pass (:func:`_derivative_sums`), whose
-    per-slot list lives only until the derivative sums are taken, and
-    stores the sums for later lookups.  It reads the values set-up kept and
-    not sums an earlier table stored, so the first table and the hundredth
-    cost the same, and no table sweeps forward.  The table equals
-    ``count_feature`` on every variable.
+    Every table runs the circuit's adjoint program (:func:`_derivative_sums`),
+    whose per-slot list lives only until the derivative sums are taken, and
+    stores the sums for later lookups.  The first table on a preprocessed
+    circuit also compiles the program, about one more pass; later tables
+    only run it, and read neither sums an earlier table stored nor a
+    forward sweep.  Each row takes the shortcuts of :func:`_feature_count`
+    in its order, with the root count and the omitted factor read once per
+    table, so the table equals ``count_feature`` on every variable.
     """
     _require_preprocessed(d)
     sums = d.derivative_sums = _derivative_sums(d)
-    return [(v, _feature_count(d, sums, v)) for v in range(1, d.num_variables + 1)]
+    root_count, factor = d.baseline[d.root], d.omitted_factor
+    every = root_count * factor
+    half = root_count * (factor >> 1)  # read only when something is omitted
+    omitted, dead, core, get = d.omitted, d.dead, d.core, sums.get
+    return [
+        (
+            v,
+            half if v in omitted
+            else 0 if v in dead
+            else every if v in core
+            else (root_count - get(v, 0)) * factor,
+        )
+        for v in range(1, d.num_variables + 1)
+    ]

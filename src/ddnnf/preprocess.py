@@ -8,8 +8,9 @@ order, and each keeps that order: pruning drops nodes, and smoothing places
 the nodes it adds where their children precede them, so nothing is sorted.
 Preprocessing is the only phase that mutates shared circuit state;
 afterwards the circuit is read-only and queries may run concurrently.  The
-one later write, the derivative sums each all-features table stores, is
-idempotent (see :mod:`ddnnf.engine`).
+later writes, the adjoint program the first all-features table compiles and
+the derivative sums each table stores, are idempotent (see
+:mod:`ddnnf.engine`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .core import (
     OR,
     Ddnnf,
     compile_tape,
+    counts_zero,
     mask_variables,
     renumber,
     root_cone,
@@ -52,12 +54,13 @@ def _shares_variables(node: int) -> DecomposabilityViolation:
     return DecomposabilityViolation(f"And node {node} has children sharing variables")
 
 
-def _note_deficits(deficits, i: int, ch, union: int, kind, masks) -> None:
-    """Append Or node ``i`` and the variables each non-False child lacks."""
+def _note_deficits(deficits, i: int, ch, union: int, kind, children, masks) -> None:
+    """Append Or node ``i`` and the variables each child that is not
+    constant False lacks."""
     lacking = [
         (slot, tuple(mask_variables(union ^ masks[c])))
         for slot, c in enumerate(ch)
-        if masks[c] != union and kind[c] is not FALSE
+        if masks[c] != union and not counts_zero(kind, children, c)
     ]
     if lacking:
         deficits.append((i, lacking))
@@ -70,8 +73,9 @@ def smooth(d: Ddnnf) -> Ddnnf:
     gadget per missing variable; the gadgets are tautologies, so the formula
     is unchanged.  A missing-variable And child with a single reference is
     extended in place, anything else is wrapped in a fresh And node.  False
-    children need no gadgets because their count absorbs any completion.
-    Idempotent: smoothing a smooth circuit changes nothing.
+    children and childless Or children need no gadgets because their count,
+    0, absorbs any completion.  Idempotent: smoothing a smooth circuit
+    changes nothing.
 
     One bottom-up pass over the nodes, which are in topological order,
     computes every node's variable mask, checks decomposability at And
@@ -107,7 +111,7 @@ def smooth(d: Ddnnf) -> Ddnnf:
                 raise _shares_variables(i)
             union = masks[i] = ma | mb
             if k is OR and ma != mb:
-                _note_deficits(deficits, i, ch, union, kind, masks)
+                _note_deficits(deficits, i, ch, union, kind, children, masks)
             uses[a] -= 1
             if not uses[a]:
                 masks[a] = 0
@@ -126,7 +130,7 @@ def smooth(d: Ddnnf) -> Ddnnf:
             for c in ch:
                 union |= masks[c]
             if k is OR:
-                _note_deficits(deficits, i, ch, union, kind, masks)
+                _note_deficits(deficits, i, ch, union, kind, children, masks)
         masks[i] = union
         for c in ch:
             uses[c] -= 1
@@ -232,11 +236,12 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
     list also holds the constant slot and the tape's scratch slots.  Each
     part is kept as an exact-size copy: ``baseline`` holds one count per
     node, and ``scratch_baseline`` the scratch slots' values, which the
-    all-features tables' backward pass reads.  The derivative sums that
-    tables keep belong to the old baselines, so they are dropped.
+    all-features tables' backward pass reads.  The adjoint program and the
+    derivative sums that tables keep belong to the old tape and baselines,
+    so they are dropped.
     """
     kind, children = d.kind, d.children
-    d.derivative_sums = None
+    d.adjoint = d.derivative_sums = None
     d.tape, scratch = compile_tape(d)
     # a node with children starts at 1 and the tape overwrites it
     values = [

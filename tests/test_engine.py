@@ -23,7 +23,7 @@ from ddnnf import (
     query,
     write_c2d,
 )
-from ddnnf.core import ORACLE_LIMIT_DEFAULT, recompute, sweep
+from ddnnf.core import ORACLE_LIMIT_DEFAULT, compile_adjoint, recompute, sweep, validate
 from ddnnf.engine import (
     FULL,
     NAIVE,
@@ -233,6 +233,18 @@ class TestCountAllFeatures:
         assert d.tape == [] and d.scratch_baseline == []
         assert count_all_features(d) == [(1, 1), (2, 0)]
 
+    @pytest.mark.parametrize("name", ["childless_nodes", "childless_and_or"])
+    def test_childless_or_reads_as_false(self, name):
+        # x1 and <empty And>, or <empty Or>: the empty Or counts 0, so its
+        # sibling needs no gadget and nothing grows
+        if name == "childless_and_or":
+            assert validate(TAPE_CIRCUITS[name][1]()) == []
+        d = _tape_circuit(name)
+        assert len(d.nodes) == 5
+        assert validate(d) == []
+        assert count_total(d) == 1
+        assert count_all_features(d) == [(1, 1)]
+
     def test_deep_chain_known_answer(self):
         # the per-feature path takes tens of seconds here, so compare to 2**2999
         d = preprocess(parse_c2d(gadget_chain_c2d(3000)))
@@ -251,6 +263,41 @@ class TestCountAllFeatures:
         _assert_table_exact(preprocess(d))
 
 
+def _assert_adjoint_structure(d):
+    """The adjoint program hands derivatives from the root down exactly the
+    slots whose cones hold a negative literal, with the multipliers of the
+    values under no assumptions, and holds no int the tape, the values or
+    the root do not already hold."""
+    program = compile_adjoint(d)
+    values = d.baseline + [1] + d.scratch_baseline
+    # the nodes whose cones hold a negative literal, by parent pointers
+    wanted = mark_ancestors(d, [lit for lit in d.literal_index if lit < 0])
+    operands = {}  # slot -> (is an Or, first operand, second operand)
+    for dst, a, b in d.tape:
+        slot = ~dst if dst < 0 else dst
+        operands[slot] = (dst < 0, a, b)
+        if slot > len(d.nodes) and (a in wanted or b in wanted):
+            wanted.add(slot)  # a scratch slot
+    known = {id(x) for t in d.tape for x in t}
+    known |= {id(x) for x in values} | {id(d.root), id(-1), id(1)}
+    reached = {d.root}
+    kept = set()
+    for instruction in program:
+        assert all(id(x) in known for x in instruction), instruction
+        dst, a, ma, b, mb = instruction
+        assert dst in reached and dst not in kept
+        kept.add(dst)
+        is_or, x, y = operands[dst]
+        handed = [(a, ma)] + ([(b, mb)] if b >= 0 else [])
+        assert sorted(c for c, _ in handed) == sorted(c for c in (x, y) if c in wanted)
+        for c, m in handed:
+            assert m == (1 if is_or else values[y if c == x else x])
+            reached.add(c)
+        assert b >= 0 or mb == 1
+    assert kept == {s for s in operands if s in wanted and s in reached}
+    return program
+
+
 def _with_core_and_dead(text):
     """The c2d circuit conjoined with ``x(n+1)`` and ``-x(n+2)``, over n + 2
     variables, so it has a core and a dead variable besides its own."""
@@ -259,6 +306,47 @@ def _with_core_and_dead(text):
     n, root = int(n), len(records) - 1
     records += [f"L {n + 1}", f"L {-(n + 2)}", f"A 3 {root} {root + 1} {root + 2}"]
     return f"nnf {len(records)} {int(edges) + 3} {n + 2}\n" + "\n".join(records) + "\n"
+
+
+class TestAdjointProgram:
+    """The backward pass runs a program the first table compiles; every
+    exact-table check also checks its structure (_assert_table_exact)."""
+
+    def test_no_negative_literal_gives_empty_program(self):
+        # x1 and (x2 and True): nothing is ever summed, so nothing is kept
+        d = preprocess(parse_c2d("nnf 5 4 2\nL 1\nL 2\nA 0\nA 2 1 2\nA 2 0 3\n"))
+        assert len(d.tape) == 2 and _assert_adjoint_structure(d) == []
+        assert count_all_features(d) == [(1, 1), (2, 1)]
+        assert d.adjoint == [] and d.derivative_sums == {}
+
+    def test_negative_literal_root(self):
+        # the root's own derivative is the sum, with no instruction to run
+        d = preprocess(parse_c2d("nnf 1 0 1\nL -1\n"))
+        assert d.tape == [] and _assert_adjoint_structure(d) == []
+        assert count_all_features(d) == [(1, 0)]
+        assert d.adjoint == [] and d.derivative_sums == {1: 1}
+        assert count_feature(d, 1) == 0
+
+    def test_false_operand_gives_zero_multiplier(self):
+        # (not x1 and False) or x1: the And hands not x1 its derivative times
+        # the False leaf's value 0; x1 needs no derivative
+        d = preprocess(parse_c2d("nnf 5 4 1\nL -1\nO 0 0\nA 2 0 1\nL 1\nO 1 2 2 3\n"))
+        assert len(d.nodes) == 5 and d.kind[1] is NodeKind.FALSE
+        assert _assert_adjoint_structure(d) == [(4, 2, 1, -1, 1), (2, 0, 0, -1, 1)]
+        _assert_table_exact(d)
+        assert d.derivative_sums == {1: 0}
+
+    def test_only_tables_build_the_program(self):
+        # set-up, queries and lookups before a table never pay for it
+        d = preprocess(parse_c2d(fixture_texts()["rand_n12a"][1]))
+        query(d, Assumptions.of({1}, {2}), NO_PARTIAL_TRAVERSAL)
+        query(d, Assumptions.of({1}), ALWAYS_PARTIAL)
+        count_feature(d, 3)
+        assert d.adjoint is None
+        count_all_features(d)
+        assert d.adjoint is not None
+        # the program is call history, which equality ignores
+        assert d == preprocess(parse_c2d(fixture_texts()["rand_n12a"][1]))
 
 
 class TestFeatureLookups:
@@ -323,14 +411,20 @@ class TestFeatureLookups:
         # the circuit smooth, so nothing renumbers.  The old sums would give
         # (2 - 2) * 1 for x1.
         text = "nnf 9 10 2\nL 1\nL -1\nL 2\nL -2\nA 0\nO 1 2 0 1\nA 2 2 4\nO 2 2 6 3\nA 2 5 7\n"
+        # The table compiles a program whose root instruction bakes the x2
+        # side's value 2 as the x1 side's multiplier; the edit makes it 1.
         d = preprocess(parse_c2d(text))
         assert count_all_features(d) == [(1, 2), (2, 2)]
+        program = d.adjoint
+        assert program[0] == (8, 5, 2, 7, 2)
         nodes = len(d.nodes)
         d.kind[4] = NodeKind.FALSE
         preprocess(d)
         assert len(d.nodes) == nodes
+        assert d.adjoint is None and d.derivative_sums is None
         want = preprocess(parse_c2d(text.replace("A 0\n", "O 0 0\n")))
         assert count_all_features(d) == count_all_features(want) == [(1, 1), (2, 0)]
+        assert d.adjoint[0] == (8, 5, 1, 7, 2)
 
     def test_table_fills_one_sum_per_negative_literal(self):
         d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
@@ -342,13 +436,14 @@ class TestFeatureLookups:
         assert d.derivative_sums[2] == 2
 
     def test_every_table_takes_the_sweep(self):
-        # a later table stores fresh, equal sums instead of reading the
-        # stored ones, so its cost does not depend on the tables before it
+        # a later table runs the program the first one compiled and stores
+        # fresh, equal sums instead of reading the stored ones
         d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
         table = count_all_features(d)
-        first = d.derivative_sums
+        first, program = d.derivative_sums, d.adjoint
         assert count_all_features(d) == table
         assert d.derivative_sums == first and d.derivative_sums is not first
+        assert d.adjoint is program
 
     def test_requires_preprocessing(self):
         d = parse_c2d(RUNNING_EXAMPLE_C2D)
@@ -386,6 +481,7 @@ def test_concurrent_first_tables_fill_one_cache(circuits):
                 assert [f.result(timeout=60) for f in tables] == [want] * 4
                 assert [f.result(timeout=60) for f in lookups] == [c for _, c in want]
             assert count_all_features(d) == want
+            assert d.adjoint == compile_adjoint(d)
     finally:
         sys.setswitchinterval(interval)
 
@@ -393,6 +489,7 @@ def test_concurrent_first_tables_fill_one_cache(circuits):
 def _assert_table_exact(d):
     """The table equals per-feature queries, and the oracle where it fits."""
     table = count_all_features(d)
+    assert d.adjoint == _assert_adjoint_structure(d)
     variables = range(1, d.num_variables + 1)
     assert table == [(v, query(d, Assumptions.of({v})).count) for v in variables]
     if d.num_variables <= ORACLE_LIMIT_DEFAULT:
