@@ -14,6 +14,7 @@ circuit.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,16 +61,22 @@ class Ddnnf:
       nodes and the constant slot;
     * ``literal_index``, ``core``, ``dead`` and ``omitted``.
 
-    Two fields are filled by all-features tables, not by preprocessing (see
-    :mod:`ddnnf.engine`), and ``compute_baseline``, which every preprocess
-    runs, empties them again:
+    Four fields are filled by the calls that answer queries, not by
+    preprocessing (see :mod:`ddnnf.engine`), and ``compute_baseline``, which
+    every preprocess runs, empties them again:
 
     * ``adjoint``: the backward pass compiled from the tape and the values
       under no assumptions (see :func:`compile_adjoint`), built by the first
-      table;
+      all-features table;
     * ``derivative_sums``: maps each variable ``v`` to the partial
       derivative of the root count summed over the nodes holding ``-v``, the
-      models that forcing ``-v`` to zero removes.
+      models that forcing ``-v`` to zero removes; every table stores them;
+    * ``ancestor_orders``: maps a literal to the And and Or ancestors of its
+      nodes, ascending, as an ``array("i")``: the order the partial rung
+      recomputes when that literal alone is reset.  A one-literal partial
+      query stores it on a miss while the stored orders stay within
+      ``engine.ANCESTOR_ORDER_BUDGET`` entries per node in total, and
+      ``ancestor_entries`` counts the entries they hold.
 
     Per-query values and marks live in query-local buffers, never here.
     """
@@ -93,6 +100,8 @@ class Ddnnf:
         default=None, compare=False
     )
     derivative_sums: dict[int, int] | None = field(default=None, compare=False)
+    ancestor_orders: dict[int, array] = field(default_factory=dict, compare=False)
+    ancestor_entries: int = field(default=0, compare=False)
     is_smooth: bool = False
     preprocessed: bool = False
 

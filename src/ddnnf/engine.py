@@ -10,9 +10,10 @@ picks the rung for each query itself:
 * partial traversal: climb parent pointers from the reset literal nodes,
   mark the ancestor closure, and recompute only marked nodes, reading every
   unmarked child's value as it stands (its baseline, or its kept value in a
-  session).  Skipped when the reset literals exceed
-  ``traversal_bypass_fraction`` of the variables, where marking overhead
-  stops paying off.
+  session).  A reset of one literal reads the marked And and Or nodes in
+  order from the circuit's cache instead of marking (see below).  Skipped
+  when the reset literals exceed ``traversal_bypass_fraction`` of the
+  variables, where marking overhead stops paying off.
 
 :class:`OptimizationConfig` exists for the variant matrix, which switches
 rungs off one at a time to measure what each saves; every other caller
@@ -41,9 +42,25 @@ the rung and seeds the marking.  An empty reset set answers the kept root
 times the omitted factor as a ``"shortcut"`` with no visits.  Shortcut and contradiction lines, and lines
 with no zero literal, leave the state alone.
 
+A configurator's lines mostly reset one literal, and the same literals
+recur, so a one-literal reset reads that literal's ancestor order (the
+marked And and Or nodes, ascending) from ``Ddnnf.ancestor_orders``.  A miss
+marks with :func:`mark_ancestors` as before and stores the order as an
+``array("i")``, while the circuit's orders stay within
+:data:`ANCESTOR_ORDER_BUDGET` entries per node in total; past that a miss
+marks and stores nothing, with no eviction.  Resets of several literals
+always mark: storing orders for them would mark each literal's closure on
+its own, where one marking covers their union.  ``nodes_marked`` and ``nodes_visited`` report the marked node
+count either way.
+
 Queries never mutate the circuit's lists.  A stateless query keeps its
 values in a local buffer, so such queries may run concurrently; a state is
-updated in place and serves one caller at a time.
+updated in place and serves one caller at a time.  The order cache is the
+one thing a query writes to the circuit, and its stores are idempotent:
+racing misses on one literal compute equal orders and store one of them,
+and each store and its entry count are made under one lock, so the count
+stays exact and the budget holds however queries race.  A stored order is
+never changed, so readers need no lock.
 
 The cardinality of every feature at once does not go through the ladder.
 It is one backward pass (Darwiche's differential approach): on a smooth,
@@ -78,7 +95,9 @@ far less than the pass.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from threading import Lock
 
 from .core import LITERAL, Assumptions, Ddnnf, compile_adjoint, recompute, sweep
 from .errors import DdnnfError, VariableOutOfRange
@@ -155,6 +174,38 @@ def mark_ancestors(d: Ddnnf, literals) -> set[int]:
             marked.add(i)
             stack.extend(parents[i])
     return marked
+
+
+#: The ancestor orders kept on one circuit hold at most this many entries
+#: per node in total.  Keeping every literal's order takes 27-36 entries per
+#: node on circuits shaped like compiled feature models, but the total grows
+#: with the square of the depth: 1200 per node on a 2000-level Shannon chain.
+ANCESTOR_ORDER_BUDGET = 32
+
+# makes a store and its count one step, so racing misses keep the count exact
+_store_lock = Lock()
+
+
+def _ancestor_order(d: Ddnnf, lit: int) -> array:
+    """The And and Or ancestors of ``lit``'s nodes, ascending.
+
+    Read from ``d.ancestor_orders``.  A miss marks them with
+    :func:`mark_ancestors` and stores the order while the circuit's orders
+    stay within :data:`ANCESTOR_ORDER_BUDGET` entries per node; once that
+    is spent, a miss marks and stores nothing.
+    """
+    order = d.ancestor_orders.get(lit)
+    if order is None:
+        kind = d.kind
+        closure = mark_ancestors(d, (lit,))
+        order = array("i", sorted([i for i in closure if kind[i] is not LITERAL]))
+        budget = ANCESTOR_ORDER_BUDGET * len(kind)
+        with _store_lock:
+            # a racing miss on the same literal may have stored an equal order
+            if lit not in d.ancestor_orders and d.ancestor_entries + len(order) <= budget:
+                d.ancestor_orders[lit] = order
+                d.ancestor_entries += len(order)
+    return order
 
 
 @dataclass
@@ -247,12 +298,19 @@ def query(
                 values[i] = 0
 
     if len(delta) <= cfg.traversal_bypass_fraction * n:
-        marked = mark_ancestors(d, delta)
-        # the marked leaves are the reset literal nodes, already final
-        kind = d.kind
-        order = sorted([i for i in marked if kind[i] is not LITERAL])
+        if len(delta) == 1:
+            (lit,) = delta
+            order = _ancestor_order(d, lit)
+            # what marking would count: the order and the literal's own nodes
+            marked = len(order) + len(index.get(lit, ()))
+        else:
+            closure = mark_ancestors(d, delta)
+            # the marked leaves are the reset literal nodes, already final
+            kind = d.kind
+            order = sorted([i for i in closure if kind[i] is not LITERAL])
+            marked = len(closure)
         recompute(d, values, order)
-        result = QueryResult(values[d.root] * factor, len(marked), len(marked), "partial")
+        result = QueryResult(values[d.root] * factor, marked, marked, "partial")
     else:
         if len(values) == len(d.kind) + 1:  # no scratch slots yet
             values += d.scratch_baseline  # any start values would do

@@ -8,9 +8,9 @@ order, and each keeps that order: pruning drops nodes, and smoothing places
 the nodes it adds where their children precede them, so nothing is sorted.
 Preprocessing is the only phase that mutates shared circuit state;
 afterwards the circuit is read-only and queries may run concurrently.  The
-later writes, the adjoint program the first all-features table compiles and
-the derivative sums each table stores, are idempotent (see
-:mod:`ddnnf.engine`).
+later writes, the adjoint program the first all-features table compiles,
+the derivative sums each table stores and the ancestor orders one-literal
+queries store, are idempotent (see :mod:`ddnnf.engine`).
 """
 
 from __future__ import annotations
@@ -238,10 +238,12 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
     node, and ``scratch_baseline`` the scratch slots' values, which the
     all-features tables' backward pass reads.  The adjoint program and the
     derivative sums that tables keep belong to the old tape and baselines,
-    so they are dropped.
+    and the ancestor orders that queries keep to the old parents, so they
+    are dropped.
     """
     kind, children = d.kind, d.children
     d.adjoint = d.derivative_sums = None
+    d.ancestor_orders, d.ancestor_entries = {}, 0
     d.tape, scratch = compile_tape(d)
     # a node with children starts at 1 and the tape overwrites it
     values = [

@@ -117,7 +117,8 @@ def build_circuit(fmt: str, text: str, num_variables: int | None):
 
 @pytest.fixture(scope="session")
 def circuits():
-    """Every fixture circuit, preprocessed once; queries never mutate them."""
+    """Every fixture circuit, preprocessed once; queries only fill their
+    idempotent caches (see :mod:`ddnnf.engine`)."""
     out = {}
     for name, (fmt, text, n) in fixture_texts().items():
         out[name] = preprocess(build_circuit(fmt, text, n))

@@ -1,3 +1,5 @@
+import gc
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -251,6 +253,47 @@ def test_module_entry_point(running_c2d_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == "4\n"
+
+
+def test_importing_cli_leaves_the_oracle_unloaded():
+    # only --variant-matrix uses ddnnf.oracle, so no other mode pays to import it
+    code = "import sys, ddnnf.cli; print('ddnnf.oracle' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_collector_off_for_setup_and_on_for_session_lines(
+    running_c2d_file, monkeypatch, capsys
+):
+    from ddnnf import cli
+
+    seen = []
+    monkeypatch.setattr(
+        cli, "preprocess", lambda d: seen.append(("set-up", gc.isenabled())) or preprocess(d)
+    )
+    handle = cli.StreamSession.handle
+    monkeypatch.setattr(
+        cli.StreamSession, "handle",
+        lambda self, line: seen.append(("line", gc.isenabled())) or handle(self, line),
+    )
+    monkeypatch.setattr(sys, "stdin", io.StringIO("count v 2\nexit\n"))
+    assert gc.isenabled()
+    assert main([str(running_c2d_file), "--stream"]) == 0
+    assert capsys.readouterr().out == "2\nbye\n"
+    assert seen == [("set-up", False), ("line", True), ("line", True)]
+    assert gc.isenabled()
+    # a one-shot mode runs with it off throughout, and main restores what it found
+    seen.clear()
+    assert main([str(running_c2d_file), "--count"]) == 0
+    assert seen == [("set-up", False)] and gc.isenabled()
+    gc.disable()
+    try:
+        assert main([str(running_c2d_file), "--count"]) == 0
+        assert main([str(running_c2d_file), "--stream"]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_prints_counts_beyond_int_str_guard(tmp_path):

@@ -25,6 +25,7 @@ from ddnnf import (
 )
 from ddnnf.core import ORACLE_LIMIT_DEFAULT, compile_adjoint, recompute, sweep, validate
 from ddnnf.engine import (
+    ANCESTOR_ORDER_BUDGET,
     FULL,
     NAIVE,
     NO_CORE_DEAD,
@@ -518,6 +519,143 @@ class TestMarkAncestors:
     def test_monotone(self, running_example):
         small = mark_ancestors(running_example, {-2})
         assert small <= mark_ancestors(running_example, {-2, 3})
+
+
+def _marked_order(d, lit):
+    """What the partial rung recomputes when ``lit`` alone is reset, by marking."""
+    closure = mark_ancestors(d, (lit,))
+    return sorted(i for i in closure if d.kind[i] is not NodeKind.LITERAL)
+
+
+def _assert_orders_exact(d):
+    """Every stored order equals marking its literal, and the count adds them up."""
+    for lit, order in d.ancestor_orders.items():
+        assert order.typecode == "i"
+        assert list(order) == _marked_order(d, lit), lit
+    assert d.ancestor_entries == sum(map(len, d.ancestor_orders.values()))
+    assert d.ancestor_entries <= ANCESTOR_ORDER_BUDGET * len(d.nodes)
+
+
+@pytest.fixture()
+def mark_calls(monkeypatch):
+    """The literal sets the engine marks, through the name a tracer wraps."""
+    import ddnnf.engine
+
+    calls = []
+    marking = ddnnf.engine.mark_ancestors
+    monkeypatch.setattr(
+        ddnnf.engine, "mark_ancestors",
+        lambda d, literals: calls.append(set(literals)) or marking(d, literals),
+    )
+    return calls
+
+
+class TestAncestorOrders:
+    """One-literal partial queries keep their literal's order on the circuit."""
+
+    def test_miss_marks_and_stores_hit_reads(self, mark_calls):
+        d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
+        assert d.ancestor_orders == {} and d.ancestor_entries == 0
+        first = query(d, Assumptions.of({2}), ALWAYS_PARTIAL)
+        assert mark_calls == [{-2}]
+        assert list(d.ancestor_orders) == [-2]
+        order = d.ancestor_orders[-2]
+        assert query(d, Assumptions.of({2}), ALWAYS_PARTIAL) == first
+        assert mark_calls == [{-2}]  # the hit marks nothing
+        assert d.ancestor_orders[-2] is order
+        _assert_orders_exact(d)
+
+    def test_multi_literal_resets_mark_and_store_nothing(self, mark_calls):
+        d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
+        for _ in range(2):
+            result = query(d, Assumptions.of({2}, {4}), ALWAYS_PARTIAL)
+            assert result.count == 1 and result.strategy == "partial"
+        assert mark_calls == [{-2, 4}, {-2, 4}]
+        assert d.ancestor_orders == {} and d.ancestor_entries == 0
+
+    def test_visits_equal_marking(self, circuits):
+        # the reported work does not depend on whether the order was cached
+        for name, d in circuits.items():
+            for v in range(1, d.num_variables + 1):
+                for a in (Assumptions.of({v}), Assumptions.of(set(), {v})):
+                    zero = {-v} if a.include else {v}
+                    for _ in range(2):  # a miss, then a hit where stored
+                        result = query(d, a, ALWAYS_PARTIAL)
+                        if result.strategy != "partial":
+                            continue
+                        want = len(mark_ancestors(d, zero))
+                        assert result.nodes_visited == result.nodes_marked == want, (name, a)
+            _assert_orders_exact(d)
+
+    def test_preprocess_after_edit_empties_the_cache(self):
+        # re-rooting at the running example's left Or renumbers the nodes, so
+        # a kept order would recompute the wrong ones
+        d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
+        for v in (2, 3, 4):
+            query(d, Assumptions.of({v}), ALWAYS_PARTIAL)
+        assert sorted(d.ancestor_orders) == [-4, -3, -2]
+        d.root = next(
+            i for i in d.nodes
+            if d.kind[i] is NodeKind.OR and d.decision[i] == 0
+        )
+        preprocess(d)
+        assert d.ancestor_orders == {} and d.ancestor_entries == 0
+        want = preprocess(parse_c2d(write_c2d(d)))
+        for v in (2, 3, 4):
+            for a in (Assumptions.of({v}), Assumptions.of(set(), {v})):
+                assert query(d, a, ALWAYS_PARTIAL).count == query(want, a).count, a
+        _assert_orders_exact(d)
+
+    def test_deep_chain_stays_within_budget(self):
+        # 300 Shannon levels are 900 deep: keeping every literal's order would
+        # take about 180 entries per node, so the budget of 32 stops the stores
+        k = 300
+        d = preprocess(parse_c2d(shannon_chain_c2d(k)))
+        every = sum(len(_marked_order(d, lit)) for lit in d.literal_index)
+        assert every > 4 * ANCESTOR_ORDER_BUDGET * len(d.nodes)
+        for v in range(1, k + 1):
+            for a in (Assumptions.of({v}), Assumptions.of(set(), {v})):
+                result = query(d, a, ALWAYS_PARTIAL)
+                assert result.count == 2 ** (k - 1) and result.strategy == "partial"
+        assert 0 < len(d.ancestor_orders) < len(d.literal_index)
+        _assert_orders_exact(d)
+        # a miss past the budget still answers exactly, and stores nothing
+        stored = dict(d.ancestor_orders)
+        for v in range(1, k + 1):
+            assert query(d, Assumptions.of(set(), {v}), ALWAYS_PARTIAL).count == 2 ** (k - 1)
+        assert d.ancestor_orders == stored
+
+    @pytest.mark.parametrize("name", ["rand_n24", "chain"])
+    def test_racing_misses_leave_complete_orders(self, name):
+        # threads racing one-literal stateless queries on an empty cache each
+        # answer exactly, and leave complete orders whose count adds up
+        from concurrent.futures import ThreadPoolExecutor
+
+        text = shannon_chain_c2d(80) if name == "chain" else fixture_texts()[name][1]
+        reference = preprocess(parse_c2d(text))
+        n = reference.num_variables
+        cases = [Assumptions.of({v}) for v in range(1, n + 1)]
+        cases += [Assumptions.of(set(), {v}) for v in range(1, n + 1)]
+        want = [query(reference, a, NO_PARTIAL_TRAVERSAL).count for a in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                d = preprocess(parse_c2d(text))
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    # each literal three times running, so its misses race
+                    futures = [
+                        pool.submit(query, d, a, ALWAYS_PARTIAL)
+                        for a in cases for _ in range(3)
+                    ]
+                    counts = [f.result(timeout=60).count for f in futures]
+                assert counts == [c for c in want for _ in range(3)]
+                assert d.ancestor_orders
+                if name == "chain":  # every order would take ~48 entries per node
+                    assert len(d.ancestor_orders) < len(d.literal_index)
+                _assert_orders_exact(d)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_or_folding_engine_path():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ddnnf import (
     Assumptions,
     ExhaustiveCounter,
+    NodeKind,
     OptimizationConfig,
     SessionState,
     count_all_features,
@@ -172,6 +173,52 @@ def test_session_walk_matches_oracle_and_stateless_query(seed, n, omit, d4, step
         want = oracle.count(a)
         assert query(d, a).count == want, line
         assert s.handle("count v " + " ".join(map(str, line))) == (str(want), False), line
+
+
+def _uncached_count(d, a):
+    """``query(d, a).count`` with no ancestor order kept from earlier calls."""
+    d.ancestor_orders, d.ancestor_entries = {}, 0
+    return query(d, a).count
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 59),
+    n=st.sampled_from([8, 12]),
+    omit=st.integers(0, 2),
+    d4=st.booleans(),
+    data=st.data(),
+)
+def test_select_deselect_session_reads_exact_orders(seed, n, omit, d4, data):
+    # each line selects or deselects one literal, so it resets one literal
+    # and reads or stores that literal's ancestor order; every reply equals
+    # the oracle and a circuit that keeps no order, and every stored order
+    # equals marking its literal
+    d = _random_circuit(seed, n, omit, d4)
+    fresh = _random_circuit(seed, n, omit, d4)
+    oracle = ExhaustiveCounter(d)
+    s = StreamSession(d)
+    selection: list[int] = []
+    for _ in range(data.draw(st.integers(5, 30))):
+        chosen = {abs(lit) for lit in selection}
+        free = [v for v in range(1, n + 1) if v not in chosen]
+        if selection and (not free or data.draw(st.booleans())):
+            dropped = data.draw(st.sampled_from(selection))
+            selection = [lit for lit in selection if lit != dropped]
+        else:
+            v = data.draw(st.sampled_from(free))
+            selection = selection + [data.draw(st.sampled_from([v, -v]))]
+        if not selection:
+            continue
+        a = Assumptions.from_literals(selection)
+        want = oracle.count(a)
+        assert _uncached_count(fresh, a) == want, selection
+        assert s.handle("count v " + " ".join(map(str, selection))) == (str(want), False)
+    kind = d.kind
+    for lit, order in d.ancestor_orders.items():
+        closure = mark_ancestors(d, (lit,))
+        assert list(order) == sorted(i for i in closure if kind[i] is not NodeKind.LITERAL)
+    assert d.ancestor_entries == sum(map(len, d.ancestor_orders.values()))
 
 
 @pytest.mark.parametrize("d4", [False, True])
