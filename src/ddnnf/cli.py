@@ -20,11 +20,11 @@ outside 1..n answers "error variable-out-of-range <v>"; contradictory
 assumptions are a legitimate query and answer "0".
 
 A session (``--stream`` or ``--queries``) keeps one
-:class:`~ddnnf.engine.SessionState`: the zero literals and node values of
-the last ``count v`` line it evaluated.  The next such line starts from
-those values when fewer literals change than from the baselines, so a
-selection that grows by one literal recomputes only that literal's
-ancestors.  A line whose zero literals equal the kept ones (it adds only
+:class:`~ddnnf.engine.SessionState`: the zero literals and tape slot
+values of the last ``count v`` line it evaluated.  The next such line
+starts from those values when fewer literals change than from the
+baselines, so a selection that grows by one literal reruns only the tape
+instructions on that literal's paths to the root.  A line whose zero literals equal the kept ones (it adds only
 core, dead-excluded or omitted variables) answers from the kept root.  The
 other modes answer each query from the baselines.
 

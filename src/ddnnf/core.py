@@ -53,17 +53,22 @@ class Ddnnf:
     The parsers fill these, ``num_variables`` and ``root``; a missing
     ``decision`` list means all zeros.  Preprocessing fills every other field:
 
-    * ``parents[i]``: a tuple of parent indices, the inverse of ``children``;
-    * ``baseline[i]``: the node's count under no assumptions;
     * ``tape``: the And and Or nodes compiled to the instructions of one
-      forward sweep (see :func:`compile_tape`), and ``scratch_baseline``,
-      the values under no assumptions of the slots it writes after the
-      nodes and the constant slot;
+      forward sweep (see :func:`compile_tape`); a value list for it holds
+      one entry per *slot*: every node, then the constant slot, then the
+      scratch slots the tape writes for nodes with three or more children;
+    * ``parents[s]``: for every slot ``s``, a tuple of the slots whose
+      instructions read it, the inverse of the tape's reads; a node's
+      parents are nodes or the scratch slots of its wide parents;
+    * ``writer[s]``: the index of the tape instruction that writes slot
+      ``s``, -1 for a leaf, a childless node and the constant slot;
+    * ``baseline[i]``: the node's count under no assumptions, and
+      ``scratch_baseline``, the scratch slots' values under no assumptions;
     * ``literal_index``, ``core``, ``dead`` and ``omitted``.
 
     Four fields are filled by the calls that answer queries, not by
-    preprocessing (see :mod:`ddnnf.engine`), and ``compute_baseline``, which
-    every preprocess runs, empties them again:
+    preprocessing (see :mod:`ddnnf.engine`), and every preprocess empties
+    them again (``link_parents`` the orders, ``compute_baseline`` the rest):
 
     * ``adjoint``: the backward pass compiled from the tape and the values
       under no assumptions (see :func:`compile_adjoint`), built by the first
@@ -71,10 +76,12 @@ class Ddnnf:
     * ``derivative_sums``: maps each variable ``v`` to the partial
       derivative of the root count summed over the nodes holding ``-v``, the
       models that forcing ``-v`` to zero removes; every table stores them;
-    * ``ancestor_orders``: maps a literal to the And and Or ancestors of its
-      nodes, ascending, as an ``array("i")``: the order the partial rung
-      recomputes when that literal alone is reset.  A one-literal partial
-      query stores it on a miss while the stored orders stay within
+    * ``ancestor_orders``: maps a literal to ``(order, marked)``: the
+      indices of the tape instructions that write its nodes' ancestor
+      slots, ascending, as an ``array("i")``, which the partial rung runs
+      when that literal alone is reset, and the number of nodes marking
+      that literal reaches.  A one-literal partial query stores it on a
+      miss while the stored orders stay within
       ``engine.ANCESTOR_ORDER_BUDGET`` entries per node in total, and
       ``ancestor_entries`` counts the entries they hold.
 
@@ -88,6 +95,7 @@ class Ddnnf:
     root: int
     decision: list[int] = field(default_factory=list)
     parents: list[tuple[int, ...]] = field(default_factory=list)
+    writer: array = field(default_factory=lambda: array("i"))
     baseline: list[int] = field(default_factory=list)
     tape: list[tuple[int, int, int]] = field(default_factory=list)
     scratch_baseline: list[int] = field(default_factory=list)
@@ -100,7 +108,9 @@ class Ddnnf:
         default=None, compare=False
     )
     derivative_sums: dict[int, int] | None = field(default=None, compare=False)
-    ancestor_orders: dict[int, array] = field(default_factory=dict, compare=False)
+    ancestor_orders: dict[int, tuple[array, int]] = field(
+        default_factory=dict, compare=False
+    )
     ancestor_entries: int = field(default=0, compare=False)
     is_smooth: bool = False
     preprocessed: bool = False
@@ -206,10 +216,10 @@ def root_cone(d: Ddnnf) -> list[int]:
 def renumber(d: Ddnnf, order: list[int]) -> None:
     """Keep the nodes listed in ``order``, in that order, as nodes 0, 1, ...
 
-    Every child of a kept node must be kept too.  Parents, baselines, the
-    tape and the literal index no longer match the new indices, so they are
-    emptied and the circuit counts as not preprocessed; preprocessing
-    refills them.
+    Every child of a kept node must be kept too.  The tape, its parents and
+    writers, the baselines and the literal index no longer match the new
+    indices, so they are emptied and the circuit counts as not
+    preprocessed; preprocessing refills them.
     """
     position = [-1] * len(d.kind)
     for new, old in enumerate(order):
@@ -229,40 +239,8 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
     d.children = renamed
     d.root = position[d.root]
     d.parents, d.baseline, d.tape, d.literal_index = [], [], [], {}
-    d.scratch_baseline = []
+    d.writer, d.scratch_baseline = array("i"), []
     d.preprocessed = False
-
-
-def recompute(d: Ddnnf, values: list[int], order) -> None:
-    """Recompute the And and Or nodes in ``order`` from their children.
-
-    ``values`` holds a count for every node; ``order`` lists And and Or
-    nodes only, ascending, so each node reads its children's final values.
-    And nodes multiply, stopping at the first zero factor, and Or nodes add,
-    in place.  This is a query's partial pass over its marked nodes; a pass
-    over every node runs the tape instead (:func:`sweep`).
-    """
-    kind, children = d.kind, d.children
-    for i in order:
-        ch = children[i]
-        if len(ch) == 2:  # most nodes: no inner loop
-            a, b = ch
-            if kind[i] is OR:
-                values[i] = values[a] + values[b]
-            else:
-                values[i] = values[a] * values[b]
-        elif kind[i] is OR:
-            total = 0
-            for c in ch:
-                total += values[c]
-            values[i] = total
-        else:
-            product = 1
-            for c in ch:
-                product *= values[c]
-                if not product:
-                    break
-            values[i] = product
 
 
 def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
@@ -276,19 +254,23 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
     constant 1 that the sweep's value list holds in one extra slot after the
     nodes, at index ``len(d.nodes)``.  A node with k >= 3 children takes
     k - 1 instructions through k - 2 fresh scratch slots numbered after the
-    constant slot: ``s1 = c0 . c1``, ``s2 = s1 . c2``, ..., and
-    ``node = s(k-2) . c(k-1)``.  A node without children takes no
-    instruction: its value is constant, 1 for an And and 0 for an Or, and
-    the value list must start with it.
+    constant slot, laid out as a balanced binary tree: the operands are
+    paired level by level, ``s1 = c0 . c1``, ``s2 = c2 . c3``, ..., an odd
+    one out rising to the next level as it is, until the last pair writes
+    the node.  The tree is ⌈log2 k⌉ deep, so a change to one child reaches
+    the node through that many instructions, not up to k - 1.  A node
+    without children takes no instruction: its value is constant, 1 for an
+    And and 0 for an Or, and the value list must start with it.
 
     Returns the tape and its scratch slot count.  A value list for
-    :func:`sweep` holds every node, the constant slot and the scratch slots;
-    the scratch slots may start with any value, since the sweep writes each
-    before any instruction reads it.  Set-up's sweep keeps their values
-    under no assumptions as ``Ddnnf.scratch_baseline``.  Because every slot
-    is written once, the tape run backwards is the reverse-mode derivative
-    of the sweep, which reads those values; :func:`compile_adjoint` compiles
-    that run once per circuit (see :mod:`ddnnf.engine`).
+    :func:`sweep` holds every node, the constant slot and the scratch slots,
+    one entry per slot; a full sweep writes each scratch slot before any
+    instruction reads it.  Set-up's sweep keeps their values under no
+    assumptions as ``Ddnnf.scratch_baseline``.  Because every slot is
+    written once, the tape run backwards is the reverse-mode derivative of
+    the sweep, which reads those values; :func:`compile_adjoint` compiles
+    that run once per circuit, and an instruction's readers are the parents
+    ``link_parents`` keeps per slot (see :mod:`ddnnf.engine`).
 
     The tape is data, not code: building it costs one pass over the nodes,
     and :func:`sweep` pays no per-node kind test or child-count branch.
@@ -311,12 +293,18 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
             a, b = ch
             append((dst, a, b))
         elif len(ch) > 2:
-            prev = ch[0]
-            for c in ch[1:-1]:
-                append((free if dst >= 0 else ~free, prev, c))
-                prev = free
-                free += 1
-            append((dst, prev, ch[-1]))
+            level = list(ch)
+            while len(level) > 2:
+                up = []
+                for j in range(1, len(level), 2):
+                    append((free if dst >= 0 else ~free, level[j - 1], level[j]))
+                    up.append(free)
+                    free += 1
+                if len(level) % 2:
+                    up.append(level[-1])
+                level = up
+            a, b = level
+            append((dst, a, b))
         elif ch:
             append((i, ch[0], one))
     return tape, free - one - 1
@@ -336,7 +324,10 @@ def compile_adjoint(d: Ddnnf) -> list[tuple[int, int, int, int, int]]:
     under no assumptions: 1 for an Or, the other operand's value for an And
     (``Ddnnf.baseline``, the constant slot's 1 or
     ``Ddnnf.scratch_baseline``), so the program serves only the unconditioned
-    table.  Every int the program holds is one the tape or the values
+    table.  In a wide And's balanced tree the other operand is a subproduct
+    of some of the node's children, never a running product of all the
+    children before it, so the baked multipliers stay short.  Every int the
+    program holds is one the tape or the values
     already hold: an Or's destination is the positive slot index its
     parent's instruction reads.
     """
@@ -378,10 +369,13 @@ def compile_adjoint(d: Ddnnf) -> list[tuple[int, int, int, int, int]]:
     return program
 
 
-def sweep(tape: list[tuple[int, int, int]], values: list[int]) -> None:
-    """Run a :func:`compile_tape` tape over ``values``, in place.
+def sweep(tape, values: list[int]) -> None:
+    """Run the instructions of a :func:`compile_tape` tape over ``values``.
 
-    ``values`` must hold the tape's scratch slots after the constant slot.
+    ``values`` holds every slot and is updated in place.  ``tape`` may be
+    the whole tape or any part of it in tape order, such as the
+    instructions a partial query marks: each instruction reads the values
+    as they stand, so every slot it reads must be current.
     """
     for dst, a, b in tape:
         if dst < 0:

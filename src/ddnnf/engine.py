@@ -7,51 +7,58 @@ picks the rung for each query itself:
 * core/dead shortcuts: a query including a dead variable or excluding a core
   one is 0 without touching the circuit; included-core and excluded-dead
   assumptions change nothing and are dropped before marking.
-* partial traversal: climb parent pointers from the reset literal nodes,
-  mark the ancestor closure, and recompute only marked nodes, reading every
-  unmarked child's value as it stands (its baseline, or its kept value in a
-  session).  A reset of one literal reads the marked And and Or nodes in
-  order from the circuit's cache instead of marking (see below).  Skipped
-  when the reset literals exceed ``traversal_bypass_fraction`` of the
-  variables, where marking overhead stops paying off.
+* partial traversal: climb the tape's parent pointers from the reset
+  literal nodes, mark the ancestor closure, and rerun only the tape
+  instructions that write a marked slot, reading every unmarked slot's
+  value as it stands (its baseline, or its kept value in a session).  A
+  reset of one literal reads those instructions from the circuit's cache
+  instead of marking (see below).  Skipped when the reset literals exceed
+  ``traversal_bypass_fraction`` of the variables, where marking overhead
+  stops paying off.
 
 :class:`OptimizationConfig` exists for the variant matrix, which switches
 rungs off one at a time to measure what each saves; every other caller
 runs ``FULL``.
 
-Both the partial pass and anything the ladder does not settle start from a
-value list whose literal nodes are right: one count per node, then the
-constant 1 of the tape's extra slot.  The partial pass recomputes the
-ancestors of the reset literals in topological order with
-:func:`~ddnnf.core.recompute`.  The full sweep runs the circuit's tape
-(:func:`~ddnnf.core.sweep`), the instructions that computed the baselines,
-with no per-node dispatch.  The tape also writes scratch slots after the
-constant slot, so the full sweep appends them to a list that lacks them;
-their start values do not matter, since the tape writes each before it
-reads it.  The partial pass never touches them.  Every configuration
-returns identical counts; only the work differs.
+The tape (:func:`~ddnnf.core.compile_tape`) is the only evaluator.  Both
+rungs start from a value list with one entry per tape slot whose literal
+nodes are right: the nodes, the constant 1 of the tape's extra slot, and
+the scratch slots of the balanced trees that wide nodes compile to.  The
+full sweep runs the whole tape (:func:`~ddnnf.core.sweep`), the
+instructions that computed the baselines, with no per-node dispatch.  The
+partial pass runs the marked instructions in tape order through the same
+loop.  ``Ddnnf.parents`` links every slot to the slots that read it, so
+marking climbs from a changed child through the scratch slots on its path
+to the root: a wide node with k children costs about log2 k instructions,
+not k - 1.  An unmarked sibling's scratch slot holds the product or sum
+of children that did not change, and the pass reads it as it stands, so
+every value list keeps every slot current.  Every configuration returns
+identical counts; only the work differs.
 
-Without a :class:`SessionState`, that list is a copy of the baselines and
-the constant slot, with the zero literals' nodes set to 0.  With one, the
-state holds the zero literals and the value list of the last line it
-evaluated, and a query may start from that list instead: it resets only the
-symmetric difference of the old and new zero-literal sets (0 entering,
-baseline leaving), when that is smaller than the new set; on a tie it
-starts from the baselines.  The reset set, not the whole zero set, picks
-the rung and seeds the marking.  An empty reset set answers the kept root
-times the omitted factor as a ``"shortcut"`` with no visits.  Shortcut and contradiction lines, and lines
-with no zero literal, leave the state alone.
+Without a :class:`SessionState`, that list is a copy of every slot's
+value under no assumptions (``Ddnnf.baseline``, the constant slot and
+``Ddnnf.scratch_baseline``), with the zero literals' nodes set to 0.
+With one, the state holds the zero literals and the value list of the
+last line it evaluated, and a query may start from that list instead: it
+resets only the symmetric difference of the old and new zero-literal sets
+(0 entering, baseline leaving), when that is smaller than the new set; on
+a tie it starts from the baselines.  The reset set, not the whole zero
+set, picks the rung and seeds the marking.  An empty reset set answers the
+kept root times the omitted factor as a ``"shortcut"`` with no visits.
+Shortcut and contradiction lines, and lines with no zero literal, leave
+the state alone.
 
 A configurator's lines mostly reset one literal, and the same literals
-recur, so a one-literal reset reads that literal's ancestor order (the
-marked And and Or nodes, ascending) from ``Ddnnf.ancestor_orders``.  A miss
-marks with :func:`mark_ancestors` as before and stores the order as an
+recur, so a one-literal reset reads that literal's order (the indices of
+the instructions to rerun, ascending) from ``Ddnnf.ancestor_orders``.  A
+miss marks with :func:`mark_ancestors` and stores the order as an
 ``array("i")``, while the circuit's orders stay within
 :data:`ANCESTOR_ORDER_BUDGET` entries per node in total; past that a miss
 marks and stores nothing, with no eviction.  Resets of several literals
 always mark: storing orders for them would mark each literal's closure on
-its own, where one marking covers their union.  ``nodes_marked`` and ``nodes_visited`` report the marked node
-count either way.
+its own, where one marking covers their union.  ``nodes_marked`` and
+``nodes_visited`` report the marked circuit nodes either way; scratch
+slots are not nodes and do not count.
 
 Queries never mutate the circuit's lists.  A stateless query keeps its
 values in a local buffer, so such queries may run concurrently; a state is
@@ -74,7 +81,7 @@ times the other operand's value.  No division is needed, and a zero value
 just multiplies.  The values are the baselines, the constant slot and the
 tape's scratch slots under no assumptions, all kept by set-up's sweep:
 ``Ddnnf.baseline`` and ``Ddnnf.scratch_baseline``, so no table sweeps
-forward, and a query's start list never holds the scratch slots.
+forward.
 
 Those values are fixed once set-up ends, so the first
 :func:`count_all_features` call compiles the reversed tape into an adjoint
@@ -96,10 +103,11 @@ far less than the pass.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from threading import Lock
 
-from .core import LITERAL, Assumptions, Ddnnf, compile_adjoint, recompute, sweep
+from .core import Assumptions, Ddnnf, compile_adjoint, sweep
 from .errors import DdnnfError, VariableOutOfRange
 
 
@@ -161,9 +169,13 @@ def count_total(d: Ddnnf) -> int:
 def mark_ancestors(d: Ddnnf, literals) -> set[int]:
     """Ancestor closure (inclusive) of the nodes holding the given literals.
 
-    Only literals whose nodes change value are worth seeding: those forced
-    to zero, and in a session those restored to their baseline.  A literal
-    forced to one equals its baseline and changes nothing upstream.
+    The closure climbs ``d.parents``, so it holds slots: the literal nodes,
+    their ancestor nodes and the scratch slots on the way, the ones whose
+    value changes with theirs; its nodes are the members below
+    ``len(d.nodes)``.  Only literals whose nodes change value are worth
+    seeding: those forced to zero, and in a session those restored to
+    their baseline.  A literal forced to one equals its baseline and
+    changes nothing upstream.
     """
     marked: set[int] = set()
     stack = [i for lit in literals for i in d.literal_index.get(lit, ())]
@@ -176,36 +188,53 @@ def mark_ancestors(d: Ddnnf, literals) -> set[int]:
     return marked
 
 
-#: The ancestor orders kept on one circuit hold at most this many entries
-#: per node in total.  Keeping every literal's order takes 27-36 entries per
-#: node on circuits shaped like compiled feature models, but the total grows
-#: with the square of the depth: 1200 per node on a 2000-level Shannon chain.
+def _marked_order(d: Ddnnf, literals) -> tuple[list[int], int]:
+    """The tape instructions to rerun when ``literals`` are reset, ascending,
+    and the number of nodes marking them reaches.
+
+    Marks with :func:`mark_ancestors`.  Every marked slot but the literal
+    nodes themselves is written by one instruction, and tape order is a
+    topological order, so each instruction reads final values.
+    """
+    slots = sorted(mark_ancestors(d, literals))
+    # the nodes come first, and their writers ascend with them, as do the
+    # scratch slots' after them, so the second sort merges two runs; the
+    # literal nodes are leaves, writer -1, and sort first
+    order = sorted(map(d.writer.__getitem__, slots))
+    del order[: sum([len(d.literal_index.get(lit, ())) for lit in literals])]
+    return order, bisect_left(slots, len(d.kind))
+
+
+#: The ancestor orders kept on one circuit hold at most this many
+#: instruction entries per node in total.  Keeping every literal's order
+#: takes 46-52 entries per node on circuits shaped like compiled feature
+#: models (a configurator session's literals took 20.5), but the total
+#: grows with the square of the depth: 1200 per node on a 2000-level
+#: Shannon chain.
 ANCESTOR_ORDER_BUDGET = 32
 
 # makes a store and its count one step, so racing misses keep the count exact
 _store_lock = Lock()
 
 
-def _ancestor_order(d: Ddnnf, lit: int) -> array:
-    """The And and Or ancestors of ``lit``'s nodes, ascending.
+def _ancestor_order(d: Ddnnf, lit: int) -> tuple[array, int]:
+    """:func:`_marked_order` of ``lit`` alone, as an ``array("i")``.
 
-    Read from ``d.ancestor_orders``.  A miss marks them with
-    :func:`mark_ancestors` and stores the order while the circuit's orders
-    stay within :data:`ANCESTOR_ORDER_BUDGET` entries per node; once that
-    is spent, a miss marks and stores nothing.
+    Read from ``d.ancestor_orders``.  A miss marks and stores the order
+    while the circuit's orders stay within :data:`ANCESTOR_ORDER_BUDGET`
+    entries per node; once that is spent, a miss marks and stores nothing.
     """
-    order = d.ancestor_orders.get(lit)
-    if order is None:
-        kind = d.kind
-        closure = mark_ancestors(d, (lit,))
-        order = array("i", sorted([i for i in closure if kind[i] is not LITERAL]))
-        budget = ANCESTOR_ORDER_BUDGET * len(kind)
+    kept = d.ancestor_orders.get(lit)
+    if kept is None:
+        order, marked = _marked_order(d, (lit,))
+        kept = array("i", order), marked
+        budget = ANCESTOR_ORDER_BUDGET * len(d.kind)
         with _store_lock:
             # a racing miss on the same literal may have stored an equal order
             if lit not in d.ancestor_orders and d.ancestor_entries + len(order) <= budget:
-                d.ancestor_orders[lit] = order
+                d.ancestor_orders[lit] = kept
                 d.ancestor_entries += len(order)
-    return order
+    return kept
 
 
 @dataclass
@@ -213,13 +242,11 @@ class SessionState:
     """What a session keeps between lines for :func:`query` to start from.
 
     ``zero_literals`` is the zero-literal set of the last line that
-    :func:`query` evaluated, and ``values`` that line's count for every node
-    followed by the tape's constant slot (``None`` before the first line).
-    Once a line has taken the full sweep, ``values`` also carries the tape's
-    scratch slots after the constant slot.  A partial line leaves them
-    stale, which is safe because the next full sweep writes each scratch
-    slot before reading it, and nothing else reads them: tables read the
-    scratch baselines set-up kept on the circuit.
+    :func:`query` evaluated, and ``values`` that line's value of every tape
+    slot: every node, the constant slot and the scratch slots (``None``
+    before the first line).  Every slot is current, scratch slots too,
+    because a partial line reruns every instruction whose value changed,
+    and the next partial line reads an unmarked scratch slot as it stands.
     A state belongs to one circuit, and :func:`query` updates it in place,
     so it serves one caller at a time.
     """
@@ -292,7 +319,8 @@ def query(
             for i in index.get(lit, ()):
                 values[i] = 0 if zero else baseline[i]
     else:
-        delta, values = zero_literals, d.baseline + [1]  # the tape's constant slot
+        # every slot under no assumptions, then the reset literals zeroed
+        delta, values = zero_literals, [*d.baseline, 1, *d.scratch_baseline]
         for lit in delta:
             for i in index.get(lit, ()):
                 values[i] = 0
@@ -300,20 +328,12 @@ def query(
     if len(delta) <= cfg.traversal_bypass_fraction * n:
         if len(delta) == 1:
             (lit,) = delta
-            order = _ancestor_order(d, lit)
-            # what marking would count: the order and the literal's own nodes
-            marked = len(order) + len(index.get(lit, ()))
+            order, marked = _ancestor_order(d, lit)
         else:
-            closure = mark_ancestors(d, delta)
-            # the marked leaves are the reset literal nodes, already final
-            kind = d.kind
-            order = sorted([i for i in closure if kind[i] is not LITERAL])
-            marked = len(closure)
-        recompute(d, values, order)
+            order, marked = _marked_order(d, delta)
+        sweep(map(d.tape.__getitem__, order), values)
         result = QueryResult(values[d.root] * factor, marked, marked, "partial")
     else:
-        if len(values) == len(d.kind) + 1:  # no scratch slots yet
-            values += d.scratch_baseline  # any start values would do
         sweep(d.tape, values)
         result = QueryResult(values[d.root] * factor, len(d.nodes), 0, "full")
     if state is not None:

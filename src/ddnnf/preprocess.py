@@ -1,8 +1,9 @@
 """Pipeline that turns a parsed circuit into query-ready form.
 
-Six steps, in order: prune the circuit to the root's cone, smooth it, link
-child-to-parent pointers, index the literal nodes, detect core and dead
-variables, and compute every node's baseline count under no assumptions.
+Six steps, in order: prune the circuit to the root's cone, smooth it,
+compile the tape and link each of its slots to the slots that read it,
+index the literal nodes, detect core and dead variables, and run the tape
+for every node's baseline count under no assumptions.
 Each step is one pass over node lists that are already in topological
 order, and each keeps that order: pruning drops nodes, and smoothing places
 the nodes it adds where their children precede them, so nothing is sorted.
@@ -14,6 +15,8 @@ queries store, are idempotent (see :mod:`ddnnf.engine`).
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .core import (
     AND,
@@ -185,13 +188,46 @@ def smooth(d: Ddnnf) -> Ddnnf:
 
 
 def link_parents(d: Ddnnf) -> Ddnnf:
-    """Fill ``parents`` with the exact inverse of the child relation."""
-    children = d.children
-    parents: list[list[int]] = [[] for _ in children]
-    for i in range(len(children)):
-        for c in children[i]:
-            parents[c].append(i)
-    d.parents = [tuple(p) for p in parents]
+    """Compile the tape and link every slot to the slots that read it.
+
+    The tape (:func:`~ddnnf.core.compile_tape`) is the child relation as
+    instructions, and ``parents`` its exact inverse over every slot: the
+    nodes, the constant slot and the scratch slots.  A node's parents are
+    the slots its readers' instructions write: a parent node, or a scratch
+    slot of a parent's balanced tree.  ``writer`` maps each slot to the
+    instruction that writes it, so a marked set of slots names the
+    instructions to run.  The ancestor orders that queries keep index the
+    old tape, so they are dropped.
+    """
+    d.ancestor_orders, d.ancestor_entries = {}, 0
+    d.tape, scratch = compile_tape(d)
+    slots = len(d.kind) + 1 + scratch
+    writer = array("i", [-1]) * slots
+    # most slots have one reader: it waits in ``first``, and only slots read
+    # twice get a list, since a list per slot would raise set-up's peak memory
+    first: list[int | None] = [None] * slots
+    more: dict[int, list[int]] = {}
+    for j, (dst, a, b) in enumerate(d.tape):
+        if dst < 0:
+            dst = ~dst
+        writer[dst] = j
+        if first[a] is None:
+            first[a] = dst
+        elif a in more:
+            more[a].append(dst)
+        else:
+            more[a] = [first[a], dst]
+        if first[b] is None:  # the same for the second operand
+            first[b] = dst
+        elif b in more:
+            more[b].append(dst)
+        else:
+            more[b] = [first[b], dst]
+    d.parents = [
+        () if p is None else tuple(more[s]) if s in more else (p,)
+        for s, p in enumerate(first)
+    ]
+    d.writer = writer
     return d
 
 
@@ -229,30 +265,27 @@ def compute_core_dead(d: Ddnnf) -> tuple[frozenset[int], frozenset[int]]:
 def compute_baseline(d: Ddnnf) -> Ddnnf:
     """Store every node's count under no assumptions as its baseline.
 
-    Compiles the And and Or nodes into ``tape``, the instructions of the one
-    forward sweep (:func:`~ddnnf.core.compile_tape`), and runs it once.
-    Leaves start at their own count (a literal and True count 1, False 0),
-    childless Or nodes at 0 and childless And nodes at 1.  The sweep's value
-    list also holds the constant slot and the tape's scratch slots.  Each
-    part is kept as an exact-size copy: ``baseline`` holds one count per
-    node, and ``scratch_baseline`` the scratch slots' values, which the
-    all-features tables' backward pass reads.  The adjoint program and the
-    derivative sums that tables keep belong to the old tape and baselines,
-    and the ancestor orders that queries keep to the old parents, so they
-    are dropped.
+    Runs the tape that :func:`link_parents` compiled, the one forward
+    sweep (:func:`~ddnnf.core.sweep`), once.  Leaves start at their own
+    count (a literal and True count 1, False 0), childless Or nodes at 0
+    and childless And nodes at 1.  The sweep's value list holds every slot:
+    the nodes, the constant slot and the tape's scratch slots.  Each part
+    is kept as an exact-size copy: ``baseline`` holds one count per node,
+    and ``scratch_baseline`` the scratch slots' values, which every query's
+    start list and the all-features tables' backward pass read.  The
+    adjoint program and the derivative sums that tables keep belong to the
+    old baselines, so they are dropped.
     """
     kind, children = d.kind, d.children
     d.adjoint = d.derivative_sums = None
-    d.ancestor_orders, d.ancestor_entries = {}, 0
-    d.tape, scratch = compile_tape(d)
     # a node with children starts at 1 and the tape overwrites it
     values = [
         1 if ch or (k is not FALSE and k is not OR) else 0
         for k, ch in zip(kind, children)
     ]
-    values += [1] + [0] * scratch
-    sweep(d.tape, values)
     n = len(kind)
+    values += [1] + [0] * (len(d.parents) - n - 1)  # one parents entry per slot
+    sweep(d.tape, values)
     d.baseline = values[:n]
     d.scratch_baseline = values[n + 1:]
     return d

@@ -1,6 +1,7 @@
-"""Test-only builders: random d-DNNF circuits and tiny hand-made texts.
+"""Test-only builders and references: random d-DNNF circuits, tiny
+hand-made texts, and evaluators that check the engine's tape without it.
 
-The generator emits c2d text for circuits that are decomposable and
+The generators emit c2d text for circuits that are decomposable and
 deterministic by construction (Shannon splits and conjunctions over disjoint
 variable groups) but usually not smooth, so the smoothing pass gets real
 work.  ``tree_budget`` caps the tree expansion of the DAG, and with it the
@@ -10,6 +11,8 @@ number of records, so the fixtures stay small however the seed falls.
 from __future__ import annotations
 
 import random
+
+from ddnnf.core import AND, OR, sweep
 
 
 def random_c2d_text(
@@ -123,6 +126,135 @@ def shannon_chain_c2d(k: int) -> str:
         records.append(f"O {v} 2 {pos + 2} {pos + 3}")
     edges = 6 * k
     return "\n".join([f"nnf {len(records)} {edges} {k}"] + records) + "\n"
+
+
+def wide_c2d_text(
+    seed: int, num_variables: int, max_width: int = 40, tree_budget: int = 300
+) -> str:
+    """Random circuit over variables 1..num_variables with wide nodes.
+
+    Like :func:`random_c2d_text` it is decomposable and deterministic by
+    construction and usually not smooth.  And nodes split their variables
+    into up to ``max_width`` groups, and Or nodes take up to ``max_width``
+    branches, each the conjunction of a distinct cube over a few split
+    variables with a sub-circuit over some of the rest, so the branches
+    exclude each other.  Deterministic in ``seed``.
+    """
+    rng = random.Random(seed)
+    records: list[str] = []
+    literal_cache: dict[int, int] = {}
+
+    def emit(record: str) -> int:
+        records.append(record)
+        return len(records) - 1
+
+    def literal(lit: int) -> int:
+        idx = literal_cache.get(lit)
+        if idx is None:
+            idx = literal_cache[lit] = emit(f"L {lit}")
+        return idx
+
+    def conjoin(children: list[int]) -> int:
+        if len(children) == 1:
+            return children[0]
+        return emit(f"A {len(children)} " + " ".join(map(str, children)))
+
+    def leaf(v: int) -> int:
+        roll = rng.random()
+        if roll < 0.4:
+            return literal(v)
+        if roll < 0.6:
+            return literal(-v)
+        return emit(f"O {v} 2 {literal(v)} {literal(-v)}")
+
+    def build(variables: list[int], budget: int) -> int:
+        if not variables:
+            return emit("O 0 0" if rng.random() < 0.05 else "A 0")
+        if len(variables) == 1 or budget < 4 or rng.random() < 0.15:
+            return conjoin([leaf(v) for v in variables])
+        rng.shuffle(variables)
+        if rng.random() < 0.5:
+            k = rng.randint(2, min(max_width, len(variables)))
+            cuts = sorted(rng.sample(range(1, len(variables)), k - 1))
+            bounds = zip([0] + cuts, cuts + [len(variables)])
+            return conjoin([build(variables[a:b], budget // k) for a, b in bounds])
+        m = rng.randint(1, min(6, len(variables) - 1))
+        split, rest = variables[:m], variables[m:]
+        cubes = rng.sample(range(1 << m), rng.randint(2, min(max_width, 1 << m)))
+        branches = []
+        for cube in cubes:
+            lits = [v if cube >> bit & 1 else -v for bit, v in enumerate(split)]
+            sub = build([v for v in rest if rng.random() < 0.8], budget // len(cubes))
+            branches.append(conjoin([literal(lit) for lit in lits] + [sub]))
+        return emit(f"O 0 {len(branches)} " + " ".join(map(str, branches)))
+
+    build(list(range(1, num_variables + 1)), tree_budget)
+    edges = sum(
+        len(rec.split()) - 2 - (rec.startswith("O ") and 1)
+        for rec in records
+        if rec[0] in "AO"
+    )
+    header = f"nnf {len(records)} {edges} {num_variables}"
+    return "\n".join([header] + records) + "\n"
+
+
+def recompute(d, values: list[int]) -> None:
+    """Evaluate every And and Or node from its children, node by node.
+
+    ``values`` holds a count for every node, leaves right, and is updated
+    in place: an And multiplies its children, an Or adds them.  It reads
+    ``children``, not the tape, so it is the reference the tape is checked
+    against.
+    """
+    for i, ch in enumerate(d.children):
+        if d.kind[i] is AND:
+            product = 1
+            for c in ch:
+                product *= values[c]
+            values[i] = product
+        elif d.kind[i] is OR:
+            values[i] = sum(values[c] for c in ch)
+
+
+def tape_order(d, literals) -> list[int]:
+    """The tape instructions whose value depends on the nodes of
+    ``literals``, ascending, found by one forward scan of the tape rather
+    than by climbing parents."""
+    changed = {i for lit in literals for i in d.literal_index.get(lit, ())}
+    order = []
+    for j, (dst, a, b) in enumerate(d.tape):
+        if a in changed or b in changed:
+            order.append(j)
+            changed.add(~dst if dst < 0 else dst)
+    return order
+
+
+def node_parents(d) -> list[set[int]]:
+    """Each node's parent nodes, read off the slot parents by passing
+    through the scratch slots of wide nodes."""
+    n = len(d.kind)
+    out = []
+    for i in range(n):
+        found, stack = set(), list(d.parents[i])
+        while stack:
+            s = stack.pop()
+            if s < n:
+                found.add(s)
+            else:
+                stack.extend(d.parents[s])
+        out.append(found)
+    return out
+
+
+def fresh_values(d, zero_literals) -> list[int]:
+    """Every slot's value under ``zero_literals``, by a full sweep from the
+    baselines."""
+    values = d.baseline + [1] + d.scratch_baseline
+    for lit in zero_literals:
+        for i in d.literal_index.get(lit, ()):
+            values[i] = 0
+    sweep(d.tape, values)
+    return values
 
 
 # Files whose unreferenced records hold variables the root's cone lacks:

@@ -12,6 +12,7 @@ from ddnnf.engine import FULL, NO_PARTIAL_TRAVERSAL
 from ddnnf.errors import OracleLimitExceeded
 
 from conftest import UNSMOOTH_PAIR_C2D, RUNNING_EXAMPLE_C2D, fixture_texts
+from helpers import node_parents
 from ddnnf import count_all_features, parse_c2d, preprocess, query
 
 
@@ -103,11 +104,23 @@ def test_topological_order_everywhere(circuits):
 
 
 def test_parent_child_duality(circuits):
+    # parents invert the tape's reads slot by slot, and, passing through the
+    # scratch slots of wide nodes, the child relation node by node
     for name, d in circuits.items():
+        slots = len(d.nodes) + 1 + len(d.scratch_baseline)
+        assert len(d.parents) == len(d.writer) == slots, name
+        for j, (dst, a, b) in enumerate(d.tape):
+            dst = ~dst if dst < 0 else dst
+            assert d.writer[dst] == j, name
+            assert dst in d.parents[a] and dst in d.parents[b], name
+        for s in range(slots):
+            for p in d.parents[s]:
+                assert s in d.tape[d.writer[p]][1:], name
+        up = node_parents(d)
         for i in d.nodes:
             for c in d.children[i]:
-                assert i in d.parents[c], name
-            for p in d.parents[i]:
+                assert i in up[c], name
+            for p in up[i]:
                 assert i in d.children[p], name
 
 

@@ -23,7 +23,7 @@ from ddnnf import (
     query,
     write_c2d,
 )
-from ddnnf.core import ORACLE_LIMIT_DEFAULT, compile_adjoint, recompute, sweep, validate
+from ddnnf.core import ORACLE_LIMIT_DEFAULT, compile_adjoint, sweep, validate
 from ddnnf.engine import (
     ANCESTOR_ORDER_BUDGET,
     FULL,
@@ -41,7 +41,9 @@ from helpers import (
     c2d_to_d4,
     gadget_chain_c2d,
     random_c2d_text,
+    recompute,
     shannon_chain_c2d,
+    tape_order,
 )
 
 ALWAYS_PARTIAL = OptimizationConfig(traversal_bypass_fraction=1.0)
@@ -171,7 +173,8 @@ TAPE_CIRCUITS = {
 
 
 def _assert_tape_structure(d):
-    """Every slot is written once, and only after what it reads."""
+    """Every slot is written once, and only after what it reads, and each
+    node's instructions form a balanced binary tree over its children."""
     n = len(d.nodes)
     inner = [
         i for i in d.nodes
@@ -192,6 +195,34 @@ def _assert_tape_structure(d):
         assert dst not in written
         written.add(dst)
     assert written == set(inner) | set(scratch)
+    # each node's instructions run together and end with the node; inside
+    # them every scratch slot is read once, the operands left over are the
+    # node's children (a one-child node's child and the constant slot), and
+    # the tree is ⌈log2 k⌉ deep for k children
+    group = []
+    for instruction in d.tape:
+        group.append(instruction)
+        dst = instruction[0]
+        slot = ~dst if dst < 0 else dst
+        if slot > n:
+            continue
+        ch = d.children[slot]
+        depth, unread, leaves = {}, set(), []
+        for g_dst, a, b in group:
+            assert (g_dst < 0) == (dst < 0)  # one operation throughout
+            for operand in (a, b):
+                if operand in unread:
+                    unread.remove(operand)
+                else:
+                    leaves.append(operand)
+            g_slot = ~g_dst if g_dst < 0 else g_dst
+            depth[g_slot] = 1 + max(depth.get(a, 0), depth.get(b, 0))
+            unread.add(g_slot)
+        assert unread == {slot}
+        assert sorted(leaves) == sorted(ch if len(ch) > 1 else (ch[0], n)), slot
+        assert depth[slot] == max(len(ch) - 1, 1).bit_length(), slot
+        group = []
+    assert group == []
 
 
 def _tape_circuit(name):
@@ -500,7 +531,9 @@ def _assert_table_exact(d):
 
 class TestMarkAncestors:
     def test_running_example(self, running_example):
-        assert len(mark_ancestors(running_example, {-2})) == 4
+        # the closure holds slots; its nodes are the ones below the node count
+        marked = mark_ancestors(running_example, {-2})
+        assert len([i for i in marked if i < len(running_example.nodes)]) == 4
 
     def test_empty(self, running_example):
         assert mark_ancestors(running_example, set()) == set()
@@ -521,18 +554,20 @@ class TestMarkAncestors:
         assert small <= mark_ancestors(running_example, {-2, 3})
 
 
-def _marked_order(d, lit):
-    """What the partial rung recomputes when ``lit`` alone is reset, by marking."""
-    closure = mark_ancestors(d, (lit,))
-    return sorted(i for i in closure if d.kind[i] is not NodeKind.LITERAL)
+def _marked_nodes(d, literals):
+    """The nodes marking ``literals`` reaches: its closure below the node count."""
+    return [i for i in mark_ancestors(d, literals) if i < len(d.nodes)]
 
 
 def _assert_orders_exact(d):
-    """Every stored order equals marking its literal, and the count adds them up."""
-    for lit, order in d.ancestor_orders.items():
+    """Every stored order holds the tape instructions that depend on its
+    literal, found by a forward scan of the tape, and the nodes marking
+    reaches; the count adds the orders up."""
+    for lit, (order, marked) in d.ancestor_orders.items():
         assert order.typecode == "i"
-        assert list(order) == _marked_order(d, lit), lit
-    assert d.ancestor_entries == sum(map(len, d.ancestor_orders.values()))
+        assert list(order) == tape_order(d, (lit,)), lit
+        assert marked == len(_marked_nodes(d, (lit,))), lit
+    assert d.ancestor_entries == sum(len(order) for order, _ in d.ancestor_orders.values())
     assert d.ancestor_entries <= ANCESTOR_ORDER_BUDGET * len(d.nodes)
 
 
@@ -583,7 +618,7 @@ class TestAncestorOrders:
                         result = query(d, a, ALWAYS_PARTIAL)
                         if result.strategy != "partial":
                             continue
-                        want = len(mark_ancestors(d, zero))
+                        want = len(_marked_nodes(d, zero))
                         assert result.nodes_visited == result.nodes_marked == want, (name, a)
             _assert_orders_exact(d)
 
@@ -611,7 +646,7 @@ class TestAncestorOrders:
         # take about 180 entries per node, so the budget of 32 stops the stores
         k = 300
         d = preprocess(parse_c2d(shannon_chain_c2d(k)))
-        every = sum(len(_marked_order(d, lit)) for lit in d.literal_index)
+        every = sum(len(tape_order(d, (lit,))) for lit in d.literal_index)
         assert every > 4 * ANCESTOR_ORDER_BUDGET * len(d.nodes)
         for v in range(1, k + 1):
             for a in (Assumptions.of({v}), Assumptions.of(set(), {v})):
@@ -815,9 +850,9 @@ class TestTape:
         data=st.data(),
     )
     def test_sweep_matches_recompute_of_every_node(self, seed, n, omit, d4, data):
-        # core.recompute over every And and Or node is the reference for the
-        # tape, from arbitrary leaf weights, zeros included; the scratch
-        # slots start with arbitrary values too
+        # a per-node evaluation of every And and Or node from its children
+        # is the reference for the tape, from arbitrary leaf weights, zeros
+        # included; the scratch slots start with arbitrary values too
         text = random_c2d_text(seed, n, omit=omit, tree_budget=400)
         d = preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
         values = d.baseline + [1]
@@ -825,8 +860,7 @@ class TestTape:
             if d.kind[i] is NodeKind.LITERAL:
                 values[i] = data.draw(st.integers(0, 3))
         reference = values.copy()
-        inner = [i for i in d.nodes if d.kind[i] in (NodeKind.AND, NodeKind.OR)]
-        recompute(d, reference, inner)
+        recompute(d, reference)
         scratch = len(d.scratch_baseline)
         values += data.draw(st.lists(st.integers(0, 3), min_size=scratch, max_size=scratch))
         sweep(d.tape, values)

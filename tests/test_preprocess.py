@@ -164,8 +164,12 @@ class TestLinkParents:
         assert d.root == 0
 
     def test_running_example_or_node_parent(self):
+        # the root And 11 over (0, 9, 10) reads 0 and 9 through scratch
+        # slot 13, after the 12 nodes and the constant slot 12
         d = link_parents(smooth(parse_c2d(RUNNING_EXAMPLE_C2D)))
-        assert d.parents[9] == (11,)
+        assert d.children[11] == (0, 9, 10)
+        assert d.parents[9] == (13,) and d.parents[13] == (11,)
+        assert d.parents[10] == (11,)
 
 
 class TestIndexLiterals:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ddnnf import (
     Assumptions,
     ExhaustiveCounter,
-    NodeKind,
     OptimizationConfig,
     SessionState,
     count_all_features,
@@ -18,11 +17,12 @@ from ddnnf import (
     preprocess,
     query,
 )
+import ddnnf.engine
 from ddnnf.cli import StreamSession, build_parser, run_stream
-from ddnnf.engine import NAIVE
+from ddnnf.engine import NAIVE, NO_PARTIAL_TRAVERSAL
 
 from conftest import RUNNING_EXAMPLE_C2D
-from helpers import c2d_to_d4, random_c2d_text
+from helpers import c2d_to_d4, fresh_values, random_c2d_text, tape_order, wide_c2d_text
 
 
 def session():
@@ -193,7 +193,7 @@ def test_select_deselect_session_reads_exact_orders(seed, n, omit, d4, data):
     # each line selects or deselects one literal, so it resets one literal
     # and reads or stores that literal's ancestor order; every reply equals
     # the oracle and a circuit that keeps no order, and every stored order
-    # equals marking its literal
+    # holds the tape instructions that depend on its literal
     d = _random_circuit(seed, n, omit, d4)
     fresh = _random_circuit(seed, n, omit, d4)
     oracle = ExhaustiveCounter(d)
@@ -214,11 +214,10 @@ def test_select_deselect_session_reads_exact_orders(seed, n, omit, d4, data):
         want = oracle.count(a)
         assert _uncached_count(fresh, a) == want, selection
         assert s.handle("count v " + " ".join(map(str, selection))) == (str(want), False)
-    kind = d.kind
-    for lit, order in d.ancestor_orders.items():
-        closure = mark_ancestors(d, (lit,))
-        assert list(order) == sorted(i for i in closure if kind[i] is not NodeKind.LITERAL)
-    assert d.ancestor_entries == sum(map(len, d.ancestor_orders.values()))
+    for lit, (order, marked) in d.ancestor_orders.items():
+        assert list(order) == tape_order(d, (lit,))
+        assert marked == len([i for i in mark_ancestors(d, (lit,)) if i < len(d.nodes)])
+    assert d.ancestor_entries == sum(len(order) for order, _ in d.ancestor_orders.values())
 
 
 @pytest.mark.parametrize("d4", [False, True])
@@ -255,10 +254,12 @@ def test_session_alternates_full_and_partial_lines(seed, d4):
 @pytest.mark.parametrize("d4", [False, True])
 @pytest.mark.parametrize("seed", range(6))
 def test_partial_lines_leave_scratch_stale_and_unread(seed, d4):
-    # full lines (NAIVE) write the tape's scratch slots into the kept vector;
-    # partial lines from it leave them as they were, and the next full line
-    # from that vector overwrites them before reading.  Tables between the
-    # lines read the circuit's own scratch baselines, never the session's.
+    # full lines (NAIVE) and partial lines alternate on one kept vector.  A
+    # partial line reruns the instructions of the scratch slots it marks and
+    # leaves every other scratch slot as it stood, which is never stale:
+    # after each line every slot equals a full sweep from the baselines.
+    # Tables between the lines read the circuit's own scratch baselines,
+    # never the session's.
     n = 12
     d = _random_circuit(seed, n, 0, d4)
     assert d.scratch_baseline
@@ -283,8 +284,11 @@ def test_partial_lines_leave_scratch_stale_and_unread(seed, d4):
         assert result.strategy == ("partial" if step % 2 else "full")
         assert step == 0 or state.values is kept  # each line starts from the last
         assert len(state.values) == len(d.nodes) + 1 + len(d.scratch_baseline)
+        assert state.values == fresh_values(d, state.zero_literals)
         if step % 2:
-            assert state.values[scratch] == before
+            rerun = {i for i in mark_ancestors(d, {flip, -flip}) if i > len(d.nodes)}
+            for i, (old, new) in enumerate(zip(before, state.values[scratch])):
+                assert old == new or i + len(d.nodes) + 1 in rerun
         assert count_all_features(d) == table
 
 
@@ -309,7 +313,69 @@ def test_superset_chain_marks_no_more_than_stateless(seed, n, d4, order, signs):
         fresh = query(d, a, always_partial)
         assert kept.count == fresh.count
         assert kept.nodes_marked <= fresh.nodes_marked, literals[:k]
-        assert kept.nodes_marked <= len(mark_ancestors(d, {-literals[k - 1]}))
+        marked = mark_ancestors(d, {-literals[k - 1]})
+        assert kept.nodes_marked <= len([i for i in marked if i < len(d.nodes)])
         kept, fresh = query(d, a, state=full_state), query(d, a)
         assert kept.count == fresh.count
         assert kept.nodes_visited <= fresh.nodes_visited, literals[:k]
+
+
+# the lines of a session in test_session_vectors_stay_exact, each with the
+# rung it asks for: a one-literal change, a change of two to four literals
+# (both on the partial rung), a full sweep, or spending the order budget
+LINE_KINDS = ("one", "one", "one", "several", "full", "spend")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.sampled_from([12, 24, 45]),
+    d4=st.booleans(),
+    data=st.data(),
+)
+def test_session_vectors_stay_exact(seed, n, d4, data):
+    # wide And and Or nodes read their children through scratch slots, and
+    # a partial line reads an unmarked scratch slot as it stands, so after
+    # every line the kept vector must equal a full sweep of its zero set on
+    # every slot.  One-literal lines hit and miss the order cache, several-
+    # literal lines mark, full lines sweep, and after "spend" misses find
+    # the budget spent and store nothing.
+    text = wide_c2d_text(seed, n)
+    d = preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
+    assert max(map(len, d.children)) >= 3
+    always_partial = OptimizationConfig(traversal_bypass_fraction=1.0)
+    state = SessionState()
+    free = [v for v in range(1, n + 1) if v not in d.core | d.dead | d.omitted]
+    if not free:
+        return
+    start = data.draw(st.lists(st.sampled_from(free), max_size=4, unique=True))
+    selection = {v: data.draw(st.booleans()) for v in start}  # variable -> sign
+    kinds = ["one", "one", "several", "full", "one", "spend", "one", "one"]
+    kinds += data.draw(st.lists(st.sampled_from(LINE_KINDS), max_size=12))
+    with pytest.MonkeyPatch.context() as patch:
+        for kind in kinds:
+            if kind == "spend":
+                patch.setattr(ddnnf.engine, "ANCESTOR_ORDER_BUDGET", 0)
+                continue
+            low, high = (1, 1) if kind == "one" else (min(2, len(free)), 4)
+            changed = data.draw(st.lists(
+                st.sampled_from(free), min_size=low, max_size=high, unique=True
+            ))
+            for v in changed:  # add it with either sign, drop it, or flip it
+                if v not in selection:
+                    selection[v] = data.draw(st.booleans())
+                elif data.draw(st.booleans()):
+                    del selection[v]
+                else:
+                    selection[v] = not selection[v]
+            a = Assumptions.from_literals([v if sign else -v for v, sign in selection.items()])
+            cfg = NO_PARTIAL_TRAVERSAL if kind == "full" else always_partial
+            entries = d.ancestor_entries
+            result = query(d, a, cfg, state)
+            assert result.count == query(d, a, NO_PARTIAL_TRAVERSAL).count
+            if kind == "full":
+                assert result.strategy in ("full", "shortcut")
+            if state.values is not None:
+                assert state.values == fresh_values(d, state.zero_literals)
+            if ddnnf.engine.ANCESTOR_ORDER_BUDGET == 0:
+                assert d.ancestor_entries == entries
