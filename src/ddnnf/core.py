@@ -62,6 +62,8 @@ class Ddnnf:
       parents are nodes or the scratch slots of its wide parents;
     * ``writer[s]``: the index of the tape instruction that writes slot
       ``s``, -1 for a leaf, a childless node and the constant slot;
+    * ``writes_node[j]``: 1 when tape instruction ``j`` writes a node, 0
+      when it writes a scratch slot;
     * ``baseline[i]``: the node's count under no assumptions, and
       ``scratch_baseline``, the scratch slots' values under no assumptions;
     * ``literal_index``, ``core``, ``dead`` and ``omitted``.
@@ -96,6 +98,7 @@ class Ddnnf:
     decision: list[int] = field(default_factory=list)
     parents: list[tuple[int, ...]] = field(default_factory=list)
     writer: array = field(default_factory=lambda: array("i"))
+    writes_node: bytes = b""
     baseline: list[int] = field(default_factory=list)
     tape: list[tuple[int, int, int]] = field(default_factory=list)
     scratch_baseline: list[int] = field(default_factory=list)
@@ -239,7 +242,7 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
     d.children = renamed
     d.root = position[d.root]
     d.parents, d.baseline, d.tape, d.literal_index = [], [], [], {}
-    d.writer, d.scratch_baseline = array("i"), []
+    d.writer, d.writes_node, d.scratch_baseline = array("i"), b"", []
     d.preprocessed = False
 
 

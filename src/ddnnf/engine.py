@@ -11,10 +11,10 @@ picks the rung for each query itself:
   literal nodes, mark the ancestor closure, and rerun only the tape
   instructions that write a marked slot, reading every unmarked slot's
   value as it stands (its baseline, or its kept value in a session).  A
-  reset of one literal reads those instructions from the circuit's cache
-  instead of marking (see below).  Skipped when the reset literals exceed
-  ``traversal_bypass_fraction`` of the variables, where marking overhead
-  stops paying off.
+  reset reads those instructions from the circuit's cache instead of
+  marking wherever the cache holds its literals' orders (see below).
+  Skipped when the reset literals exceed ``traversal_bypass_fraction`` of
+  the variables, where marking overhead stops paying off.
 
 :class:`OptimizationConfig` exists for the variant matrix, which switches
 rungs off one at a time to measure what each saves; every other caller
@@ -54,11 +54,15 @@ the instructions to rerun, ascending) from ``Ddnnf.ancestor_orders``.  A
 miss marks with :func:`mark_ancestors` and stores the order as an
 ``array("i")``, while the circuit's orders stay within
 :data:`ANCESTOR_ORDER_BUDGET` entries per node in total; past that a miss
-marks and stores nothing, with no eviction.  Resets of several literals
-always mark: storing orders for them would mark each literal's closure on
-its own, where one marking covers their union.  ``nodes_marked`` and
-``nodes_visited`` report the marked circuit nodes either way; scratch
-slots are not nodes and do not count.
+marks and stores nothing, with no eviction.  A reset of several literals
+runs the sorted union of their orders when the cache lacks at most one of
+them, and that one is marked alone and stored as a one-literal miss would
+be.  When it lacks two or more, the reset marks all its literals together
+once and stores nothing, as a stateless query of k literals does: storing
+each literal's order would mark each closure on its own, where one
+marking covers their union.  ``nodes_marked`` and ``nodes_visited`` report
+the marked circuit nodes either way (``Ddnnf.writes_node`` counts them in
+a union); scratch slots are not nodes and do not count.
 
 Queries never mutate the circuit's lists.  A stateless query keeps its
 values in a local buffer, so such queries may run concurrently; a state is
@@ -105,6 +109,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from threading import Lock
 
 from .core import Assumptions, Ddnnf, compile_adjoint, sweep
@@ -192,8 +197,11 @@ def _marked_order(d: Ddnnf, literals) -> tuple[list[int], int]:
     """The tape instructions to rerun when ``literals`` are reset, ascending,
     and the number of nodes marking them reaches.
 
-    Marks with :func:`mark_ancestors`.  Every marked slot but the literal
-    nodes themselves is written by one instruction, and tape order is a
+    Marks with :func:`mark_ancestors`, once for all of ``literals``: a
+    one-literal miss marks here, and so does a reset of several literals
+    when the cache lacks two or more of their orders (see
+    :func:`_union_order`).  Every marked slot but the literal nodes
+    themselves is written by one instruction, and tape order is a
     topological order, so each instruction reads final values.
     """
     slots = sorted(mark_ancestors(d, literals))
@@ -223,6 +231,8 @@ def _ancestor_order(d: Ddnnf, lit: int) -> tuple[array, int]:
     Read from ``d.ancestor_orders``.  A miss marks and stores the order
     while the circuit's orders stay within :data:`ANCESTOR_ORDER_BUDGET`
     entries per node; once that is spent, a miss marks and stores nothing.
+    A one-literal reset calls it, and so does a reset of several literals
+    for the one literal whose order the cache lacks, if it lacks only one.
     """
     kept = d.ancestor_orders.get(lit)
     if kept is None:
@@ -235,6 +245,43 @@ def _ancestor_order(d: Ddnnf, lit: int) -> tuple[array, int]:
                 d.ancestor_orders[lit] = kept
                 d.ancestor_entries += len(order)
     return kept
+
+
+def _union_order(d: Ddnnf, literals) -> tuple[list[int], int]:
+    """:func:`_marked_order` of several ``literals``, built from their
+    cached orders when ``d.ancestor_orders`` lacks at most one of them.
+
+    The union of the literals' orders is the order of their union, so the
+    literals the cache holds mark nothing.  One uncached literal is marked
+    alone and stored by :func:`_ancestor_order`.  With two or more uncached,
+    every literal is marked together once and nothing is stored: marking
+    them one by one would climb their shared ancestors once per literal,
+    and marking only the uncached ones costs nearly what marking all of
+    them does, before the union.  Every instruction writes one slot and
+    distinct literals hold distinct nodes, so the nodes marking reaches are
+    the nodes the union's instructions write plus the literals' own nodes.
+    """
+    kept = d.ancestor_orders
+    orders, missing = [], None
+    for lit in literals:
+        hit = kept.get(lit)
+        if hit is not None:
+            orders.append(hit[0])
+        elif missing is None:
+            missing = lit
+        else:
+            return _marked_order(d, literals)
+    if missing is not None:
+        orders.append(_ancestor_order(d, missing)[0])
+    order = sorted(set().union(*orders))
+    flags = d.writes_node
+    # itemgetter of two or more indices returns a tuple, in a third of the
+    # time that map takes over a union of some 500 instructions
+    marked = sum(
+        itemgetter(*order)(flags) if len(order) > 1 else map(flags.__getitem__, order)
+    )
+    index = d.literal_index
+    return order, marked + sum([len(index.get(lit, ())) for lit in literals])
 
 
 @dataclass
@@ -330,7 +377,7 @@ def query(
             (lit,) = delta
             order, marked = _ancestor_order(d, lit)
         else:
-            order, marked = _marked_order(d, delta)
+            order, marked = _union_order(d, delta)
         sweep(map(d.tape.__getitem__, order), values)
         result = QueryResult(values[d.root] * factor, marked, marked, "partial")
     else:

@@ -196,8 +196,10 @@ def link_parents(d: Ddnnf) -> Ddnnf:
     the slots its readers' instructions write: a parent node, or a scratch
     slot of a parent's balanced tree.  ``writer`` maps each slot to the
     instruction that writes it, so a marked set of slots names the
-    instructions to run.  The ancestor orders that queries keep index the
-    old tape, so they are dropped.
+    instructions to run, and ``writes_node`` flags the instructions that
+    write a node, so a set of instructions names the nodes it writes.  The
+    ancestor orders that queries keep index the old tape, so they are
+    dropped.
     """
     d.ancestor_orders, d.ancestor_entries = {}, 0
     d.tape, scratch = compile_tape(d)
@@ -227,7 +229,10 @@ def link_parents(d: Ddnnf) -> Ddnnf:
         () if p is None else tuple(more[s]) if s in more else (p,)
         for s, p in enumerate(first)
     ]
-    d.writer = writer
+    writes_node = bytearray(len(d.tape) + 1)
+    for j in writer[: len(d.kind)]:
+        writes_node[j] = 1  # a node no instruction writes sets the spare last byte
+    d.writer, d.writes_node = writer, bytes(writes_node[:-1])
     return d
 
 

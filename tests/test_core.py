@@ -109,9 +109,11 @@ def test_parent_child_duality(circuits):
     for name, d in circuits.items():
         slots = len(d.nodes) + 1 + len(d.scratch_baseline)
         assert len(d.parents) == len(d.writer) == slots, name
+        assert len(d.writes_node) == len(d.tape), name
         for j, (dst, a, b) in enumerate(d.tape):
             dst = ~dst if dst < 0 else dst
             assert d.writer[dst] == j, name
+            assert d.writes_node[j] == (dst < len(d.nodes)), name
             assert dst in d.parents[a] and dst in d.parents[b], name
         for s in range(slots):
             for p in d.parents[s]:
@@ -156,7 +158,7 @@ def test_renumber_empties_preprocessed_lists(circuits):
     assert order != list(d.nodes)
     renumber(d, order)
     assert (d.parents, d.baseline, d.tape, d.literal_index) == ([], [], [], {})
-    assert d.scratch_baseline == []
+    assert d.scratch_baseline == [] and d.writes_node == b""
     assert not d.preprocessed
     assert validate(d) == []
     preprocess(d)

@@ -609,11 +609,24 @@ class TestAncestorOrders:
         assert d.ancestor_orders == {} and d.ancestor_entries == 0
 
     def test_visits_equal_marking(self, circuits):
-        # the reported work does not depend on whether the order was cached
+        # the reported work does not depend on whether the orders were cached:
+        # at each v, a pair of v + 1 and v + 2 finds neither cached, v's
+        # literals miss and then hit, a pair of v - 1 and v finds both cached,
+        # and a pair of v and v + 1 finds v cached and v + 1 not yet (where
+        # the budget allowed the stores)
         for name, d in circuits.items():
-            for v in range(1, d.num_variables + 1):
-                for a in (Assumptions.of({v}), Assumptions.of(set(), {v})):
-                    zero = {-v} if a.include else {v}
+            n = d.num_variables
+            for v in range(1, n + 1):
+                cases = [Assumptions.of({v + 1, v + 2})] if v + 2 <= n else []
+                cases += [Assumptions.of({v}), Assumptions.of(set(), {v})]
+                for w in (v - 1, v + 1):
+                    if 1 <= w <= n:
+                        cases += [
+                            Assumptions.of({v, w}), Assumptions.of(set(), {v, w}),
+                            Assumptions.of({v}, {w}), Assumptions.of({w}, {v}),
+                        ]
+                for a in cases:
+                    zero = {-u for u in a.include} | set(a.exclude)
                     for _ in range(2):  # a miss, then a hit where stored
                         result = query(d, a, ALWAYS_PARTIAL)
                         if result.strategy != "partial":
@@ -621,6 +634,67 @@ class TestAncestorOrders:
                         want = len(_marked_nodes(d, zero))
                         assert result.nodes_visited == result.nodes_marked == want, (name, a)
             _assert_orders_exact(d)
+
+    def test_all_cached_resets_mark_nothing(self, mark_calls):
+        d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
+        query(d, Assumptions.of({2}), ALWAYS_PARTIAL)
+        query(d, Assumptions.of(set(), {4}), ALWAYS_PARTIAL)
+        assert mark_calls == [{-2}, {4}]
+        stored = dict(d.ancestor_orders)
+        result = query(d, Assumptions.of({2}, {4}), ALWAYS_PARTIAL)
+        assert result.count == 1 and result.strategy == "partial"
+        assert result.nodes_marked == result.nodes_visited == len(_marked_nodes(d, {-2, 4}))
+        assert mark_calls == [{-2}, {4}]  # the union of the two cached orders
+        assert d.ancestor_orders == stored
+        _assert_orders_exact(d)
+
+    def test_one_uncached_literal_is_marked_alone_and_stored(self, mark_calls):
+        d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
+        query(d, Assumptions.of({2}), ALWAYS_PARTIAL)
+        result = query(d, Assumptions.of({2}, {4}), ALWAYS_PARTIAL)
+        assert result.count == 1 and result.strategy == "partial"
+        assert result.nodes_marked == result.nodes_visited == len(_marked_nodes(d, {-2, 4}))
+        assert mark_calls == [{-2}, {4}]
+        assert sorted(d.ancestor_orders) == [-2, 4]
+        _assert_orders_exact(d)
+
+    def test_one_uncached_literal_past_the_budget_stores_nothing(self, mark_calls, monkeypatch):
+        import ddnnf.engine
+
+        d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
+        query(d, Assumptions.of({2}), ALWAYS_PARTIAL)
+        budget = d.ancestor_entries / len(d.nodes)  # spent
+        monkeypatch.setattr(ddnnf.engine, "ANCESTOR_ORDER_BUDGET", budget)
+        for _ in range(2):  # nothing stored, so it marks again
+            result = query(d, Assumptions.of({2}, {4}), ALWAYS_PARTIAL)
+            assert result.count == 1 and result.strategy == "partial"
+            assert result.nodes_marked == len(_marked_nodes(d, {-2, 4}))
+        assert mark_calls == [{-2}, {4}, {4}]
+        assert list(d.ancestor_orders) == [-2]
+        _assert_orders_exact(d)
+
+    def test_uncached_stateless_query_marks_once(self, mark_calls):
+        # marking each of k uncached literals alone, to store its order, would
+        # climb their shared ancestors k times: a one-shot --config query
+        # marks its zero set once, and so does a reset with two or more
+        # uncached literals beside cached ones
+        d = preprocess(parse_c2d(fixture_texts()["rand_n24"][1]))
+        free = [v for v in range(1, 25) if v not in d.core | d.dead | d.omitted]
+        zero = {-v for v in free[:4]}
+        a = Assumptions.of(set(free[:4]))
+        want = query(d, a, NO_PARTIAL_TRAVERSAL).count
+        result = query(d, a, ALWAYS_PARTIAL)
+        assert result.count == want and result.strategy == "partial"
+        assert mark_calls == [zero]
+        assert d.ancestor_orders == {}
+        query(d, Assumptions.of({free[0]}), ALWAYS_PARTIAL)
+        del mark_calls[:]
+        result = query(d, a, ALWAYS_PARTIAL)
+        assert result.count == want
+        assert result.nodes_marked == len(_marked_nodes(d, zero))
+        assert mark_calls == [zero]
+        assert list(d.ancestor_orders) == [-free[0]]
+        _assert_orders_exact(d)
 
     def test_preprocess_after_edit_empties_the_cache(self):
         # re-rooting at the running example's left Or renumbers the nodes, so
@@ -663,20 +737,29 @@ class TestAncestorOrders:
     @pytest.mark.parametrize("name", ["rand_n24", "chain"])
     def test_racing_misses_leave_complete_orders(self, name):
         # threads racing one-literal stateless queries on an empty cache each
-        # answer exactly, and leave complete orders whose count adds up
+        # answer exactly, and leave complete orders whose count adds up.  So
+        # do two-literal ones whose first literal is cached: each marks and
+        # stores its second literal, racing the others and the one-literal
+        # misses on it
         from concurrent.futures import ThreadPoolExecutor
 
         text = shannon_chain_c2d(80) if name == "chain" else fixture_texts()[name][1]
         reference = preprocess(parse_c2d(text))
         n = reference.num_variables
-        cases = [Assumptions.of({v}) for v in range(1, n + 1)]
-        cases += [Assumptions.of(set(), {v}) for v in range(1, n + 1)]
+        cases = []
+        for v in range(1, n + 1):
+            if v % 2 == 0:  # just before the one-literal misses on v
+                cases += [Assumptions.of({v - 1}, {v}), Assumptions.of(set(), {v - 1, v})]
+            cases += [Assumptions.of({v}), Assumptions.of(set(), {v})]
         want = [query(reference, a, NO_PARTIAL_TRAVERSAL).count for a in cases]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
                 d = preprocess(parse_c2d(text))
+                for v in range(1, n, 2):  # the pairs' first literals, cached
+                    query(d, Assumptions.of({v}), ALWAYS_PARTIAL)
+                    query(d, Assumptions.of(set(), {v}), ALWAYS_PARTIAL)
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     # each literal three times running, so its misses race
                     futures = [

@@ -321,9 +321,23 @@ def test_superset_chain_marks_no_more_than_stateless(seed, n, d4, order, signs):
 
 
 # the lines of a session in test_session_vectors_stay_exact, each with the
-# rung it asks for: a one-literal change, a change of two to four literals
-# (both on the partial rung), a full sweep, or spending the order budget
-LINE_KINDS = ("one", "one", "one", "several", "full", "spend")
+# rung it asks for: a one-literal change, a change of two to four literals,
+# a change of two or three literals whose orders are cached, or of one or
+# two cached and one not (all on the partial rung), a full sweep, or
+# spending the order budget
+LINE_KINDS = ("one", "one", "one", "several", "cached", "partly", "full", "spend")
+
+
+def _one_literal_edits(d, selection, free, cached):
+    """(variable, literal) for each edit of ``selection`` that moves one
+    zero literal into or out of the zero set, whose order is cached or not
+    as ``cached`` says: selecting a free variable with either sign, or
+    dropping a selected one."""
+    edits = []
+    for v in free:
+        literals = [-v if selection[v] else v] if v in selection else [-v, v]
+        edits += [(v, lit) for lit in literals if (lit in d.ancestor_orders) == cached]
+    return edits
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,8 +352,9 @@ def test_session_vectors_stay_exact(seed, n, d4, data):
     # a partial line reads an unmarked scratch slot as it stands, so after
     # every line the kept vector must equal a full sweep of its zero set on
     # every slot.  One-literal lines hit and miss the order cache, several-
-    # literal lines mark, full lines sweep, and after "spend" misses find
-    # the budget spent and store nothing.
+    # literal lines mark or run the union of cached orders, full lines
+    # sweep, and after "spend" misses find the budget spent and store
+    # nothing.
     text = wide_c2d_text(seed, n)
     d = preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
     assert max(map(len, d.children)) >= 3
@@ -350,24 +365,46 @@ def test_session_vectors_stay_exact(seed, n, d4, data):
         return
     start = data.draw(st.lists(st.sampled_from(free), max_size=4, unique=True))
     selection = {v: data.draw(st.booleans()) for v in start}  # variable -> sign
-    kinds = ["one", "one", "several", "full", "one", "spend", "one", "one"]
+    kinds = ["one", "one", "several", "full", "one", "cached", "one", "partly"]
+    kinds += ["spend", "one", "partly", "cached"]
     kinds += data.draw(st.lists(st.sampled_from(LINE_KINDS), max_size=12))
     with pytest.MonkeyPatch.context() as patch:
         for kind in kinds:
             if kind == "spend":
                 patch.setattr(ddnnf.engine, "ANCESTOR_ORDER_BUDGET", 0)
                 continue
-            low, high = (1, 1) if kind == "one" else (min(2, len(free)), 4)
-            changed = data.draw(st.lists(
-                st.sampled_from(free), min_size=low, max_size=high, unique=True
-            ))
-            for v in changed:  # add it with either sign, drop it, or flip it
-                if v not in selection:
-                    selection[v] = data.draw(st.booleans())
-                elif data.draw(st.booleans()):
-                    del selection[v]
-                else:
-                    selection[v] = not selection[v]
+            if kind in ("cached", "partly"):
+                edits = _one_literal_edits(d, selection, free, cached=True)
+                low, high = (2, 3) if kind == "cached" else (1, 2)
+                low = min(low, len({v for v, _ in edits}))
+                edits = data.draw(st.lists(
+                    st.sampled_from(edits), min_size=low, max_size=high,
+                    unique_by=lambda edit: edit[0],
+                )) if edits else []
+                if kind == "partly":
+                    others = [
+                        edit for edit in _one_literal_edits(d, selection, free, cached=False)
+                        if edit[0] not in {v for v, _ in edits}
+                    ]
+                    if others:
+                        edits.append(data.draw(st.sampled_from(others)))
+                for v, lit in edits:  # the zero literal lit enters or leaves
+                    if v in selection:
+                        del selection[v]
+                    else:
+                        selection[v] = lit < 0
+            else:
+                low, high = (1, 1) if kind == "one" else (min(2, len(free)), 4)
+                changed = data.draw(st.lists(
+                    st.sampled_from(free), min_size=low, max_size=high, unique=True
+                ))
+                for v in changed:  # add it with either sign, drop it, or flip it
+                    if v not in selection:
+                        selection[v] = data.draw(st.booleans())
+                    elif data.draw(st.booleans()):
+                        del selection[v]
+                    else:
+                        selection[v] = not selection[v]
             a = Assumptions.from_literals([v if sign else -v for v, sign in selection.items()])
             cfg = NO_PARTIAL_TRAVERSAL if kind == "full" else always_partial
             entries = d.ancestor_entries
