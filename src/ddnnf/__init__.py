@@ -24,6 +24,7 @@ from .engine import (
     count_all_features,
     count_feature,
     count_total,
+    link_readers,
     mark_ancestors,
     query,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "detect_format",
     "index_literals",
     "link_parents",
+    "link_readers",
     "mark_ancestors",
     "parse_c2d",
     "parse_d4",

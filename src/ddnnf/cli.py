@@ -30,7 +30,10 @@ other modes answer each query from the baselines.
 
 Parsing and preprocessing run with the cyclic garbage collector off, and a
 one-shot mode keeps it off until it has answered; a session turns it back
-on before it answers its first line.
+on before it answers its first line.  A session's set-up also links the
+reader graph that the partial rung climbs
+(:func:`~ddnnf.engine.link_readers`), so its first line does not pay for
+it; a one-shot mode links it only if its query takes the partial rung.
 
 Exit codes: 0 success, 1 parse error (the message names the line; a circuit
 or ``--queries`` file that is not UTF-8 text is one too), 2 bad options, 3
@@ -258,6 +261,7 @@ def run_stream(args: argparse.Namespace, stdin=None, stdout=None) -> int:
     """
     with _cyclic_gc_off():  # back on before the first line is answered
         d = preprocess(_load(args))
+        engine.link_readers(d)
     session = StreamSession(d)
     if args.queries is None:
         lines = stdin if stdin is not None else sys.stdin

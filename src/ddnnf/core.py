@@ -51,26 +51,33 @@ class Ddnnf:
       0 otherwise; metadata only, never consulted for counting.
 
     The parsers fill these, ``num_variables`` and ``root``; a missing
-    ``decision`` list means all zeros.  Preprocessing fills every other field:
+    ``decision`` list means all zeros.  Preprocessing fills the next fields:
 
     * ``tape``: the And and Or nodes compiled to the instructions of one
       forward sweep (see :func:`compile_tape`); a value list for it holds
       one entry per *slot*: every node, then the constant slot, then the
-      scratch slots the tape writes for nodes with three or more children;
+      ``scratch_slots`` scratch slots the tape writes for nodes with three
+      or more children;
+    * ``baseline[i]``: the node's count under no assumptions, and
+      ``scratch_baseline``, the scratch slots' values under no assumptions;
+    * ``literal_index``, ``core``, ``dead`` and ``omitted``.
+
+    The other fields are filled by the calls that answer queries, not by
+    preprocessing (see :mod:`ddnnf.engine`), and every preprocess empties
+    them again (``link_parents`` the reader graph and the orders,
+    ``compute_baseline`` the rest).  The first partial-rung query links
+    the tape's *reader graph*, three fields built together by
+    :func:`ddnnf.engine.link_readers`; a stream session links it in set-up:
+
     * ``parents[s]``: for every slot ``s``, a tuple of the slots whose
       instructions read it, the inverse of the tape's reads; a node's
       parents are nodes or the scratch slots of its wide parents;
     * ``writer[s]``: the index of the tape instruction that writes slot
       ``s``, -1 for a leaf, a childless node and the constant slot;
     * ``writes_node[j]``: 1 when tape instruction ``j`` writes a node, 0
-      when it writes a scratch slot;
-    * ``baseline[i]``: the node's count under no assumptions, and
-      ``scratch_baseline``, the scratch slots' values under no assumptions;
-    * ``literal_index``, ``core``, ``dead`` and ``omitted``.
+      when it writes a scratch slot.
 
-    Four fields are filled by the calls that answer queries, not by
-    preprocessing (see :mod:`ddnnf.engine`), and every preprocess empties
-    them again (``link_parents`` the orders, ``compute_baseline`` the rest):
+    Tables and partial queries keep four more:
 
     * ``adjoint``: the backward pass compiled from the tape and the values
       under no assumptions (see :func:`compile_adjoint`), built by the first
@@ -96,17 +103,18 @@ class Ddnnf:
     num_variables: int
     root: int
     decision: list[int] = field(default_factory=list)
-    parents: list[tuple[int, ...]] = field(default_factory=list)
-    writer: array = field(default_factory=lambda: array("i"))
-    writes_node: bytes = b""
     baseline: list[int] = field(default_factory=list)
     tape: list[tuple[int, int, int]] = field(default_factory=list)
+    scratch_slots: int = 0
     scratch_baseline: list[int] = field(default_factory=list)
     literal_index: dict[int, list[int]] = field(default_factory=dict)
     core: frozenset[int] = frozenset()
     dead: frozenset[int] = frozenset()
     omitted: frozenset[int] = frozenset()
     # filled by call history, not by the circuit, so equality ignores them
+    parents: list[tuple[int, ...]] = field(default_factory=list, compare=False)
+    writer: array = field(default_factory=lambda: array("i"), compare=False)
+    writes_node: bytes = field(default=b"", compare=False)
     adjoint: list[tuple[int, int, int, int, int]] | None = field(
         default=None, compare=False
     )
@@ -153,9 +161,11 @@ class Assumptions:
         """Build from signed literals: +v includes v, -v excludes v.
 
         ``literals`` may be any iterable, a generator too; it is read once.
+        A literal 0 names no variable; it is included as variable 0, so a
+        query rejects it as out of range instead of dropping it.
         """
         literals = tuple(literals)
-        inc = frozenset(lit for lit in literals if lit > 0)
+        inc = frozenset(lit for lit in literals if lit >= 0)
         exc = frozenset(-lit for lit in literals if lit < 0)
         return cls(inc, exc)
 
@@ -219,10 +229,11 @@ def root_cone(d: Ddnnf) -> list[int]:
 def renumber(d: Ddnnf, order: list[int]) -> None:
     """Keep the nodes listed in ``order``, in that order, as nodes 0, 1, ...
 
-    Every child of a kept node must be kept too.  The tape, its parents and
-    writers, the baselines and the literal index no longer match the new
+    Every child of a kept node must be kept too.  The tape, its reader
+    graph, the baselines and the literal index no longer match the new
     indices, so they are emptied and the circuit counts as not
-    preprocessed; preprocessing refills them.
+    preprocessed; preprocessing refills them, and the first partial query
+    links the graph again.
     """
     position = [-1] * len(d.kind)
     for new, old in enumerate(order):
@@ -241,9 +252,16 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
             renamed.append(tuple([position[c] for c in ch]))
     d.children = renamed
     d.root = position[d.root]
-    d.parents, d.baseline, d.tape, d.literal_index = [], [], [], {}
-    d.writer, d.writes_node, d.scratch_baseline = array("i"), b"", []
+    d.baseline, d.tape, d.literal_index = [], [], {}
+    d.scratch_slots, d.scratch_baseline = 0, []
+    drop_readers(d)
     d.preprocessed = False
+
+
+def drop_readers(d: Ddnnf) -> None:
+    """Empty the tape's reader graph: ``parents``, ``writer`` and
+    ``writes_node``.  The first partial query links it again."""
+    d.parents, d.writer, d.writes_node = [], array("i"), b""
 
 
 def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
@@ -273,7 +291,7 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
     written once, the tape run backwards is the reverse-mode derivative of
     the sweep, which reads those values; :func:`compile_adjoint` compiles
     that run once per circuit, and an instruction's readers are the parents
-    ``link_parents`` keeps per slot (see :mod:`ddnnf.engine`).
+    that :func:`ddnnf.engine.link_readers` links per slot.
 
     The tape is data, not code: building it costs one pass over the nodes,
     and :func:`sweep` pays no per-node kind test or child-count branch.

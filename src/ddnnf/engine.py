@@ -30,7 +30,11 @@ partial pass runs the marked instructions in tape order through the same
 loop.  ``Ddnnf.parents`` links every slot to the slots that read it, so
 marking climbs from a changed child through the scratch slots on its path
 to the root: a wide node with k children costs about log2 k instructions,
-not k - 1.  An unmarked sibling's scratch slot holds the product or sum
+not k - 1.  Only this rung reads ``parents``, ``writer`` and
+``writes_node``, the tape's reader graph, so set-up leaves them empty and
+the first partial-rung use links them (:func:`link_readers`); ``count``,
+the full rung, the shortcuts and the tables never pay for it, and a
+stream session links it in set-up.  An unmarked sibling's scratch slot holds the product or sum
 of children that did not change, and the pass reads it as it stands, so
 every value list keeps every slot current.  Every configuration returns
 identical counts; only the work differs.
@@ -66,12 +70,14 @@ a union); scratch slots are not nodes and do not count.
 
 Queries never mutate the circuit's lists.  A stateless query keeps its
 values in a local buffer, so such queries may run concurrently; a state is
-updated in place and serves one caller at a time.  The order cache is the
-one thing a query writes to the circuit, and its stores are idempotent:
-racing misses on one literal compute equal orders and store one of them,
-and each store and its entry count are made under one lock, so the count
-stays exact and the budget holds however queries race.  A stored order is
-never changed, so readers need no lock.
+updated in place and serves one caller at a time.  The reader graph and
+the order cache are the two things a query writes to the circuit, and
+their stores are idempotent.  Racing first partial queries wait on one
+lock while the first of them links the graph, which is published whole.
+Racing misses on one literal compute equal orders and store one of them,
+and each store and its entry count are made under the same lock, so the
+count stays exact and the budget holds however queries race.  A linked
+graph and a stored order are never changed, so readers need no lock.
 
 The cardinality of every feature at once does not go through the ladder.
 It is one backward pass (Darwiche's differential approach): on a smooth,
@@ -101,7 +107,7 @@ store one complete list, and racing tables each compute the same sums and
 store one complete dict, so concurrent stateless readers stay safe.  Once
 a table has stored the sums, :func:`count_feature` reads them, and a lookup
 is a dict read; before that a lookup is one partial query, which costs
-far less than the pass.
+far less than the pass, and the first such query links the reader graph.
 """
 
 from __future__ import annotations
@@ -171,20 +177,86 @@ def count_total(d: Ddnnf) -> int:
     return d.baseline[d.root] * d.omitted_factor
 
 
+# makes a store and its count one step, so racing misses keep the count
+# exact, and makes the reader graph's first link one step
+_store_lock = Lock()
+
+
+def link_readers(d: Ddnnf) -> list[tuple[int, ...]]:
+    """The tape's reader graph, linked on first use; returns ``d.parents``.
+
+    Only the partial rung reads the graph, so set-up leaves it empty and the
+    first call links it (:func:`_link_readers`) under the store lock.  A
+    linked graph is returned as it is, so racing first calls link it once.
+    """
+    parents = d.parents
+    if not parents:
+        with _store_lock:
+            parents = d.parents or _link_readers(d)  # a racing call may have linked it
+    return parents
+
+
+def _link_readers(d: Ddnnf) -> list[tuple[int, ...]]:
+    """Build ``parents``, ``writer`` and ``writes_node`` in one pass over
+    the tape, and store them, ``parents`` last.
+
+    ``parents`` is the exact inverse of the tape's reads over every slot:
+    the nodes, the constant slot and the scratch slots.  A node's parents
+    are the slots its readers' instructions write: a parent node, or a
+    scratch slot of a parent's balanced tree.  ``writer`` maps each slot to
+    the instruction that writes it, so a marked set of slots names the
+    instructions to run, and ``writes_node`` flags the instructions that
+    write a node, so a set of instructions names the nodes it writes.  A
+    reader that finds ``parents`` filled finds the other two filled too.
+    """
+    slots = len(d.kind) + 1 + d.scratch_slots
+    writer = array("i", [-1]) * slots
+    # most slots have one reader: it waits in ``first``, and only slots read
+    # twice get a list, since a list per slot would raise the peak memory
+    first: list[int | None] = [None] * slots
+    more: dict[int, list[int]] = {}
+    for j, (dst, a, b) in enumerate(d.tape):
+        if dst < 0:
+            dst = ~dst
+        writer[dst] = j
+        if first[a] is None:
+            first[a] = dst
+        elif a in more:
+            more[a].append(dst)
+        else:
+            more[a] = [first[a], dst]
+        if first[b] is None:  # the same for the second operand
+            first[b] = dst
+        elif b in more:
+            more[b].append(dst)
+        else:
+            more[b] = [first[b], dst]
+    parents = [
+        () if p is None else tuple(more[s]) if s in more else (p,)
+        for s, p in enumerate(first)
+    ]
+    writes_node = bytearray(len(d.tape) + 1)
+    for j in writer[: len(d.kind)]:
+        writes_node[j] = 1  # a node no instruction writes sets the spare last byte
+    d.writer, d.writes_node = writer, bytes(writes_node[:-1])
+    d.parents = parents
+    return parents
+
+
 def mark_ancestors(d: Ddnnf, literals) -> set[int]:
     """Ancestor closure (inclusive) of the nodes holding the given literals.
 
-    The closure climbs ``d.parents``, so it holds slots: the literal nodes,
-    their ancestor nodes and the scratch slots on the way, the ones whose
-    value changes with theirs; its nodes are the members below
-    ``len(d.nodes)``.  Only literals whose nodes change value are worth
+    The closure climbs ``d.parents``, which :func:`link_readers` links on
+    the first call, so it holds slots: the literal nodes, their ancestor
+    nodes and the scratch slots on the way, the ones whose value changes
+    with theirs; its nodes are the members below ``len(d.nodes)``.  Only literals whose nodes change value are worth
     seeding: those forced to zero, and in a session those restored to
     their baseline.  A literal forced to one equals its baseline and
     changes nothing upstream.
     """
+    parents = link_readers(d)
     marked: set[int] = set()
     stack = [i for lit in literals for i in d.literal_index.get(lit, ())]
-    parents = d.parents
     while stack:
         i = stack.pop()
         if i not in marked:
@@ -197,10 +269,10 @@ def _marked_order(d: Ddnnf, literals) -> tuple[list[int], int]:
     """The tape instructions to rerun when ``literals`` are reset, ascending,
     and the number of nodes marking them reaches.
 
-    Marks with :func:`mark_ancestors`, once for all of ``literals``: a
-    one-literal miss marks here, and so does a reset of several literals
-    when the cache lacks two or more of their orders (see
-    :func:`_union_order`).  Every marked slot but the literal nodes
+    Marks with :func:`mark_ancestors`, which links the reader graph on
+    first use, once for all of ``literals``: a one-literal miss marks here,
+    and so does a reset of several literals when the cache lacks two or
+    more of their orders (see :func:`_union_order`).  Every marked slot but the literal nodes
     themselves is written by one instruction, and tape order is a
     topological order, so each instruction reads final values.
     """
@@ -220,9 +292,6 @@ def _marked_order(d: Ddnnf, literals) -> tuple[list[int], int]:
 #: grows with the square of the depth: 1200 per node on a 2000-level
 #: Shannon chain.
 ANCESTOR_ORDER_BUDGET = 32
-
-# makes a store and its count one step, so racing misses keep the count exact
-_store_lock = Lock()
 
 
 def _ancestor_order(d: Ddnnf, lit: int) -> tuple[array, int]:
@@ -274,6 +343,8 @@ def _union_order(d: Ddnnf, literals) -> tuple[list[int], int]:
     if missing is not None:
         orders.append(_ancestor_order(d, missing)[0])
     order = sorted(set().union(*orders))
+    # the orders outlive a graph dropped by a smooth that changed nothing
+    link_readers(d)
     flags = d.writes_node
     # itemgetter of two or more indices returns a tuple, in a third of the
     # time that map takes over a union of some 500 instructions

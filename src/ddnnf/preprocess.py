@@ -1,22 +1,25 @@
 """Pipeline that turns a parsed circuit into query-ready form.
 
 Six steps, in order: prune the circuit to the root's cone, smooth it,
-compile the tape and link each of its slots to the slots that read it,
-index the literal nodes, detect core and dead variables, and run the tape
-for every node's baseline count under no assumptions.
+compile the tape, index the literal nodes, detect core and dead variables,
+and run the tape for every node's baseline count under no assumptions.
+That is all set-up builds, and all that ``--count``, the all-features
+tables and ``--save-smoothed`` read.  The tape's reader graph, which links
+each slot to the slots that read it, serves only the partial rung, so the
+first partial-rung query links it (:func:`ddnnf.engine.link_readers`); a
+stream session links it in set-up, so that its first line does not pay.
 Each step is one pass over node lists that are already in topological
 order, and each keeps that order: pruning drops nodes, and smoothing places
 the nodes it adds where their children precede them, so nothing is sorted.
 Preprocessing is the only phase that mutates shared circuit state;
 afterwards the circuit is read-only and queries may run concurrently.  The
-later writes, the adjoint program the first all-features table compiles,
-the derivative sums each table stores and the ancestor orders one-literal
-queries store, are idempotent (see :mod:`ddnnf.engine`).
+later writes, the reader graph, the adjoint program the first
+all-features table compiles, the derivative sums each table stores and the
+ancestor orders one-literal queries store, are idempotent (see
+:mod:`ddnnf.engine`).
 """
 
 from __future__ import annotations
-
-from array import array
 
 from .core import (
     AND,
@@ -26,6 +29,7 @@ from .core import (
     Ddnnf,
     compile_tape,
     counts_zero,
+    drop_readers,
     mask_variables,
     renumber,
     root_cone,
@@ -78,7 +82,7 @@ def smooth(d: Ddnnf) -> Ddnnf:
     extended in place, anything else is wrapped in a fresh And node.  False
     children and childless Or children need no gadgets because their count,
     0, absorbs any completion.  Idempotent: smoothing a smooth circuit
-    changes nothing.
+    changes nothing, but a reader graph is dropped all the same.
 
     One bottom-up pass over the nodes, which are in topological order,
     computes every node's variable mask, checks decomposability at And
@@ -183,56 +187,27 @@ def smooth(d: Ddnnf) -> Ddnnf:
                 placed = i
         rest.extend(range(placed, original))
         renumber(d, front + rest)
+    else:
+        drop_readers(d)
     d.is_smooth = True
     return d
 
 
 def link_parents(d: Ddnnf) -> Ddnnf:
-    """Compile the tape and link every slot to the slots that read it.
+    """Compile the tape, and empty its reader graph.
 
-    The tape (:func:`~ddnnf.core.compile_tape`) is the child relation as
-    instructions, and ``parents`` its exact inverse over every slot: the
-    nodes, the constant slot and the scratch slots.  A node's parents are
-    the slots its readers' instructions write: a parent node, or a scratch
-    slot of a parent's balanced tree.  ``writer`` maps each slot to the
-    instruction that writes it, so a marked set of slots names the
-    instructions to run, and ``writes_node`` flags the instructions that
-    write a node, so a set of instructions names the nodes it writes.  The
-    ancestor orders that queries keep index the old tape, so they are
-    dropped.
+    The stage once also linked every tape slot to the slots that read it.
+    Only the partial rung reads that graph, so the first partial-rung query
+    links it now (:func:`ddnnf.engine.link_readers`), and ``--count``, the
+    tables and ``--save-smoothed`` never pay for it.  The name stays
+    because perfbench's tracer wraps it by module and attribute, and its
+    layer metrics read this stage's span from every set-up window.  The
+    reader graph and the ancestor orders that queries keep index the old
+    tape, so they are dropped.
     """
     d.ancestor_orders, d.ancestor_entries = {}, 0
-    d.tape, scratch = compile_tape(d)
-    slots = len(d.kind) + 1 + scratch
-    writer = array("i", [-1]) * slots
-    # most slots have one reader: it waits in ``first``, and only slots read
-    # twice get a list, since a list per slot would raise set-up's peak memory
-    first: list[int | None] = [None] * slots
-    more: dict[int, list[int]] = {}
-    for j, (dst, a, b) in enumerate(d.tape):
-        if dst < 0:
-            dst = ~dst
-        writer[dst] = j
-        if first[a] is None:
-            first[a] = dst
-        elif a in more:
-            more[a].append(dst)
-        else:
-            more[a] = [first[a], dst]
-        if first[b] is None:  # the same for the second operand
-            first[b] = dst
-        elif b in more:
-            more[b].append(dst)
-        else:
-            more[b] = [first[b], dst]
-    d.parents = [
-        () if p is None else tuple(more[s]) if s in more else (p,)
-        for s, p in enumerate(first)
-    ]
-    writes_node = bytearray(len(d.tape) + 1)
-    for j in writer[: len(d.kind)]:
-        writes_node[j] = 1  # a node no instruction writes sets the spare last byte
-    d.writer, d.writes_node = writer, bytes(writes_node[:-1])
+    d.tape, d.scratch_slots = compile_tape(d)
+    drop_readers(d)
     return d
 
 
@@ -271,7 +246,8 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
     """Store every node's count under no assumptions as its baseline.
 
     Runs the tape that :func:`link_parents` compiled, the one forward
-    sweep (:func:`~ddnnf.core.sweep`), once.  Leaves start at their own
+    sweep (:func:`~ddnnf.core.sweep`), once, over the slot count that
+    :func:`~ddnnf.core.compile_tape` returned.  Leaves start at their own
     count (a literal and True count 1, False 0), childless Or nodes at 0
     and childless And nodes at 1.  The sweep's value list holds every slot:
     the nodes, the constant slot and the tape's scratch slots.  Each part
@@ -289,7 +265,7 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
         for k, ch in zip(kind, children)
     ]
     n = len(kind)
-    values += [1] + [0] * (len(d.parents) - n - 1)  # one parents entry per slot
+    values += [1] + [0] * d.scratch_slots
     sweep(d.tape, values)
     d.baseline = values[:n]
     d.scratch_baseline = values[n + 1:]

@@ -128,3 +128,16 @@ def circuits():
 @pytest.fixture(scope="session")
 def running_example(circuits):
     return circuits["running_c2d"]
+
+
+@pytest.fixture()
+def reader_links(monkeypatch):
+    """The circuits whose reader graph the engine links, one entry a link."""
+    import ddnnf.engine
+
+    calls = []
+    link = ddnnf.engine._link_readers
+    monkeypatch.setattr(
+        ddnnf.engine, "_link_readers", lambda d: calls.append(d) or link(d)
+    )
+    return calls

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 
 from ddnnf.core import AND, OR, sweep
+from ddnnf.engine import link_readers
 
 
 def random_c2d_text(
@@ -232,6 +233,7 @@ def tape_order(d, literals) -> list[int]:
 def node_parents(d) -> list[set[int]]:
     """Each node's parent nodes, read off the slot parents by passing
     through the scratch slots of wide nodes."""
+    link_readers(d)
     n = len(d.kind)
     out = []
     for i in range(n):

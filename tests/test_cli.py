@@ -296,6 +296,43 @@ def test_collector_off_for_setup_and_on_for_session_lines(
         gc.enable()
 
 
+def test_reader_graph_linked_only_for_the_partial_rung(
+    tmp_path, reader_links, monkeypatch, capsys
+):
+    # one-shot modes that never take the partial rung leave the graph
+    # unlinked; --feature and a short --config link it once each
+    from ddnnf import cli, engine
+
+    path = tmp_path / "rand12.nnf"
+    path.write_text(fixture_texts()["rand_n12a"][1])
+    d = preprocess(parse_c2d(path.read_text()))
+    v = min(set(range(1, d.num_variables + 1)) - d.core - d.dead - d.omitted)
+    for mode in (["--count"], ["--all-features"], ["--save-smoothed", str(tmp_path / "s.nnf")]):
+        assert main([str(path), *mode]) == 0
+    assert reader_links == []
+    for mode in (["--feature", str(v)], ["--config", str(-v)]):
+        assert main([str(path), *mode]) == 0
+    assert len(reader_links) == 2
+    # a session links it in set-up, with the collector off, before its
+    # first line, so that line does not pay for it
+    reader_links.clear()
+    collecting, seen = [], []
+    link = engine._link_readers
+    monkeypatch.setattr(
+        engine, "_link_readers", lambda d: collecting.append(gc.isenabled()) or link(d)
+    )
+    handle = cli.StreamSession.handle
+    monkeypatch.setattr(
+        cli.StreamSession, "handle",
+        lambda self, line: seen.append(len(reader_links)) or handle(self, line),
+    )
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"count v {-v}\nexit\n"))
+    capsys.readouterr()
+    assert main([str(path), "--stream"]) == 0
+    assert capsys.readouterr().out.endswith("\nbye\n")
+    assert seen == [1, 1] and collecting == [False]
+
+
 def test_prints_counts_beyond_int_str_guard(tmp_path):
     # 2**15000 has 4516 digits, more than CPython's default str() limit
     from helpers import gadget_chain_c2d

@@ -8,8 +8,8 @@ from ddnnf import (
     validate,
 )
 from ddnnf.core import mask_variables, present_variables, renumber
-from ddnnf.engine import FULL, NO_PARTIAL_TRAVERSAL
-from ddnnf.errors import OracleLimitExceeded
+from ddnnf.engine import FULL, NO_PARTIAL_TRAVERSAL, link_readers
+from ddnnf.errors import OracleLimitExceeded, VariableOutOfRange
 
 from conftest import UNSMOOTH_PAIR_C2D, RUNNING_EXAMPLE_C2D, fixture_texts
 from helpers import node_parents
@@ -19,6 +19,14 @@ from ddnnf import count_all_features, parse_c2d, preprocess, query
 def test_from_literals_reads_a_generator_once():
     a = Assumptions.from_literals(lit for lit in [1, -2])
     assert a == Assumptions.of(include={1}, exclude={2})
+
+
+def test_from_literals_keeps_zero_for_the_range_check(running_example):
+    # a literal 0 names no variable: queries reject it as Assumptions.of does
+    assert Assumptions.from_literals([0, 2]) == Assumptions.of(include={0, 2})
+    for a in (Assumptions.from_literals([0]), Assumptions.of(include={0})):
+        with pytest.raises(VariableOutOfRange):
+            query(running_example, a)
 
 
 def test_validate_running_example_clean(running_example):
@@ -107,6 +115,7 @@ def test_parent_child_duality(circuits):
     # parents invert the tape's reads slot by slot, and, passing through the
     # scratch slots of wide nodes, the child relation node by node
     for name, d in circuits.items():
+        link_readers(d)
         slots = len(d.nodes) + 1 + len(d.scratch_baseline)
         assert len(d.parents) == len(d.writer) == slots, name
         assert len(d.writes_node) == len(d.tape), name

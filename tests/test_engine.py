@@ -12,18 +12,22 @@ from ddnnf import (
     ExhaustiveCounter,
     NodeKind,
     OptimizationConfig,
+    SessionState,
     brute_force_count,
     count_all_features,
     count_feature,
     count_total,
+    link_parents,
+    link_readers,
     mark_ancestors,
     parse_c2d,
     parse_d4,
     preprocess,
     query,
+    smooth,
     write_c2d,
 )
-from ddnnf.core import ORACLE_LIMIT_DEFAULT, compile_adjoint, sweep, validate
+from ddnnf.core import ORACLE_LIMIT_DEFAULT, compile_adjoint, renumber, sweep, validate
 from ddnnf.engine import (
     ANCESTOR_ORDER_BUDGET,
     FULL,
@@ -774,6 +778,107 @@ class TestAncestorOrders:
                 _assert_orders_exact(d)
         finally:
             sys.setswitchinterval(interval)
+
+
+def _unlinked(d) -> bool:
+    return d.parents == [] and len(d.writer) == 0 and d.writes_node == b""
+
+
+def _graph(d):
+    return d.parents, list(d.writer), d.writes_node
+
+
+def _partial_cases(n):
+    """One and two literals per variable: with n >= 10 every reset that
+    is not a shortcut takes the partial rung under FULL."""
+    return [
+        a
+        for v in range(1, n + 1)
+        for a in (
+            Assumptions.of({v}),
+            Assumptions.of(set(), {v}),
+            Assumptions.of({v}, {v % n + 1}),
+        )
+    ]
+
+
+class TestReaderGraph:
+    """Only the partial rung reads parents, writer and writes_node, so the
+    first partial-rung use links them, once."""
+
+    TEXT = fixture_texts()["rand_n12a"][1]
+
+    def test_setup_counts_tables_lookups_and_full_sweeps_leave_it_unlinked(
+        self, reader_links
+    ):
+        d = preprocess(parse_c2d(self.TEXT))
+        assert _unlinked(d)
+        count_total(d)
+        count_all_features(d)
+        for v in range(1, d.num_variables + 1):
+            count_feature(d, v)  # after a table, a dict read
+        state = SessionState()
+        for a in _partial_cases(d.num_variables):
+            query(d, a, NO_PARTIAL_TRAVERSAL)
+            query(d, a, NO_PARTIAL_TRAVERSAL, state)
+        assert _unlinked(d) and reader_links == []
+
+    def test_first_partial_query_links_it_once(self, reader_links):
+        d = preprocess(parse_c2d(self.TEXT))
+        cases = _partial_cases(d.num_variables)
+        want = [query(d, a, NO_PARTIAL_TRAVERSAL).count for a in cases]
+        results = [query(d, a) for a in cases]
+        assert [r.count for r in results] == want
+        assert [r.strategy for r in results].count("partial") > len(cases) // 2
+        assert reader_links == [d] and not _unlinked(d)
+
+    def test_racing_first_partial_queries_link_one_graph(self, reader_links):
+        from concurrent.futures import ThreadPoolExecutor
+
+        reference = preprocess(parse_c2d(self.TEXT))
+        cases = _partial_cases(reference.num_variables)
+        want = [query(reference, a, NO_PARTIAL_TRAVERSAL).count for a in cases]
+        link_readers(reference)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                d = preprocess(parse_c2d(self.TEXT))
+                reader_links.clear()
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(query, d, a) for a in cases for _ in range(3)]
+                    counts = [f.result(timeout=60).count for f in futures]
+                assert counts == [c for c in want for _ in range(3)]
+                assert reader_links == [d]
+                assert _graph(d) == _graph(reference)
+                _assert_orders_exact(d)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("step", ["smooth", "renumber", "link_parents"])
+    def test_steps_that_rewrite_the_tape_drop_it(self, step, reader_links):
+        d = preprocess(parse_c2d(self.TEXT))
+        cases = _partial_cases(d.num_variables)
+        want = [query(d, a, NO_PARTIAL_TRAVERSAL).count for a in cases]
+        assert [query(d, a).count for a in cases] == want
+        assert not _unlinked(d) and d.ancestor_orders
+        if step == "smooth":  # a smooth circuit: nothing changes but the graph
+            smooth(d)
+        elif step == "renumber":
+            renumber(d, list(d.nodes))
+        else:
+            link_parents(d)
+        assert _unlinked(d)
+        if step == "smooth":
+            # the cached orders outlive the graph, and a union of them relinks it
+            cached = {lit for lit in d.ancestor_orders if lit > 0}
+            a = Assumptions.of(set(), set(sorted(cached)[:2]))
+            assert len(a) == 2
+            assert query(d, a).count == query(d, a, NO_PARTIAL_TRAVERSAL).count
+        else:
+            preprocess(d)
+        assert [query(d, a).count for a in cases] == want
+        assert len(reader_links) == 2 and not _unlinked(d)
 
 
 def test_or_folding_engine_path():

@@ -17,6 +17,7 @@ from ddnnf import (
     count_total,
     index_literals,
     link_parents,
+    link_readers,
     parse_c2d,
     parse_d4,
     preprocess,
@@ -150,6 +151,7 @@ class TestSmooth:
 class TestLinkParents:
     def test_shared_node_has_two_parents(self):
         d = link_parents(smooth(parse_c2d(SHARED_SUBTREE_C2D)))
+        link_readers(d)
         shared = next(
             i for i in d.nodes
             if d.kind[i] is NodeKind.OR
@@ -160,6 +162,7 @@ class TestLinkParents:
 
     def test_single_literal_root(self):
         d = link_parents(smooth(parse_c2d("nnf 1 0 1\nL 1\n")))
+        link_readers(d)
         assert d.parents[d.root] == ()
         assert d.root == 0
 
@@ -167,6 +170,7 @@ class TestLinkParents:
         # the root And 11 over (0, 9, 10) reads 0 and 9 through scratch
         # slot 13, after the 12 nodes and the constant slot 12
         d = link_parents(smooth(parse_c2d(RUNNING_EXAMPLE_C2D)))
+        link_readers(d)
         assert d.children[11] == (0, 9, 10)
         assert d.parents[9] == (13,) and d.parents[13] == (11,)
         assert d.parents[10] == (11,)
