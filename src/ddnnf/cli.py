@@ -24,16 +24,18 @@ A session (``--stream`` or ``--queries``) keeps one
 values of the last ``count v`` line it evaluated.  The next such line
 starts from those values when fewer literals change than from the
 baselines, so a selection that grows by one literal reruns only the tape
-instructions on that literal's paths to the root.  A line whose zero literals equal the kept ones (it adds only
-core, dead-excluded or omitted variables) answers from the kept root.  The
-other modes answer each query from the baselines.
+instructions on that literal's paths to the root.  A line whose zero
+literals equal the kept ones (it adds only core, dead-excluded or omitted
+variables) answers from the kept root.  The other modes answer each query
+from the baselines.
 
 Parsing and preprocessing run with the cyclic garbage collector off, and a
 one-shot mode keeps it off until it has answered; a session turns it back
 on before it answers its first line.  A session's set-up also links the
-reader graph that the partial rung climbs
-(:func:`~ddnnf.engine.link_readers`), so its first line does not pay for
-it; a one-shot mode links it only if its query takes the partial rung.
+reader graph that the partial rung climbs, each tape slot's reading
+instructions (:func:`~ddnnf.engine.link_readers`), so its first line does
+not pay for it; a one-shot mode links it only if its query takes the
+partial rung.
 
 Exit codes: 0 success, 1 parse error (the message names the line; a circuit
 or ``--queries`` file that is not UTF-8 text is one too), 2 bad options, 3

@@ -66,14 +66,13 @@ class Ddnnf:
     preprocessing (see :mod:`ddnnf.engine`), and every preprocess empties
     them again (``link_parents`` the reader graph and the orders,
     ``compute_baseline`` the rest).  The first partial-rung query links
-    the tape's *reader graph*, three fields built together by
+    the tape's *reader graph*, two fields built together by
     :func:`ddnnf.engine.link_readers`; a stream session links it in set-up:
 
-    * ``parents[s]``: for every slot ``s``, a tuple of the slots whose
-      instructions read it, the inverse of the tape's reads; a node's
-      parents are nodes or the scratch slots of its wide parents;
-    * ``writer[s]``: the index of the tape instruction that writes slot
-      ``s``, -1 for a leaf, a childless node and the constant slot;
+    * ``readers[s]``: for every slot ``s``, a tuple of the indices of the
+      tape instructions that read it, ascending, the exact inverse of the
+      tape's reads; the slots that only instruction ``j`` reads share one
+      ``(j,)`` tuple;
     * ``writes_node[j]``: 1 when tape instruction ``j`` writes a node, 0
       when it writes a scratch slot.
 
@@ -112,8 +111,7 @@ class Ddnnf:
     dead: frozenset[int] = frozenset()
     omitted: frozenset[int] = frozenset()
     # filled by call history, not by the circuit, so equality ignores them
-    parents: list[tuple[int, ...]] = field(default_factory=list, compare=False)
-    writer: array = field(default_factory=lambda: array("i"), compare=False)
+    readers: list[tuple[int, ...]] = field(default_factory=list, compare=False)
     writes_node: bytes = field(default=b"", compare=False)
     adjoint: list[tuple[int, int, int, int, int]] | None = field(
         default=None, compare=False
@@ -259,9 +257,9 @@ def renumber(d: Ddnnf, order: list[int]) -> None:
 
 
 def drop_readers(d: Ddnnf) -> None:
-    """Empty the tape's reader graph: ``parents``, ``writer`` and
-    ``writes_node``.  The first partial query links it again."""
-    d.parents, d.writer, d.writes_node = [], array("i"), b""
+    """Empty the tape's reader graph: ``readers`` and ``writes_node``.  The
+    first partial query links it again."""
+    d.readers, d.writes_node = [], b""
 
 
 def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
@@ -290,8 +288,10 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
     assumptions as ``Ddnnf.scratch_baseline``.  Because every slot is
     written once, the tape run backwards is the reverse-mode derivative of
     the sweep, which reads those values; :func:`compile_adjoint` compiles
-    that run once per circuit, and an instruction's readers are the parents
-    that :func:`ddnnf.engine.link_readers` links per slot.
+    that run once per circuit.  Run forwards from a changed slot, the
+    instructions that depend on it are its readers, their destinations'
+    readers, and so on: :func:`ddnnf.engine.link_readers` links each slot's
+    readers, and the partial rung climbs them.
 
     The tape is data, not code: building it costs one pass over the nodes,
     and :func:`sweep` pays no per-node kind test or child-count branch.

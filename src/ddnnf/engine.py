@@ -7,12 +7,12 @@ picks the rung for each query itself:
 * core/dead shortcuts: a query including a dead variable or excluding a core
   one is 0 without touching the circuit; included-core and excluded-dead
   assumptions change nothing and are dropped before marking.
-* partial traversal: climb the tape's parent pointers from the reset
-  literal nodes, mark the ancestor closure, and rerun only the tape
-  instructions that write a marked slot, reading every unmarked slot's
-  value as it stands (its baseline, or its kept value in a session).  A
-  reset reads those instructions from the circuit's cache instead of
-  marking wherever the cache holds its literals' orders (see below).
+* partial traversal: climb the tape's reader graph from the reset
+  literal nodes, mark the tape instructions whose value depends on them,
+  and rerun only those, reading every unmarked slot's value as it stands
+  (its baseline, or its kept value in a session).  A reset reads those
+  instructions from the circuit's cache instead of marking wherever the
+  cache holds its literals' orders (see below).
   Skipped when the reset literals exceed ``traversal_bypass_fraction`` of
   the variables, where marking overhead stops paying off.
 
@@ -27,17 +27,18 @@ the scratch slots of the balanced trees that wide nodes compile to.  The
 full sweep runs the whole tape (:func:`~ddnnf.core.sweep`), the
 instructions that computed the baselines, with no per-node dispatch.  The
 partial pass runs the marked instructions in tape order through the same
-loop.  ``Ddnnf.parents`` links every slot to the slots that read it, so
-marking climbs from a changed child through the scratch slots on its path
-to the root: a wide node with k children costs about log2 k instructions,
-not k - 1.  Only this rung reads ``parents``, ``writer`` and
-``writes_node``, the tape's reader graph, so set-up leaves them empty and
-the first partial-rung use links them (:func:`link_readers`); ``count``,
-the full rung, the shortcuts and the tables never pay for it, and a
-stream session links it in set-up.  An unmarked sibling's scratch slot holds the product or sum
-of children that did not change, and the pass reads it as it stands, so
-every value list keeps every slot current.  Every configuration returns
-identical counts; only the work differs.
+loop.  ``Ddnnf.readers`` maps every slot to the instructions that read
+it, so marking climbs instruction by instruction from a changed child
+through the scratch slots on its path to the root: a wide node with k
+children costs about log2 k instructions, not k - 1.  Only this rung
+reads ``readers`` and ``writes_node``, the tape's reader graph, so set-up
+leaves them empty and the first partial-rung use links them
+(:func:`link_readers`); ``count``, the full rung, the shortcuts and the
+tables never pay for it, and a stream session links it in set-up.  An
+unmarked sibling's scratch slot holds the product or sum of children that
+did not change, and the pass reads it as it stands, so every value list
+keeps every slot current.  Every configuration returns identical counts;
+only the work differs.
 
 Without a :class:`SessionState`, that list is a copy of every slot's
 value under no assumptions (``Ddnnf.baseline``, the constant slot and
@@ -65,8 +66,9 @@ be.  When it lacks two or more, the reset marks all its literals together
 once and stores nothing, as a stateless query of k literals does: storing
 each literal's order would mark each closure on its own, where one
 marking covers their union.  ``nodes_marked`` and ``nodes_visited`` report
-the marked circuit nodes either way (``Ddnnf.writes_node`` counts them in
-a union); scratch slots are not nodes and do not count.
+the circuit nodes marking reaches, counted the same way for a marked order
+and a union: the instructions ``Ddnnf.writes_node`` flags, plus the reset
+literals' own nodes; scratch slots are not nodes and do not count.
 
 Queries never mutate the circuit's lists.  A stateless query keeps its
 values in a local buffer, so such queries may run concurrently; a state is
@@ -113,7 +115,6 @@ far less than the pass, and the first such query links the reader graph.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 from threading import Lock
@@ -183,86 +184,104 @@ _store_lock = Lock()
 
 
 def link_readers(d: Ddnnf) -> list[tuple[int, ...]]:
-    """The tape's reader graph, linked on first use; returns ``d.parents``.
+    """The tape's reader graph, linked on first use; returns ``d.readers``.
 
     Only the partial rung reads the graph, so set-up leaves it empty and the
     first call links it (:func:`_link_readers`) under the store lock.  A
     linked graph is returned as it is, so racing first calls link it once.
     """
-    parents = d.parents
-    if not parents:
+    readers = d.readers
+    if not readers:
         with _store_lock:
-            parents = d.parents or _link_readers(d)  # a racing call may have linked it
-    return parents
+            readers = d.readers or _link_readers(d)  # a racing call may have linked it
+    return readers
 
 
 def _link_readers(d: Ddnnf) -> list[tuple[int, ...]]:
-    """Build ``parents``, ``writer`` and ``writes_node`` in one pass over
-    the tape, and store them, ``parents`` last.
+    """Build ``readers`` and ``writes_node`` in one pass over the tape, and
+    store them, ``readers`` last.
 
-    ``parents`` is the exact inverse of the tape's reads over every slot:
-    the nodes, the constant slot and the scratch slots.  A node's parents
-    are the slots its readers' instructions write: a parent node, or a
-    scratch slot of a parent's balanced tree.  ``writer`` maps each slot to
-    the instruction that writes it, so a marked set of slots names the
-    instructions to run, and ``writes_node`` flags the instructions that
-    write a node, so a set of instructions names the nodes it writes.  A
-    reader that finds ``parents`` filled finds the other two filled too.
+    ``readers`` is the exact inverse of the tape's reads over every slot:
+    the nodes, the constant slot and the scratch slots, each mapped to the
+    indices of the instructions that read it.  ``writes_node`` flags the
+    instructions that write a node, so a set of instructions names the
+    nodes it writes.  A reader that finds ``readers`` filled finds
+    ``writes_node`` filled too.
     """
-    slots = len(d.kind) + 1 + d.scratch_slots
-    writer = array("i", [-1]) * slots
-    # most slots have one reader: it waits in ``first``, and only slots read
-    # twice get a list, since a list per slot would raise the peak memory
-    first: list[int | None] = [None] * slots
+    n = len(d.kind)
+    tape = d.tape
+    # most slots have one reader, and the slots only instruction j reads
+    # share one (j,); only slots read twice get a list, since a tuple or a
+    # list per slot would raise the memory the graph keeps
+    readers: list[tuple[int, ...]] = [()] * (n + 1 + d.scratch_slots)
     more: dict[int, list[int]] = {}
-    for j, (dst, a, b) in enumerate(d.tape):
-        if dst < 0:
-            dst = ~dst
-        writer[dst] = j
-        if first[a] is None:
-            first[a] = dst
+    writes_node = bytearray(len(tape))
+    for j, (dst, a, b) in enumerate(tape):
+        if (~dst if dst < 0 else dst) < n:
+            writes_node[j] = 1
+        one = (j,)
+        if not readers[a]:
+            readers[a] = one
         elif a in more:
-            more[a].append(dst)
+            more[a].append(j)
         else:
-            more[a] = [first[a], dst]
-        if first[b] is None:  # the same for the second operand
-            first[b] = dst
+            more[a] = [*readers[a], j]
+        if not readers[b]:  # the same for the second operand
+            readers[b] = one
         elif b in more:
-            more[b].append(dst)
+            more[b].append(j)
         else:
-            more[b] = [first[b], dst]
-    parents = [
-        () if p is None else tuple(more[s]) if s in more else (p,)
-        for s, p in enumerate(first)
-    ]
-    writes_node = bytearray(len(d.tape) + 1)
-    for j in writer[: len(d.kind)]:
-        writes_node[j] = 1  # a node no instruction writes sets the spare last byte
-    d.writer, d.writes_node = writer, bytes(writes_node[:-1])
-    d.parents = parents
-    return parents
+            more[b] = [*readers[b], j]
+    for s, js in more.items():
+        readers[s] = tuple(js)
+    d.writes_node = bytes(writes_node)
+    d.readers = readers
+    return readers
 
 
 def mark_ancestors(d: Ddnnf, literals) -> set[int]:
-    """Ancestor closure (inclusive) of the nodes holding the given literals.
+    """The tape instructions whose value depends on the nodes holding the
+    given literals, as a set of instruction indices.
 
-    The closure climbs ``d.parents``, which :func:`link_readers` links on
-    the first call, so it holds slots: the literal nodes, their ancestor
-    nodes and the scratch slots on the way, the ones whose value changes
-    with theirs; its nodes are the members below ``len(d.nodes)``.  Only literals whose nodes change value are worth
-    seeding: those forced to zero, and in a session those restored to
-    their baseline.  A literal forced to one equals its baseline and
-    changes nothing upstream.
+    Marking climbs ``d.readers``, which :func:`link_readers` links on the
+    first call: it starts from the readers of the literals' nodes, and from
+    each marked instruction climbs the readers of the slot it writes.  The
+    marked instructions are the ones that write the literals' ancestor
+    nodes and the scratch slots on the way.  Only literals whose nodes
+    change value are worth seeding: those forced to zero, and in a session
+    those restored to their baseline.  A literal forced to one equals its
+    baseline and changes nothing upstream.
     """
-    parents = link_readers(d)
+    readers = link_readers(d)
+    tape = d.tape
     marked: set[int] = set()
-    stack = [i for lit in literals for i in d.literal_index.get(lit, ())]
+    stack = [j for lit in literals for i in d.literal_index.get(lit, ()) for j in readers[i]]
     while stack:
-        i = stack.pop()
-        if i not in marked:
-            marked.add(i)
-            stack.extend(parents[i])
+        j = stack.pop()
+        if j not in marked:
+            marked.add(j)
+            dst = tape[j][0]
+            stack.extend(readers[~dst if dst < 0 else dst])
     return marked
+
+
+def _marked_nodes(d: Ddnnf, order, literals) -> int:
+    """The nodes marking ``literals`` reaches, given the instructions it
+    reaches: the instructions that write a node, plus the literals' own
+    nodes.
+
+    Every instruction writes one slot and distinct literals hold distinct
+    nodes, so nothing is counted twice.
+    """
+    link_readers(d)  # the orders outlive a graph dropped by a smooth that changed nothing
+    flags = d.writes_node
+    # itemgetter of two or more indices returns a tuple, in a third of the
+    # time that map takes over a union of some 500 instructions
+    marked = sum(
+        itemgetter(*order)(flags) if len(order) > 1 else map(flags.__getitem__, order)
+    )
+    index = d.literal_index
+    return marked + sum([len(index.get(lit, ())) for lit in literals])
 
 
 def _marked_order(d: Ddnnf, literals) -> tuple[list[int], int]:
@@ -272,17 +291,11 @@ def _marked_order(d: Ddnnf, literals) -> tuple[list[int], int]:
     Marks with :func:`mark_ancestors`, which links the reader graph on
     first use, once for all of ``literals``: a one-literal miss marks here,
     and so does a reset of several literals when the cache lacks two or
-    more of their orders (see :func:`_union_order`).  Every marked slot but the literal nodes
-    themselves is written by one instruction, and tape order is a
+    more of their orders (see :func:`_union_order`).  Tape order is a
     topological order, so each instruction reads final values.
     """
-    slots = sorted(mark_ancestors(d, literals))
-    # the nodes come first, and their writers ascend with them, as do the
-    # scratch slots' after them, so the second sort merges two runs; the
-    # literal nodes are leaves, writer -1, and sort first
-    order = sorted(map(d.writer.__getitem__, slots))
-    del order[: sum([len(d.literal_index.get(lit, ())) for lit in literals])]
-    return order, bisect_left(slots, len(d.kind))
+    order = sorted(mark_ancestors(d, literals))
+    return order, _marked_nodes(d, order, literals)
 
 
 #: The ancestor orders kept on one circuit hold at most this many
@@ -326,9 +339,8 @@ def _union_order(d: Ddnnf, literals) -> tuple[list[int], int]:
     every literal is marked together once and nothing is stored: marking
     them one by one would climb their shared ancestors once per literal,
     and marking only the uncached ones costs nearly what marking all of
-    them does, before the union.  Every instruction writes one slot and
-    distinct literals hold distinct nodes, so the nodes marking reaches are
-    the nodes the union's instructions write plus the literals' own nodes.
+    them does, before the union.  The union's nodes are counted as a
+    marking's are (:func:`_marked_nodes`).
     """
     kept = d.ancestor_orders
     orders, missing = [], None
@@ -343,16 +355,7 @@ def _union_order(d: Ddnnf, literals) -> tuple[list[int], int]:
     if missing is not None:
         orders.append(_ancestor_order(d, missing)[0])
     order = sorted(set().union(*orders))
-    # the orders outlive a graph dropped by a smooth that changed nothing
-    link_readers(d)
-    flags = d.writes_node
-    # itemgetter of two or more indices returns a tuple, in a third of the
-    # time that map takes over a union of some 500 instructions
-    marked = sum(
-        itemgetter(*order)(flags) if len(order) > 1 else map(flags.__getitem__, order)
-    )
-    index = d.literal_index
-    return order, marked + sum([len(index.get(lit, ())) for lit in literals])
+    return order, _marked_nodes(d, order, literals)
 
 
 @dataclass

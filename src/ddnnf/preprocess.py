@@ -4,10 +4,11 @@ Six steps, in order: prune the circuit to the root's cone, smooth it,
 compile the tape, index the literal nodes, detect core and dead variables,
 and run the tape for every node's baseline count under no assumptions.
 That is all set-up builds, and all that ``--count``, the all-features
-tables and ``--save-smoothed`` read.  The tape's reader graph, which links
-each slot to the slots that read it, serves only the partial rung, so the
-first partial-rung query links it (:func:`ddnnf.engine.link_readers`); a
-stream session links it in set-up, so that its first line does not pay.
+tables and ``--save-smoothed`` read.  The tape's reader graph, which maps
+each slot to the tape instructions that read it, serves only the partial
+rung, so the first partial-rung query links it
+(:func:`ddnnf.engine.link_readers`); a stream session links it in set-up,
+so that its first line does not pay.
 Each step is one pass over node lists that are already in topological
 order, and each keeps that order: pruning drops nodes, and smoothing places
 the nodes it adds where their children precede them, so nothing is sorted.
@@ -196,9 +197,9 @@ def smooth(d: Ddnnf) -> Ddnnf:
 def link_parents(d: Ddnnf) -> Ddnnf:
     """Compile the tape, and empty its reader graph.
 
-    The stage once also linked every tape slot to the slots that read it.
-    Only the partial rung reads that graph, so the first partial-rung query
-    links it now (:func:`ddnnf.engine.link_readers`), and ``--count``, the
+    The stage once also linked the tape's reader graph, which maps each
+    slot to the instructions that read it.  Only the partial rung reads
+    that graph, so the first partial-rung query links it now (:func:`ddnnf.engine.link_readers`), and ``--count``, the
     tables and ``--save-smoothed`` never pay for it.  The name stays
     because perfbench's tracer wraps it by module and attribute, and its
     layer metrics read this stage's span from every set-up window.  The

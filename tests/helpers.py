@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 
 from ddnnf.core import AND, OR, sweep
-from ddnnf.engine import link_readers
 
 
 def random_c2d_text(
@@ -220,7 +219,7 @@ def recompute(d, values: list[int]) -> None:
 def tape_order(d, literals) -> list[int]:
     """The tape instructions whose value depends on the nodes of
     ``literals``, ascending, found by one forward scan of the tape rather
-    than by climbing parents."""
+    than by climbing the reader graph."""
     changed = {i for lit in literals for i in d.literal_index.get(lit, ())}
     order = []
     for j, (dst, a, b) in enumerate(d.tape):
@@ -230,21 +229,25 @@ def tape_order(d, literals) -> list[int]:
     return order
 
 
+def written_slots(d, instructions) -> set[int]:
+    """The slots the given tape instructions write."""
+    return {~d.tape[j][0] if d.tape[j][0] < 0 else d.tape[j][0] for j in instructions}
+
+
+def tape_nodes(d, literals) -> set[int]:
+    """The nodes whose value depends on the nodes of ``literals``, by the
+    forward scan of :func:`tape_order`: the literals' own nodes and the
+    nodes its instructions write."""
+    own = {i for lit in literals for i in d.literal_index.get(lit, ())}
+    return own | {s for s in written_slots(d, tape_order(d, literals)) if s < len(d.nodes)}
+
+
 def node_parents(d) -> list[set[int]]:
-    """Each node's parent nodes, read off the slot parents by passing
-    through the scratch slots of wide nodes."""
-    link_readers(d)
-    n = len(d.kind)
-    out = []
-    for i in range(n):
-        found, stack = set(), list(d.parents[i])
-        while stack:
-            s = stack.pop()
-            if s < n:
-                found.add(s)
-            else:
-                stack.extend(d.parents[s])
-        out.append(found)
+    """Each node's parent nodes, read off ``children``."""
+    out: list[set[int]] = [set() for _ in d.nodes]
+    for i, ch in enumerate(d.children):
+        for c in ch:
+            out[c].add(i)
     return out
 
 

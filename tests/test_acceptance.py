@@ -28,7 +28,7 @@ from ddnnf.engine import VARIANTS
 from ddnnf.oracle import generate_satisfiable_configs, generate_unsat_configs
 
 from conftest import UNSMOOTH_PAIR_C2D, RUNNING_EXAMPLE_C2D, RUNNING_EXAMPLE_D4
-from helpers import gadget_chain_c2d
+from helpers import gadget_chain_c2d, written_slots
 
 DATA = Path(__file__).parent / "data"
 
@@ -124,8 +124,9 @@ def test_criterion_04_variant_matrix_equality(circuits):
 def test_criterion_05_partial_traversal_sharpness():
     d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
     assert len(d.nodes) == 12
-    # the closure holds slots; its nodes are the ones below the node count
-    assert len([i for i in mark_ancestors(d, {-2}) if i < len(d.nodes)]) == 4
+    # marking reaches the nodes its instructions write, and B's own node
+    written = written_slots(d, mark_ancestors(d, {-2}))
+    assert len({i for i in written if i < len(d.nodes)} | set(d.literal_index[-2])) == 4
     result = query(d, Assumptions.of({2}), OptimizationConfig(traversal_bypass_fraction=1.0))
     assert result.nodes_marked == 4 and result.count == 2
     _passed(5, "feature query on B marks exactly 4 of 12 nodes")

@@ -112,27 +112,35 @@ def test_topological_order_everywhere(circuits):
 
 
 def test_parent_child_duality(circuits):
-    # parents invert the tape's reads slot by slot, and, passing through the
+    # readers invert the tape's reads slot by slot, and, passing through the
     # scratch slots of wide nodes, the child relation node by node
     for name, d in circuits.items():
         link_readers(d)
-        slots = len(d.nodes) + 1 + len(d.scratch_baseline)
-        assert len(d.parents) == len(d.writer) == slots, name
-        assert len(d.writes_node) == len(d.tape), name
+        n = len(d.nodes)
+        slots = n + 1 + len(d.scratch_baseline)
+        reads: list[list[int]] = [[] for _ in range(slots)]
         for j, (dst, a, b) in enumerate(d.tape):
-            dst = ~dst if dst < 0 else dst
-            assert d.writer[dst] == j, name
-            assert d.writes_node[j] == (dst < len(d.nodes)), name
-            assert dst in d.parents[a] and dst in d.parents[b], name
-        for s in range(slots):
-            for p in d.parents[s]:
-                assert s in d.tape[d.writer[p]][1:], name
-        up = node_parents(d)
+            reads[a].append(j)
+            reads[b].append(j)
+        assert [list(r) for r in d.readers] == reads, name
+        written = [~dst if dst < 0 else dst for dst, _, _ in d.tape]
+        assert list(d.writes_node) == [int(s < n) for s in written], name
+        # the slots that one instruction reads share its one-element tuple
+        ones: dict[int, tuple[int]] = {}
+        for r in d.readers:
+            if len(r) == 1:
+                assert ones.setdefault(r[0], r) is r, name
+        up = []
         for i in d.nodes:
-            for c in d.children[i]:
-                assert i in up[c], name
-            for p in up[i]:
-                assert i in d.children[p], name
+            found, stack = set(), list(d.readers[i])
+            while stack:
+                s = written[stack.pop()]
+                if s < n:
+                    found.add(s)
+                else:
+                    stack.extend(d.readers[s])
+            up.append(found)
+        assert up == node_parents(d), name
 
 
 def test_root_covers_all_non_omitted_variables(circuits):
@@ -166,7 +174,7 @@ def test_renumber_empties_preprocessed_lists(circuits):
     order = leaves + [i for i in d.nodes if d.children[i]]
     assert order != list(d.nodes)
     renumber(d, order)
-    assert (d.parents, d.baseline, d.tape, d.literal_index) == ([], [], [], {})
+    assert (d.readers, d.baseline, d.tape, d.literal_index) == ([], [], [], {})
     assert d.scratch_baseline == [] and d.writes_node == b""
     assert not d.preprocessed
     assert validate(d) == []

@@ -47,7 +47,9 @@ from helpers import (
     random_c2d_text,
     recompute,
     shannon_chain_c2d,
+    tape_nodes,
     tape_order,
+    wide_c2d_text,
 )
 
 ALWAYS_PARTIAL = OptimizationConfig(traversal_bypass_fraction=1.0)
@@ -306,14 +308,14 @@ def _assert_adjoint_structure(d):
     the root do not already hold."""
     program = compile_adjoint(d)
     values = d.baseline + [1] + d.scratch_baseline
-    # the nodes whose cones hold a negative literal, by parent pointers
-    wanted = mark_ancestors(d, [lit for lit in d.literal_index if lit < 0])
+    # the slots whose cones hold a negative literal, by a forward scan
+    wanted = {i for lit, nodes in d.literal_index.items() if lit < 0 for i in nodes}
     operands = {}  # slot -> (is an Or, first operand, second operand)
     for dst, a, b in d.tape:
         slot = ~dst if dst < 0 else dst
         operands[slot] = (dst < 0, a, b)
-        if slot > len(d.nodes) and (a in wanted or b in wanted):
-            wanted.add(slot)  # a scratch slot
+        if a in wanted or b in wanted:
+            wanted.add(slot)
     known = {id(x) for t in d.tape for x in t}
     known |= {id(x) for x in values} | {id(d.root), id(-1), id(1)}
     reached = {d.root}
@@ -534,10 +536,12 @@ def _assert_table_exact(d):
 
 
 class TestMarkAncestors:
+    """Marking returns the tape instructions a forward scan finds."""
+
     def test_running_example(self, running_example):
-        # the closure holds slots; its nodes are the ones below the node count
         marked = mark_ancestors(running_example, {-2})
-        assert len([i for i in marked if i < len(running_example.nodes)]) == 4
+        assert marked == set(tape_order(running_example, {-2}))
+        assert len(tape_nodes(running_example, {-2})) == 4
 
     def test_empty(self, running_example):
         assert mark_ancestors(running_example, set()) == set()
@@ -550,17 +554,15 @@ class TestMarkAncestors:
             and sorted(d.literal[c] for c in d.children[i]) == [-3, 3]
         )
         marked = mark_ancestors(d, {-3})
-        for parent in d.parents[shared]:
-            assert parent in marked
+        assert marked == set(tape_order(d, {-3}))
+        assert len(d.readers[shared]) == 2
+        for j in d.readers[shared]:
+            assert j in marked
 
     def test_monotone(self, running_example):
         small = mark_ancestors(running_example, {-2})
-        assert small <= mark_ancestors(running_example, {-2, 3})
-
-
-def _marked_nodes(d, literals):
-    """The nodes marking ``literals`` reaches: its closure below the node count."""
-    return [i for i in mark_ancestors(d, literals) if i < len(d.nodes)]
+        large = mark_ancestors(running_example, {-2, 3})
+        assert small <= large == set(tape_order(running_example, {-2, 3}))
 
 
 def _assert_orders_exact(d):
@@ -570,7 +572,7 @@ def _assert_orders_exact(d):
     for lit, (order, marked) in d.ancestor_orders.items():
         assert order.typecode == "i"
         assert list(order) == tape_order(d, (lit,)), lit
-        assert marked == len(_marked_nodes(d, (lit,))), lit
+        assert marked == len(tape_nodes(d, (lit,))), lit
     assert d.ancestor_entries == sum(len(order) for order, _ in d.ancestor_orders.values())
     assert d.ancestor_entries <= ANCESTOR_ORDER_BUDGET * len(d.nodes)
 
@@ -635,7 +637,7 @@ class TestAncestorOrders:
                         result = query(d, a, ALWAYS_PARTIAL)
                         if result.strategy != "partial":
                             continue
-                        want = len(_marked_nodes(d, zero))
+                        want = len(tape_nodes(d, zero))
                         assert result.nodes_visited == result.nodes_marked == want, (name, a)
             _assert_orders_exact(d)
 
@@ -647,7 +649,7 @@ class TestAncestorOrders:
         stored = dict(d.ancestor_orders)
         result = query(d, Assumptions.of({2}, {4}), ALWAYS_PARTIAL)
         assert result.count == 1 and result.strategy == "partial"
-        assert result.nodes_marked == result.nodes_visited == len(_marked_nodes(d, {-2, 4}))
+        assert result.nodes_marked == result.nodes_visited == len(tape_nodes(d, {-2, 4}))
         assert mark_calls == [{-2}, {4}]  # the union of the two cached orders
         assert d.ancestor_orders == stored
         _assert_orders_exact(d)
@@ -657,7 +659,7 @@ class TestAncestorOrders:
         query(d, Assumptions.of({2}), ALWAYS_PARTIAL)
         result = query(d, Assumptions.of({2}, {4}), ALWAYS_PARTIAL)
         assert result.count == 1 and result.strategy == "partial"
-        assert result.nodes_marked == result.nodes_visited == len(_marked_nodes(d, {-2, 4}))
+        assert result.nodes_marked == result.nodes_visited == len(tape_nodes(d, {-2, 4}))
         assert mark_calls == [{-2}, {4}]
         assert sorted(d.ancestor_orders) == [-2, 4]
         _assert_orders_exact(d)
@@ -672,7 +674,7 @@ class TestAncestorOrders:
         for _ in range(2):  # nothing stored, so it marks again
             result = query(d, Assumptions.of({2}, {4}), ALWAYS_PARTIAL)
             assert result.count == 1 and result.strategy == "partial"
-            assert result.nodes_marked == len(_marked_nodes(d, {-2, 4}))
+            assert result.nodes_marked == len(tape_nodes(d, {-2, 4}))
         assert mark_calls == [{-2}, {4}, {4}]
         assert list(d.ancestor_orders) == [-2]
         _assert_orders_exact(d)
@@ -695,7 +697,7 @@ class TestAncestorOrders:
         del mark_calls[:]
         result = query(d, a, ALWAYS_PARTIAL)
         assert result.count == want
-        assert result.nodes_marked == len(_marked_nodes(d, zero))
+        assert result.nodes_marked == len(tape_nodes(d, zero))
         assert mark_calls == [zero]
         assert list(d.ancestor_orders) == [-free[0]]
         _assert_orders_exact(d)
@@ -780,12 +782,72 @@ class TestAncestorOrders:
             sys.setswitchinterval(interval)
 
 
+def _order_circuit(source: str, seed: int):
+    """A generator circuit (``c2d``), its d4 twin, or a wide-node circuit."""
+    n = 12 if source != "wide" else 24
+    if source == "wide":
+        text = wide_c2d_text(seed, n)
+    else:
+        text = random_c2d_text(seed, n, tree_budget=400)
+    return preprocess(parse_d4(c2d_to_d4(text), n) if source == "d4" else parse_c2d(text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=st.sampled_from(["c2d", "d4", "wide"]),
+    seed=st.integers(0, 10_000),
+    uncached=st.sampled_from(["none", "one", "several"]),
+    data=st.data(),
+)
+def test_multi_literal_orders_match_a_forward_scan(source, seed, uncached, data):
+    import ddnnf.engine
+
+    # a reset of two to six literals runs the union of their cached orders
+    # (none uncached), marks the one uncached literal alone and takes the
+    # union (one), or marks them all together (several).  Each way, the
+    # instructions it runs are the ones a forward scan of the tape finds,
+    # and it reports the nodes that scan reaches
+    d = _order_circuit(source, seed)
+    free = [v for v in range(1, d.num_variables + 1) if v not in d.core | d.dead | d.omitted]
+    if len(free) < 2:
+        return
+    k = data.draw(st.integers(2, min(6, len(free))))
+    chosen = data.draw(st.lists(st.sampled_from(free), min_size=k, max_size=k, unique=True))
+    delta = [v if data.draw(st.booleans()) else -v for v in chosen]  # the zero literals
+    a = Assumptions.of({-lit for lit in delta if lit < 0}, {lit for lit in delta if lit > 0})
+    if uncached == "several":
+        missing = data.draw(st.integers(2, k))
+    else:
+        missing = 0 if uncached == "none" else 1
+    cached = delta[missing:]
+    for lit in cached:  # a one-literal reset stores its literal's order
+        one = Assumptions.of({-lit}) if lit < 0 else Assumptions.of(set(), {lit})
+        query(d, one, ALWAYS_PARTIAL)
+    assert sorted(d.ancestor_orders) == sorted(cached)
+    ran = []
+
+    def recording_sweep(instructions, values):
+        ran.append(list(instructions))
+        sweep(ran[-1], values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ddnnf.engine, "sweep", recording_sweep)
+        result = query(d, a, ALWAYS_PARTIAL)
+    assert result.strategy == "partial"
+    assert ran == [[d.tape[j] for j in tape_order(d, delta)]]
+    assert result.nodes_marked == result.nodes_visited == len(tape_nodes(d, delta))
+    assert result.count == query(d, a, NO_PARTIAL_TRAVERSAL).count
+    stored = cached + delta[:1] if missing == 1 else cached
+    assert sorted(d.ancestor_orders) == sorted(stored)
+    _assert_orders_exact(d)
+
+
 def _unlinked(d) -> bool:
-    return d.parents == [] and len(d.writer) == 0 and d.writes_node == b""
+    return d.readers == [] and d.writes_node == b""
 
 
 def _graph(d):
-    return d.parents, list(d.writer), d.writes_node
+    return d.readers, d.writes_node
 
 
 def _partial_cases(n):
@@ -803,8 +865,8 @@ def _partial_cases(n):
 
 
 class TestReaderGraph:
-    """Only the partial rung reads parents, writer and writes_node, so the
-    first partial-rung use links them, once."""
+    """Only the partial rung reads readers and writes_node, so the first
+    partial-rung use links them, once."""
 
     TEXT = fixture_texts()["rand_n12a"][1]
 

@@ -108,7 +108,7 @@ class TestSmooth:
     def test_growth_drops_lists_of_later_steps(self):
         d = compute_baseline(link_parents(parse_c2d(UNSMOOTH_PAIR_C2D)))
         smooth(d)
-        assert (d.parents, d.baseline, d.tape) == ([], [], [])
+        assert (d.readers, d.baseline, d.tape) == ([], [], [])
         assert count_total(preprocess(d)) == 4
 
     def test_false_child_needs_no_gadgets(self):
@@ -156,24 +156,31 @@ class TestLinkParents:
             i for i in d.nodes
             if d.kind[i] is NodeKind.OR
             and sorted(d.literal[c] for c in d.children[i]) == [-3, 3]
-            and len(d.parents[i]) == 2
+            and len(d.readers[i]) == 2
         )
-        assert len(d.parents[shared]) == 2
+        # two instructions read it, and each writes one of its parents
+        first, second = d.readers[shared]
+        assert first < second
+        assert shared in d.tape[first][1:] and shared in d.tape[second][1:]
 
     def test_single_literal_root(self):
         d = link_parents(smooth(parse_c2d("nnf 1 0 1\nL 1\n")))
         link_readers(d)
-        assert d.parents[d.root] == ()
+        assert d.tape == [] and d.writes_node == b""
+        assert d.readers == [(), ()]  # the literal and the constant slot
         assert d.root == 0
 
     def test_running_example_or_node_parent(self):
-        # the root And 11 over (0, 9, 10) reads 0 and 9 through scratch
-        # slot 13, after the 12 nodes and the constant slot 12
+        # the root And 11 over (0, 9, 10) compiles to instruction 4, which
+        # reads 0 and 9 into scratch slot 13 (after the 12 nodes and the
+        # constant slot 12), and instruction 5, which reads 13 and 10 into 11
         d = link_parents(smooth(parse_c2d(RUNNING_EXAMPLE_C2D)))
         link_readers(d)
         assert d.children[11] == (0, 9, 10)
-        assert d.parents[9] == (13,) and d.parents[13] == (11,)
-        assert d.parents[10] == (11,)
+        assert d.tape[4] == (13, 0, 9) and d.tape[5] == (11, 13, 10)
+        assert d.readers[9] == (4,) and d.readers[13] == (5,)
+        assert d.readers[10] is d.readers[13]  # instruction 5's one tuple
+        assert d.writes_node[4] == 0 and d.writes_node[5] == 1
 
 
 class TestIndexLiterals:
@@ -272,7 +279,7 @@ class TestPreprocess:
 def _lists(d):
     """Everything preprocessing fills or may rewrite, as plain values."""
     return (
-        d.kind, d.literal, d.children, d.decision, d.parents, d.baseline,
+        d.kind, d.literal, d.children, d.decision, d.readers, d.baseline,
         d.tape, d.literal_index, d.core, d.dead, d.omitted, d.root,
     )
 
@@ -327,9 +334,9 @@ class TestPrune:
 
     def test_complete_circuit_untouched(self, circuits):
         d = circuits["running_c2d"]
-        before = [d.kind, d.literal, d.children, d.parents, d.baseline]
+        before = [d.kind, d.literal, d.children, d.readers, d.baseline]
         prune(d)
-        after = [d.kind, d.literal, d.children, d.parents, d.baseline]
+        after = [d.kind, d.literal, d.children, d.readers, d.baseline]
         assert all(a is b for a, b in zip(after, before))
 
 

@@ -11,7 +11,6 @@ from ddnnf import (
     OptimizationConfig,
     SessionState,
     count_all_features,
-    mark_ancestors,
     parse_c2d,
     parse_d4,
     preprocess,
@@ -22,7 +21,15 @@ from ddnnf.cli import StreamSession, build_parser, run_stream
 from ddnnf.engine import NAIVE, NO_PARTIAL_TRAVERSAL
 
 from conftest import RUNNING_EXAMPLE_C2D
-from helpers import c2d_to_d4, fresh_values, random_c2d_text, tape_order, wide_c2d_text
+from helpers import (
+    c2d_to_d4,
+    fresh_values,
+    random_c2d_text,
+    tape_nodes,
+    tape_order,
+    wide_c2d_text,
+    written_slots,
+)
 
 
 def session():
@@ -216,7 +223,7 @@ def test_select_deselect_session_reads_exact_orders(seed, n, omit, d4, data):
         assert s.handle("count v " + " ".join(map(str, selection))) == (str(want), False)
     for lit, (order, marked) in d.ancestor_orders.items():
         assert list(order) == tape_order(d, (lit,))
-        assert marked == len([i for i in mark_ancestors(d, (lit,)) if i < len(d.nodes)])
+        assert marked == len(tape_nodes(d, (lit,)))
     assert d.ancestor_entries == sum(len(order) for order, _ in d.ancestor_orders.values())
 
 
@@ -286,7 +293,7 @@ def test_partial_lines_leave_scratch_stale_and_unread(seed, d4):
         assert len(state.values) == len(d.nodes) + 1 + len(d.scratch_baseline)
         assert state.values == fresh_values(d, state.zero_literals)
         if step % 2:
-            rerun = {i for i in mark_ancestors(d, {flip, -flip}) if i > len(d.nodes)}
+            rerun = written_slots(d, tape_order(d, {flip, -flip}))
             for i, (old, new) in enumerate(zip(before, state.values[scratch])):
                 assert old == new or i + len(d.nodes) + 1 in rerun
         assert count_all_features(d) == table
@@ -313,8 +320,7 @@ def test_superset_chain_marks_no_more_than_stateless(seed, n, d4, order, signs):
         fresh = query(d, a, always_partial)
         assert kept.count == fresh.count
         assert kept.nodes_marked <= fresh.nodes_marked, literals[:k]
-        marked = mark_ancestors(d, {-literals[k - 1]})
-        assert kept.nodes_marked <= len([i for i in marked if i < len(d.nodes)])
+        assert kept.nodes_marked <= len(tape_nodes(d, {-literals[k - 1]}))
         kept, fresh = query(d, a, state=full_state), query(d, a)
         assert kept.count == fresh.count
         assert kept.nodes_visited <= fresh.nodes_visited, literals[:k]
