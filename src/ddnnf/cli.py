@@ -236,11 +236,15 @@ class StreamSession:
                     literals = [int(t) for t in tokens[2:]]
                 except ValueError:
                     return "error unknown-command", False
-                for lit in literals:
-                    if not 1 <= abs(lit) <= d.num_variables:
-                        return f"error variable-out-of-range {abs(lit)}", False
                 a = Assumptions.from_literals(literals)
-                return str(engine.query(d, a, state=self.state).count), False
+                try:
+                    count = engine.query(d, a, state=self.state).count
+                except VariableOutOfRange:
+                    # the query checks the range; name the line's first offender
+                    n = d.num_variables
+                    bad = next(abs(lit) for lit in literals if not 1 <= abs(lit) <= n)
+                    return f"error variable-out-of-range {bad}", False
+                return str(count), False
             return "error unknown-command", False
         if command == "core" and len(tokens) == 1:
             return " ".join(map(str, sorted(d.core))), False

@@ -15,6 +15,7 @@ circuit.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -70,9 +71,9 @@ class Ddnnf:
     :func:`ddnnf.engine.link_readers`; a stream session links it in set-up:
 
     * ``readers[s]``: for every slot ``s``, a tuple of the indices of the
-      tape instructions that read it, ascending, the exact inverse of the
-      tape's reads; the slots that only instruction ``j`` reads share one
-      ``(j,)`` tuple;
+      tape instructions that read it, ascending and each once, the exact
+      inverse of the tape's reads; the slots that only instruction ``j``
+      reads share one ``(j,)`` tuple;
     * ``writes_node[j]``: 1 when tape instruction ``j`` writes a node, 0
       when it writes a scratch slot.
 
@@ -90,7 +91,7 @@ class Ddnnf:
       when that literal alone is reset, and the number of nodes marking
       that literal reaches.  A one-literal partial query stores it on a
       miss while the stored orders stay within
-      ``engine.ANCESTOR_ORDER_BUDGET`` entries per node in total, and
+      ``engine.ANCESTOR_ORDER_BUDGET`` entries per tape slot in total, and
       ``ancestor_entries`` counts the entries they hold.
 
     Per-query values and marks live in query-local buffers, never here.
@@ -224,30 +225,77 @@ def root_cone(d: Ddnnf) -> list[int]:
     return [i for i, r in enumerate(reached) if r]
 
 
-def renumber(d: Ddnnf, order: list[int]) -> None:
+def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
     """Keep the nodes listed in ``order``, in that order, as nodes 0, 1, ...
 
-    Every child of a kept node must be kept too.  The tape, its reader
-    graph, the baselines and the literal index no longer match the new
-    indices, so they are emptied and the circuit counts as not
-    preprocessed; preprocessing refills them, and the first partial query
-    links the graph again.
+    Every child of a kept node must be kept too, and listed before it.  The
+    tape, its reader graph, the baselines and the literal index no longer
+    match the new indices, so they are emptied and the circuit counts as
+    not preprocessed; preprocessing refills them, and the first partial
+    query links the graph again.
+
+    With ``merge``, the pass is also a unique table: a node whose kind,
+    literal and renumbered children (in their order) equal those of a node
+    already placed is not kept, and its parents and the root point at that
+    node instead, which keeps its own decision variable.  Children are
+    renumbered before their parents, so structurally identical subcircuits
+    merge whole, and the result holds no two equal nodes and one node per
+    literal.  Every count stays the same, since equal nodes count equally
+    under any assumptions.  When every node keeps its index, the circuit is
+    left as it is, and only its reader graph is dropped.
     """
-    position = [-1] * len(d.kind)
-    for new, old in enumerate(order):
-        position[old] = new
-    d.kind = [d.kind[i] for i in order]
-    d.literal = [d.literal[i] for i in order]
-    d.decision = [d.decision[i] for i in order]
-    children = d.children
-    renamed: list[tuple[int, ...]] = []
-    for i in order:
-        ch = children[i]
-        if len(ch) == 2:  # most nodes: no inner loop
-            a, b = ch
-            renamed.append((position[a], position[b]))
-        else:
-            renamed.append(tuple([position[c] for c in ch]))
+    kind, literal, decision, children = d.kind, d.literal, d.decision, d.children
+    position = [-1] * len(kind)
+    if merge:
+        new_kind: list[NodeKind] = []
+        new_literal: list[int] = []
+        new_decision: list[int] = []
+        renamed: list[tuple[int, ...]] = []
+        # one table per kind of key: And and Or nodes by their children,
+        # leaves by their literal, or by their kind for True and False
+        ands: dict = {}
+        ors: dict = {}
+        leaves: dict = {}
+        for old in order:
+            ch = children[old]
+            if len(ch) == 2:  # most nodes: no inner loop
+                a, b = ch
+                ch = (position[a], position[b])
+            elif ch:
+                ch = tuple([position[c] for c in ch])
+            k = kind[old]
+            if k is AND:
+                table, key = ands, ch
+            elif k is OR:
+                table, key = ors, ch
+            else:
+                table, key = leaves, literal[old] or k
+            placed = len(renamed)
+            new = position[old] = table.setdefault(key, placed)
+            if new == placed:
+                new_kind.append(k)
+                new_literal.append(literal[old])
+                new_decision.append(decision[old])
+                renamed.append(ch)
+        del ands, ors, leaves
+        if len(renamed) == len(kind) and position == list(range(len(kind))):
+            drop_readers(d)
+            return
+        d.kind, d.literal, d.decision = new_kind, new_literal, new_decision
+    else:
+        for new, old in enumerate(order):
+            position[old] = new
+        d.kind = [kind[i] for i in order]
+        d.literal = [literal[i] for i in order]
+        d.decision = [decision[i] for i in order]
+        renamed = []
+        for i in order:
+            ch = children[i]
+            if len(ch) == 2:  # most nodes: no inner loop
+                a, b = ch
+                renamed.append((position[a], position[b]))
+            else:
+                renamed.append(tuple([position[c] for c in ch]))
     d.children = renamed
     d.root = position[d.root]
     d.baseline, d.tape, d.literal_index = [], [], {}

@@ -58,7 +58,7 @@ recur, so a one-literal reset reads that literal's order (the indices of
 the instructions to rerun, ascending) from ``Ddnnf.ancestor_orders``.  A
 miss marks with :func:`mark_ancestors` and stores the order as an
 ``array("i")``, while the circuit's orders stay within
-:data:`ANCESTOR_ORDER_BUDGET` entries per node in total; past that a miss
+:data:`ANCESTOR_ORDER_BUDGET` entries per tape slot in total; past that a miss
 marks and stores nothing, with no eviction.  A reset of several literals
 runs the sorted union of their orders when the cache lacks at most one of
 them, and that one is marked alone and stored as a one-literal miss would
@@ -203,10 +203,12 @@ def _link_readers(d: Ddnnf) -> list[tuple[int, ...]]:
 
     ``readers`` is the exact inverse of the tape's reads over every slot:
     the nodes, the constant slot and the scratch slots, each mapped to the
-    indices of the instructions that read it.  ``writes_node`` flags the
-    instructions that write a node, so a set of instructions names the
-    nodes it writes.  A reader that finds ``readers`` filled finds
-    ``writes_node`` filled too.
+    indices of the instructions that read it, each index once.  An
+    instruction names one slot twice only where merging left a node over
+    two equal children, such as an And over one True node twice.
+    ``writes_node`` flags the instructions that write a node, so a set of
+    instructions names the nodes it writes.  A reader that finds
+    ``readers`` filled finds ``writes_node`` filled too.
     """
     n = len(d.kind)
     tape = d.tape
@@ -226,6 +228,8 @@ def _link_readers(d: Ddnnf) -> list[tuple[int, ...]]:
             more[a].append(j)
         else:
             more[a] = [*readers[a], j]
+        if b == a:  # an instruction reads a slot once, however often it names it
+            continue
         if not readers[b]:  # the same for the second operand
             readers[b] = one
         elif b in more:
@@ -299,11 +303,13 @@ def _marked_order(d: Ddnnf, literals) -> tuple[list[int], int]:
 
 
 #: The ancestor orders kept on one circuit hold at most this many
-#: instruction entries per node in total.  Keeping every literal's order
-#: takes 46-52 entries per node on circuits shaped like compiled feature
-#: models (a configurator session's literals took 20.5), but the total
-#: grows with the square of the depth: 1200 per node on a 2000-level
-#: Shannon chain.
+#: instruction entries per tape slot (node, constant or scratch slot) in
+#: total.  On circuits shaped like compiled feature models, four passes of
+#: a configurator session's script keep 18-20 entries per slot, but the
+#: total grows with the square of the depth: about 1200 per slot on a
+#: 2000-level Shannon chain.  Merging equal nodes shrinks the node count
+#: far more than the slot count, so a budget per node would shrink faster
+#: than the orders do.
 ANCESTOR_ORDER_BUDGET = 32
 
 
@@ -312,7 +318,8 @@ def _ancestor_order(d: Ddnnf, lit: int) -> tuple[array, int]:
 
     Read from ``d.ancestor_orders``.  A miss marks and stores the order
     while the circuit's orders stay within :data:`ANCESTOR_ORDER_BUDGET`
-    entries per node; once that is spent, a miss marks and stores nothing.
+    entries per tape slot; once that is spent, a miss marks and stores
+    nothing.
     A one-literal reset calls it, and so does a reset of several literals
     for the one literal whose order the cache lacks, if it lacks only one.
     """
@@ -320,7 +327,7 @@ def _ancestor_order(d: Ddnnf, lit: int) -> tuple[array, int]:
     if kept is None:
         order, marked = _marked_order(d, (lit,))
         kept = array("i", order), marked
-        budget = ANCESTOR_ORDER_BUDGET * len(d.kind)
+        budget = ANCESTOR_ORDER_BUDGET * (len(d.kind) + 1 + d.scratch_slots)
         with _store_lock:
             # a racing miss on the same literal may have stored an equal order
             if lit not in d.ancestor_orders and d.ancestor_entries + len(order) <= budget:
@@ -395,7 +402,10 @@ def query(
     """
     _require_preprocessed(d)
     n = d.num_variables
-    for v in assumptions.variables():
+    variables = assumptions.variables()
+    # min() and max() over the set run in C, but through generic compares:
+    # on CPython 3.11 they took 29.8 µs at 697 variables, this loop 19.6 µs
+    for v in variables:
         if not 1 <= v <= n:
             raise VariableOutOfRange(f"variable {v} outside 1..{n}")
     if assumptions.contradictory:
@@ -404,7 +414,7 @@ def query(
     factor = d.omitted_factor
     include = set(assumptions.include)
     exclude = set(assumptions.exclude)
-    for v in (include | exclude) & d.omitted:
+    for v in variables & d.omitted:
         factor //= 2
     include -= d.omitted
     exclude -= d.omitted

@@ -174,12 +174,13 @@ def parse_d4(text: str, num_variables: int) -> Ddnnf:
     Each edge ``p c lit... 0`` contributes one operand to node p: the child c
     conjoined with the listed literals.  An edge with literals materializes an
     implicit And node wrapping the child plus one literal leaf per listed
-    literal; literal leaves are shared across edges.  The root is the node
-    declared with index 1 when it is parentless, otherwise the unique
-    parentless node.  A declared ``a`` or ``o`` node that gets no edge is
-    the constant True or False, as ``A 0`` and ``O d 0`` are in c2d.  Node
-    order in the file carries no meaning, so the result is topologically
-    sorted before returning.
+    literal; literal leaves are shared across edges, and so is the And of
+    every edge that lists the same child and literals in the same order.
+    The root is the node declared with index 1 when it is parentless,
+    otherwise the unique parentless node.  A declared ``a`` or ``o`` node
+    that gets no edge is the constant True or False, as ``A 0`` and ``O d
+    0`` are in c2d.  Node order in the file carries no meaning, so the
+    result is topologically sorted before returning.
     """
     declared: dict[int, int] = {}  # d4 index -> node position
     kind: list[NodeKind] = []
@@ -187,6 +188,8 @@ def parse_d4(text: str, num_variables: int) -> Ddnnf:
     # child lists grow edge by edge; toposort turns them into tuples
     children: list = []
     literal_nodes: dict[int, int] = {}
+    # (child, literal nodes) -> the And node of the edges that carry them
+    edge_ands: dict[tuple[int, ...], int] = {}
     has_parent: set[int] = set()
     any_line = False
 
@@ -236,12 +239,14 @@ def parse_d4(text: str, num_variables: int) -> Ddnnf:
             literals = [_int(t, lineno) for t in body[2:]]
             operand = declared[c]
             if literals:
-                members = [operand] + [literal_node(lit, lineno) for lit in literals]
-                operand = len(kind)
-                kind.append(AND)
-                literal.append(0)
-                children.append(members)
-                has_parent.update(members)
+                members = (operand, *[literal_node(lit, lineno) for lit in literals])
+                operand = edge_ands.get(members)
+                if operand is None:
+                    operand = edge_ands[members] = len(kind)
+                    kind.append(AND)
+                    literal.append(0)
+                    children.append(members)
+                    has_parent.update(members)
             children[parent].append(operand)
             has_parent.add(operand)
 

@@ -12,6 +12,9 @@ so that its first line does not pay.
 Each step is one pass over node lists that are already in topological
 order, and each keeps that order: pruning drops nodes, and smoothing places
 the nodes it adds where their children precede them, so nothing is sorted.
+Smoothing's renumbering also merges equal nodes, so every later step, and
+every query, runs over a circuit with no two equal nodes and one node per
+literal.
 Preprocessing is the only phase that mutates shared circuit state;
 afterwards the circuit is read-only and queries may run concurrently.  The
 later writes, the reader graph, the adjoint program the first
@@ -83,17 +86,25 @@ def smooth(d: Ddnnf) -> Ddnnf:
     extended in place, anything else is wrapped in a fresh And node.  False
     children and childless Or children need no gadgets because their count,
     0, absorbs any completion.  Idempotent: smoothing a smooth circuit
-    changes nothing, but a reader graph is dropped all the same.
+    without equal nodes changes nothing, but a reader graph is dropped all
+    the same.
 
     One bottom-up pass over the nodes, which are in topological order,
     computes every node's variable mask, checks decomposability at And
     nodes and notes the variables each Or child lacks.  A mask is freed as
     soon as its last parent has read it, so the masks live at any time stay
     few however wide they are.  The circuit changes only after the pass:
-    a :class:`DecomposabilityViolation` leaves it as it was.  A circuit
-    that grew is renumbered once, with every gadget node first (their
-    children are only gadget leaves), then the original nodes in their
-    order, each wrapper And just before its Or.
+    a :class:`DecomposabilityViolation` leaves it as it was.  The circuit
+    is then renumbered once, with every gadget node first (their children
+    are only gadget leaves), then the original nodes in their order, each
+    wrapper And just before its Or; a circuit that needed no gadget keeps
+    its order.  The renumbering merges equal nodes (see
+    :func:`~ddnnf.core.renumber`): a node whose kind, literal and children
+    equal those of a node placed before it becomes that node.  So an
+    original ``L v`` leaf merges into the gadget's leaf placed before it,
+    an original ``(v or not v)`` Or with its children in the gadget's order
+    into the gadget, and the copies of a repeated subcircuit into one.  A
+    smoothed circuit holds no two equal nodes and one node per literal.
     """
     kind, literal, children = d.kind, d.literal, d.children
     original = len(kind)
@@ -144,7 +155,8 @@ def smooth(d: Ddnnf) -> Ddnnf:
             uses[c] -= 1
             if not uses[c]:
                 masks[c] = 0
-    del masks
+    # every use is spent; the lists go before renumbering, set-up's memory peak
+    del masks, uses
 
     if deficits:
         decision = d.decision
@@ -187,9 +199,13 @@ def smooth(d: Ddnnf) -> Ddnnf:
                 rest.extend(wrappers)
                 placed = i
         rest.extend(range(placed, original))
-        renumber(d, front + rest)
+        front += rest
+        order = front
+        del rest
     else:
-        drop_readers(d)
+        order = range(original)
+    del refs, deficits
+    renumber(d, order, merge=True)
     d.is_smooth = True
     return d
 
@@ -274,7 +290,12 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
 
 
 def preprocess(d: Ddnnf) -> Ddnnf:
-    """Run the full pipeline; the result answers queries in place."""
+    """Run the full pipeline; the result answers queries in place.
+
+    The result holds no two nodes of equal kind, literal and children, and
+    one node per literal (see :func:`smooth`), so its node count can be
+    below the input's; every count is the input's.
+    """
     prune(d)
     smooth(d)
     link_parents(d)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from ddnnf.core import AND, OR, sweep
+from ddnnf.core import AND, OR, Ddnnf, sweep
 
 
 def random_c2d_text(
@@ -260,6 +260,74 @@ def fresh_values(d, zero_literals) -> list[int]:
             values[i] = 0
     sweep(d.tape, values)
     return values
+
+
+def with_duplicates(d, rng: random.Random, copies: float = 0.3, repoint: float = 0.5):
+    """A new unpreprocessed circuit with the models of ``d`` in which some
+    nodes occur twice.
+
+    Walks the nodes in order and places each one, then, with probability
+    ``copies``, a copy of it right after.  Each child reference of either
+    points at the child's copy, where the child has one, with probability
+    ``repoint``, so copies sit under copies and whole subcircuits repeat
+    under different parents.  The root stays the original root.
+    """
+    kind, literal, children, decision = [], [], [], []
+    position, copy_of = {}, {}
+
+    def place(i: int) -> int:
+        kind.append(d.kind[i])
+        literal.append(d.literal[i])
+        decision.append(d.decision[i])
+        children.append(tuple([
+            copy_of[c] if c in copy_of and rng.random() < repoint else position[c]
+            for c in d.children[i]
+        ]))
+        return len(kind) - 1
+
+    for i in d.nodes:
+        position[i] = place(i)
+        if rng.random() < copies:
+            copy_of[i] = place(i)
+    return Ddnnf(
+        kind, literal, children, d.num_variables, root=position[d.root], decision=decision
+    )
+
+
+def tape_readers(d) -> list[tuple[int, ...]]:
+    """Each slot's reading instructions, ascending and each once, by one
+    scan of the tape."""
+    out: list[list[int]] = [[] for _ in range(len(d.nodes) + 1 + d.scratch_slots)]
+    for j, (_, a, b) in enumerate(d.tape):
+        out[a].append(j)
+        if b != a:
+            out[b].append(j)
+    return [tuple(js) for js in out]
+
+
+# A c2d circuit whose gadgets and literal records repeat under different
+# parents: (x1 and (x2 or not x2) and x3) or (not x1 and (x2 or not x2) and
+# x3 and (x4 or not x4)), each branch with its own records.  Smoothing adds
+# an (x4 or not x4) gadget to the first branch.  8 models; features 4, 4, 8,
+# 4.  The 16 records and 3 gadget nodes merge to 12 nodes.
+REPEATED_RECORDS_C2D = """nnf 16 15 4
+L 1
+L 2
+L -2
+O 2 2 1 2
+L 3
+A 3 0 3 4
+L -1
+L 2
+L -2
+O 2 2 7 8
+L 3
+L 4
+L -4
+O 4 2 11 12
+A 4 6 9 10 13
+O 1 2 5 14
+"""
 
 
 # Files whose unreferenced records hold variables the root's cone lacks:

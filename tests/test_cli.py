@@ -10,7 +10,7 @@ from ddnnf import count_total, parse_c2d, preprocess, validate
 from ddnnf.cli import build_parser, main
 
 from conftest import UNSMOOTH_PAIR_C2D, RUNNING_EXAMPLE_C2D, RUNNING_EXAMPLE_D4, fixture_texts
-from helpers import c2d_to_d4, random_c2d_text
+from helpers import REPEATED_RECORDS_C2D, c2d_to_d4, random_c2d_text
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -107,6 +107,26 @@ def test_save_smoothed(tmp_path, capsys):
     reparsed = parse_c2d(dst.read_text())
     assert [v for v in validate(reparsed) if v.kind == "smoothness"] == []
     assert count_total(preprocess(reparsed)) == 4
+
+
+def test_repeated_records_are_merged(tmp_path, capsys):
+    # the file's repeated literal records and gadget merge, and so does the
+    # gadget smoothing adds; the saved copy holds the merged circuit
+    src = tmp_path / "repeated.nnf"
+    src.write_text(REPEATED_RECORDS_C2D)
+    assert main([str(src), "--count"]) == 0
+    assert capsys.readouterr().out == "8\n"
+    assert main([str(src), "--all-features"]) == 0
+    assert capsys.readouterr().out == "feature,cardinality\n1,4\n2,4\n3,8\n4,4\n"
+    queries = tmp_path / "q.txt"
+    queries.write_text("info\n")
+    assert main([str(src), "--queries", str(queries)]) == 0
+    assert capsys.readouterr().out == "nodes=12 vars=4 count=8\n"
+    dst = tmp_path / "smooth.nnf"
+    assert main([str(src), "--save-smoothed", str(dst)]) == 0
+    assert dst.read_text().startswith("nnf 12 ")
+    assert main([str(dst), "--count"]) == 0
+    assert capsys.readouterr().out == "8\n"
 
 
 def test_variant_matrix_golden(tmp_path, capsys):

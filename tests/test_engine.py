@@ -574,7 +574,12 @@ def _assert_orders_exact(d):
         assert list(order) == tape_order(d, (lit,)), lit
         assert marked == len(tape_nodes(d, (lit,))), lit
     assert d.ancestor_entries == sum(len(order) for order, _ in d.ancestor_orders.values())
-    assert d.ancestor_entries <= ANCESTOR_ORDER_BUDGET * len(d.nodes)
+    assert d.ancestor_entries <= ANCESTOR_ORDER_BUDGET * _slots(d)
+
+
+def _slots(d):
+    """The tape's slot count, the unit of the order budget."""
+    return len(d.nodes) + 1 + d.scratch_slots
 
 
 @pytest.fixture()
@@ -669,7 +674,7 @@ class TestAncestorOrders:
 
         d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
         query(d, Assumptions.of({2}), ALWAYS_PARTIAL)
-        budget = d.ancestor_entries / len(d.nodes)  # spent
+        budget = d.ancestor_entries / _slots(d)  # spent
         monkeypatch.setattr(ddnnf.engine, "ANCESTOR_ORDER_BUDGET", budget)
         for _ in range(2):  # nothing stored, so it marks again
             result = query(d, Assumptions.of({2}, {4}), ALWAYS_PARTIAL)

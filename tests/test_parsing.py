@@ -152,6 +152,23 @@ class TestParseD4:
         lits = [d.literal[i] for i in d.nodes if d.kind[i] is NodeKind.LITERAL]
         assert sorted(lits) == [-3, 3]  # the two edges share one +3 node
 
+    def test_equal_edges_share_one_and_node(self):
+        # (x1 and x3) or (not x1 and x3): both a nodes take the edge "4 3",
+        # so they share its And node; the edge "4 -3" lists other literals
+        text = (
+            "o 1 0\na 2 0\na 3 0\nt 4 0\n1 2 1 0\n1 3 -1 0\n"
+            "2 4 3 0\n3 4 3 0\n"
+        )
+        d = parse_d4(text, 3)
+        (shared,) = [  # the one And over True and x3
+            i for i in d.nodes if d.children[i] and d.kind[d.children[i][0]] is NodeKind.TRUE
+        ]
+        assert d.children.count((shared,)) == 2  # both a nodes read it
+        assert len(d.nodes) == 10  # 4 declared, 3 literal leaves, 3 edge Ands
+        assert count_total(preprocess(d)) == brute_force_count(parse_d4(text, 3)) == 4
+        # an order of literals the first edge did not list is another And
+        assert len(parse_d4(text.replace("3 4 3 0", "3 4 3 -2 0"), 3).nodes) == 12
+
     def test_root_falls_back_to_unique_parentless(self):
         text = "o 7 0\nt 2 0\n7 2 1 0\n7 2 -1 0\n"
         d = parse_d4(text, 1)

@@ -27,6 +27,8 @@ from ddnnf import (
     validate,
     write_c2d,
 )
+from ddnnf.cli import StreamSession
+from ddnnf.engine import NO_PARTIAL_TRAVERSAL, OptimizationConfig
 from ddnnf.errors import DecomposabilityViolation, NotSmooth
 
 from conftest import (
@@ -38,10 +40,13 @@ from conftest import (
     fixture_texts,
 )
 from helpers import (
+    REPEATED_RECORDS_C2D,
     UNREFERENCED_C2D,
     UNREFERENCED_D4,
     c2d_to_d4,
     random_c2d_text,
+    tape_readers,
+    with_duplicates,
     with_unreferenced_c2d,
     with_unreferenced_d4,
 )
@@ -51,8 +56,9 @@ class TestSmooth:
     def test_unsmooth_pair_gains_one_gadget_per_branch(self):
         d = smooth(parse_c2d(UNSMOOTH_PAIR_C2D))
         assert [v for v in validate(d) if v.kind == "smoothness"] == []
-        # 7 original nodes + per missing variable one Or and two literals
-        assert len(d.nodes) == 13
+        # 7 original nodes + per missing variable one Or and two literals,
+        # less the two original leaves the gadgets' leaves merge with
+        assert len(d.nodes) == 11
         root_or = next(
             i for i in d.nodes
             if d.kind[i] is NodeKind.OR and len(d.children[i]) == 2
@@ -126,8 +132,9 @@ class TestSmooth:
         d = parse_c2d(text)
         expected = brute_force_count(d)
         preprocess(d)
-        # gadget (Or plus two literals) and one wrapper And
-        assert len(d.nodes) == 9
+        # gadget (Or plus two literals, one merged with the original B) and
+        # one wrapper And
+        assert len(d.nodes) == 8
         assert count_total(d) == expected == 3
         assert [v for v in validate(d) if v.kind == "smoothness"] == []
 
@@ -144,8 +151,124 @@ class TestSmooth:
         expected = brute_force_count(d)
         preprocess(d)
         assert count_total(d) == expected == 7
-        assert len(d.nodes) == 19  # one shared gadget (3 nodes) plus one wrapper
+        # one shared gadget (3 nodes, one merged with the original D) plus
+        # one wrapper
+        assert len(d.nodes) == 18
         assert [v for v in validate(d) if v.kind == "smoothness"] == []
+
+
+ALWAYS_PARTIAL = OptimizationConfig(traversal_bypass_fraction=1.0)
+
+
+def _assert_merged(d):
+    """No two nodes of ``d`` are equal, one node holds each literal, and the
+    reader graph is the exact inverse of the tape."""
+    nodes = list(zip(d.kind, d.literal, d.children))
+    assert len(set(nodes)) == len(nodes)
+    assert all(len(held) == 1 for held in d.literal_index.values())
+    assert sorted(d.literal_index) == sorted({lit for lit in d.literal if lit})
+    assert link_readers(d) == tape_readers(d)
+
+
+class TestMerge:
+    def test_repeated_records_merge(self):
+        d = preprocess(parse_c2d(REPEATED_RECORDS_C2D))
+        _assert_merged(d)
+        assert len(d.nodes) == 12
+        assert count_total(d) == brute_force_count(parse_c2d(REPEATED_RECORDS_C2D)) == 8
+        assert count_all_features(d) == [(1, 4), (2, 4), (3, 8), (4, 4)]
+
+    def test_and_over_two_equal_true_nodes(self):
+        d = preprocess(parse_c2d("nnf 3 2 1\nA 0\nA 0\nA 2 0 1\n"))
+        _assert_merged(d)
+        assert d.kind == [NodeKind.TRUE, NodeKind.AND] and d.children[1] == (0, 0)
+        assert d.tape == [(1, 0, 0)] and d.readers[0] == (0,)
+        assert count_total(d) == 2
+        assert count_all_features(d) == [(1, 1)]
+        assert query(d, Assumptions.of(set(), {1})).count == 1
+
+    def test_or_over_two_equal_false_nodes(self):
+        # beside x1's own branches, so the Or's count, 0, absorbs x1
+        text = "nnf 6 5 1\nL 1\nL -1\nO 0 0\nO 0 0\nO 0 2 2 3\nO 1 3 0 1 4\n"
+        d = preprocess(parse_c2d(text))
+        _assert_merged(d)
+        false = d.kind.index(NodeKind.FALSE)
+        assert d.kind.count(NodeKind.FALSE) == 1
+        assert [ch for ch in d.children if false in ch] == [(false, false)]
+        # x1's two leaves, the gadget Or that smoothing adds to the Or over
+        # False, the False leaf, that Or, its wrapper And and the root
+        assert len(d.nodes) == 7
+        assert count_total(d) == brute_force_count(parse_c2d(text)) == 2
+        assert count_all_features(d) == [(1, 1)]
+        for a in (Assumptions.of({1}), Assumptions.of(set(), {1})):
+            assert query(d, a, ALWAYS_PARTIAL).count == query(d, a, NO_PARTIAL_TRAVERSAL).count == 1
+
+    def test_merge_keeps_the_first_decision(self):
+        # two equal Or nodes with different decision variables merge into the
+        # first; the decision is metadata and never changes a count
+        text = "nnf 4 3 1\nO 0 0\nO 3 1 0\nO 0 1 0\nA 2 1 2\n"
+        d = smooth(parse_c2d(text))
+        assert d.decision == [0, 3, 0] and d.children == [(), (0,), (1, 1)]
+        assert count_total(preprocess(d)) == 0
+
+    def test_smooth_circuit_with_duplicates_is_merged(self):
+        # nothing to smooth, but the merging renumber still runs
+        d = smooth(parse_c2d("nnf 4 3 1\nL 1\nA 0\nA 0\nA 3 0 1 2\n"))
+        assert d.kind == [NodeKind.LITERAL, NodeKind.TRUE, NodeKind.AND]
+        assert d.children == [(), (), (0, 1, 1)] and d.root == 2
+        assert count_total(preprocess(d)) == 1
+
+    def test_merged_circuit_is_left_as_it_is(self):
+        # a circuit with nothing to smooth or merge keeps its lists and its
+        # preprocessed state, but drops its reader graph
+        d = preprocess(parse_c2d(REPEATED_RECORDS_C2D))
+        link_readers(d)
+        lists = (d.kind, d.literal, d.children, d.decision, d.tape, d.baseline)
+        smooth(d)
+        assert (d.kind, d.literal, d.children, d.decision, d.tape, d.baseline) == lists
+        assert all(a is b for a, b in zip((d.kind, d.children, d.tape), lists[::2]))
+        assert d.preprocessed and d.readers == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.sampled_from([4, 8, 12]),
+    omit=st.integers(0, 2),
+    d4=st.booleans(),
+    copies=st.sampled_from([0.1, 0.3, 0.6]),
+)
+def test_duplicated_subcircuits_merge(seed, n, omit, d4, copies):
+    # some nodes are copied and some parents point at the copies; after
+    # preprocessing no two nodes are equal, and every count, table row and
+    # session reply equals the original circuit's and the oracle's
+    text = random_c2d_text(seed, n, omit=omit, tree_budget=300)
+
+    def parse():
+        return parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text)
+
+    original = preprocess(parse())
+    rng = random.Random(seed)
+    duplicated = with_duplicates(parse(), rng, copies)
+    oracle = ExhaustiveCounter(duplicated)
+    d = preprocess(duplicated)
+    _assert_merged(d)
+    assert count_all_features(d) == count_all_features(original) == [
+        (v, oracle.count(Assumptions.of({v}))) for v in range(1, n + 1)
+    ]
+    lines = ["count", "info"]
+    for _ in range(8):
+        chosen = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+        lines.append("count v " + " ".join(str(rng.choice((v, -v))) for v in chosen))
+    merged, kept = StreamSession(d), StreamSession(original)
+    for line in lines:
+        reply = merged.handle(line)
+        if line != "info":  # the node counts may differ
+            assert reply == kept.handle(line), line
+        if line.startswith("count v"):
+            a = Assumptions.from_literals(int(t) for t in line.split()[2:])
+            assert reply == (str(oracle.count(a)), False), line
+            assert query(d, a, ALWAYS_PARTIAL).count == oracle.count(a), line
 
 
 class TestLinkParents:
@@ -195,7 +318,8 @@ class TestIndexLiterals:
 
     def test_smoothing_gadget_adds_entry(self, circuits):
         d = circuits["unsmooth_pair"]
-        assert len(d.literal_index[3]) == 2  # original leaf plus gadget leaf
+        assert -3 in d.literal_index  # the gadget's new literal
+        assert len(d.literal_index[3]) == 1  # the gadget leaf merged with the original
 
 
 class TestCoreDead:

@@ -71,6 +71,20 @@ def test_variable_out_of_range():
     assert s.handle("count v -7") == ("error variable-out-of-range 7", False)
 
 
+def test_out_of_range_names_the_lines_first_offender():
+    # the range is checked once per line, by the query; the reply still
+    # names the first offender in line order, and the erring line leaves
+    # the kept values alone
+    s = session()
+    assert s.handle("count v 2") == ("2", False)
+    kept = list(s.state.values)
+    assert s.handle("count v 1 -9 99") == ("error variable-out-of-range 9", False)
+    assert s.handle("count v 3 0 -5") == ("error variable-out-of-range 0", False)
+    assert s.handle("count v 4 5 -4") == ("error variable-out-of-range 5", False)
+    assert s.state.values == kept and s.state.zero_literals == {-2}
+    assert s.handle("count v 2 4") == ("1", False)
+
+
 def test_malformed_lines_survive():
     s = session()
     for line in ("bogus", "", "count v", "count v x", "core 1", "exit now"):
