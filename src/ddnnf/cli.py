@@ -29,6 +29,13 @@ literals equal the kept ones (it adds only core, dead-excluded or omitted
 variables) answers from the kept root.  The other modes answer each query
 from the baselines.
 
+A literal token is whatever ``int()`` accepts (``+2``, ``02``, ``-0_3``).
+A session looks canonical tokens (``str(lit)``) of the circuit's present
+literals up in a dict built when it starts and calls ``int()`` only on the
+others; the literals go to :func:`~ddnnf.engine.query` as a list, which
+reads them through the circuit's literal table.  ``--config`` passes its
+literals the same way.
+
 Parsing and preprocessing run with the cyclic garbage collector off, and a
 one-shot mode keeps it off until it has answered; a session turns it back
 on before it answers its first line.  A session's set-up also links the
@@ -51,7 +58,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 
 from . import engine, parsing
-from .core import Assumptions, Ddnnf, validate
+from .core import Ddnnf, validate
 from .errors import DdnnfError, ParseError, VariableOutOfRange
 from .preprocess import preprocess
 
@@ -218,6 +225,9 @@ class StreamSession:
     def __init__(self, d: Ddnnf):
         self.d = d
         self.state = engine.SessionState()
+        # each present literal under its canonical token; a line reads its
+        # literals through this dict and converts only the other tokens
+        self.tokens = {str(lit): lit for lit in d.literal_table.present}
 
     def handle(self, line: str) -> tuple[str, bool]:
         """Response line and whether the session should end."""
@@ -232,13 +242,13 @@ class StreamSession:
             if len(tokens) == 1:
                 return str(engine.count_total(d)), False
             if tokens[1] == "v" and len(tokens) > 2:
+                known = self.tokens.get  # a present literal is never 0
                 try:
-                    literals = [int(t) for t in tokens[2:]]
+                    literals = [known(t) or int(t) for t in tokens[2:]]
                 except ValueError:
                     return "error unknown-command", False
-                a = Assumptions.from_literals(literals)
                 try:
-                    count = engine.query(d, a, state=self.state).count
+                    count = engine.query(d, literals, state=self.state).count
                 except VariableOutOfRange:
                     # the query checks the range; name the line's first offender
                     n = d.num_variables
@@ -299,8 +309,7 @@ def run_once(args: argparse.Namespace) -> int:
     if args.feature is not None:
         _emit(f"{engine.count_feature(d, args.feature)}\n", args)
     elif args.config is not None:
-        a = Assumptions.from_literals(args.config)
-        _emit(f"{engine.query(d, a).count}\n", args)
+        _emit(f"{engine.query(d, args.config).count}\n", args)
     elif args.all_features:
         rows = engine.count_all_features(d)
         body = "".join(f"{v},{count}\n" for v, count in rows)

@@ -39,6 +39,42 @@ AND, OR, LITERAL = NodeKind.AND, NodeKind.OR, NodeKind.LITERAL
 TRUE, FALSE = NodeKind.TRUE, NodeKind.FALSE
 
 
+@dataclass(frozen=True)
+class LiteralTable:
+    """What each literal of a query does, keyed by both signs of every
+    *present* variable, one that occurs in the circuit.
+
+    A query literal ``lit`` forces the literal ``-lit`` to zero.
+    ``conflicting`` holds the present literals that rule out every model:
+    ``-v`` for a core ``v`` and ``+v`` for a dead one.  ``free`` holds both
+    signs of the present variables that are neither core nor dead; the
+    other present literals (``+v`` for a core ``v``, ``-v`` for a dead one)
+    change no count.  A literal outside ``present`` pins an omitted
+    variable if its variable is in range, and names no variable otherwise.
+    ``present`` and ``free`` hold both signs of each of their variables,
+    so a query negates its literals once and intersects the result with
+    them (see :func:`ddnnf.engine.query`).
+    """
+
+    present: frozenset[int] = frozenset()
+    free: frozenset[int] = frozenset()
+    conflicting: frozenset[int] = frozenset()
+
+    @classmethod
+    def build(cls, literals, core, dead) -> "LiteralTable":
+        """The table of a circuit whose nodes hold ``literals``, with the
+        given core and dead variables."""
+        present = frozenset(literals)
+        present |= frozenset([-lit for lit in present])
+        fixed = {*core, *dead}
+        fixed |= {-v for v in fixed}
+        conflicting = frozenset([-v for v in core] + [*dead])
+        return cls(present, present - fixed, conflicting)
+
+
+EMPTY_TABLE = LiteralTable()
+
+
 @dataclass(slots=True)
 class Ddnnf:
     """A d-DNNF circuit plus the lookup structures built by preprocessing.
@@ -61,7 +97,13 @@ class Ddnnf:
       or more children;
     * ``baseline[i]``: the node's count under no assumptions, and
       ``scratch_baseline``, the scratch slots' values under no assumptions;
-    * ``literal_index``, ``core``, ``dead`` and ``omitted``.
+    * ``literal_index``: maps every literal that occurs in the circuit to
+      the one node holding it (a preprocessed circuit holds one node per
+      literal);
+    * ``core``, ``dead`` and ``omitted``: the variables in every model, in
+      none, and declared but absent from the circuit;
+    * ``literal_table``: the :class:`LiteralTable` a query reads its
+      literals through.
 
     The other fields are filled by the calls that answer queries, not by
     preprocessing (see :mod:`ddnnf.engine`), and every preprocess empties
@@ -83,8 +125,8 @@ class Ddnnf:
       under no assumptions (see :func:`compile_adjoint`), built by the first
       all-features table;
     * ``derivative_sums``: maps each variable ``v`` to the partial
-      derivative of the root count summed over the nodes holding ``-v``, the
-      models that forcing ``-v`` to zero removes; every table stores them;
+      derivative of the root count at the node holding ``-v``, the models
+      that forcing ``-v`` to zero removes; every table stores them;
     * ``ancestor_orders``: maps a literal to ``(order, marked)``: the
       indices of the tape instructions that write its nodes' ancestor
       slots, ascending, as an ``array("i")``, which the partial rung runs
@@ -107,10 +149,11 @@ class Ddnnf:
     tape: list[tuple[int, int, int]] = field(default_factory=list)
     scratch_slots: int = 0
     scratch_baseline: list[int] = field(default_factory=list)
-    literal_index: dict[int, list[int]] = field(default_factory=dict)
+    literal_index: dict[int, int] = field(default_factory=dict)
     core: frozenset[int] = frozenset()
     dead: frozenset[int] = frozenset()
     omitted: frozenset[int] = frozenset()
+    literal_table: LiteralTable = EMPTY_TABLE
     # filled by call history, not by the circuit, so equality ignores them
     readers: list[tuple[int, ...]] = field(default_factory=list, compare=False)
     writes_node: bytes = field(default=b"", compare=False)
@@ -230,9 +273,9 @@ def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
 
     Every child of a kept node must be kept too, and listed before it.  The
     tape, its reader graph, the baselines and the literal index no longer
-    match the new indices, so they are emptied and the circuit counts as
-    not preprocessed; preprocessing refills them, and the first partial
-    query links the graph again.
+    match the new indices, so they are emptied, the literal table with the
+    index, and the circuit counts as not preprocessed; preprocessing
+    refills them, and the first partial query links the graph again.
 
     With ``merge``, the pass is also a unique table: a node whose kind,
     literal and renumbered children (in their order) equal those of a node
@@ -299,6 +342,7 @@ def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
     d.children = renamed
     d.root = position[d.root]
     d.baseline, d.tape, d.literal_index = [], [], {}
+    d.literal_table = EMPTY_TABLE
     d.scratch_slots, d.scratch_baseline = 0, []
     drop_readers(d)
     d.preprocessed = False

@@ -16,6 +16,21 @@ picks the rung for each query itself:
   Skipped when the reset literals exceed ``traversal_bypass_fraction`` of
   the variables, where marking overhead stops paying off.
 
+A query is a set of signed literals; an :class:`~ddnnf.core.Assumptions`
+is turned into one after its variables are checked against the range.  The
+front end reads them through the circuit's
+:class:`~ddnnf.core.LiteralTable`, built at set-up, with a few set
+operations that run in C over the query's literals: those outside the
+table's present literals pin omitted variables (each halves the omitted
+factor) or are out of range; the literals negated once and met with the
+query give the contradiction; meeting the table's conflicting literals
+gives the core/dead shortcut; and the negation met with the table's free
+literals is the zero-literal set.  Without shortcuts (``NO_CORE_DEAD``)
+the negation is met with every present literal instead, so the zero set
+keeps the literals of core and dead variables, nodeless ones too, and they
+count toward the bypass fraction.  Loops in Python run only over the
+pinned literals and over the reset literals, one node each.
+
 :class:`OptimizationConfig` exists for the variant matrix, which switches
 rungs off one at a time to measure what each saves; every other caller
 runs ``FULL``.
@@ -40,18 +55,21 @@ did not change, and the pass reads it as it stands, so every value list
 keeps every slot current.  Every configuration returns identical counts;
 only the work differs.
 
-Without a :class:`SessionState`, that list is a copy of every slot's
-value under no assumptions (``Ddnnf.baseline``, the constant slot and
-``Ddnnf.scratch_baseline``), with the zero literals' nodes set to 0.
-With one, the state holds the zero literals and the value list of the
-last line it evaluated, and a query may start from that list instead: it
-resets only the symmetric difference of the old and new zero-literal sets
-(0 entering, baseline leaving), when that is smaller than the new set; on
-a tie it starts from the baselines.  The reset set, not the whole zero
-set, picks the rung and seeds the marking.  An empty reset set answers the
-kept root times the omitted factor as a ``"shortcut"`` with no visits.
-Shortcut and contradiction lines, and lines with no zero literal, leave
-the state alone.
+Without a :class:`SessionState`, that list is a copy of every slot's value
+under no assumptions (``Ddnnf.baseline``, the constant slot and
+``Ddnnf.scratch_baseline``), with the zero literals' nodes set to 0: one
+store per literal, through ``Ddnnf.literal_index``, which maps each
+literal to its one node.  With one, the state holds the zero literals and
+the value list of the last line it evaluated, and a query may start from
+that list instead: it resets only the symmetric difference of the old and
+new zero-literal sets (0 entering, baseline leaving), when that is smaller
+than the new set; on a tie it starts from the baselines.  A kept set at
+least twice the size of the new one cannot be closer, so it is not
+intersected.  The reset set, not the whole zero set, picks the rung and
+seeds the marking.  An empty reset set answers the kept root times the
+omitted factor as a ``"shortcut"`` with no visits.  Shortcut and
+contradiction lines, and lines with no zero literal, leave the state
+alone.
 
 A configurator's lines mostly reset one literal, and the same literals
 recur, so a one-literal reset reads that literal's order (the indices of
@@ -67,8 +85,9 @@ once and stores nothing, as a stateless query of k literals does: storing
 each literal's order would mark each closure on its own, where one
 marking covers their union.  ``nodes_marked`` and ``nodes_visited`` report
 the circuit nodes marking reaches, counted the same way for a marked order
-and a union: the instructions ``Ddnnf.writes_node`` flags, plus the reset
-literals' own nodes; scratch slots are not nodes and do not count.
+and a union: the instructions ``Ddnnf.writes_node`` flags, plus one node
+for each reset literal that a node holds (without shortcuts a reset
+literal may have none); scratch slots are not nodes and do not count.
 
 Queries never mutate the circuit's lists.  A stateless query keeps its
 values in a local buffer, so such queries may run concurrently; a state is
@@ -100,23 +119,25 @@ Those values are fixed once set-up ends, so the first
 program (:func:`~ddnnf.core.compile_adjoint`) with each multiplier baked
 in, and keeps only the instructions that lead to a negative literal; it
 stores the program as ``Ddnnf.adjoint``, and later tables only run it.
-The first table therefore costs about one pass more than the rest.
-The sum over the nodes of each ``-v`` is kept on the circuit as
-``Ddnnf.derivative_sums``.  Every table runs the program and stores fresh
-sums; ``--count``, streams and set-up never pay for either.  Both stores
-are idempotent: racing first tables each compile an equal program and
-store one complete list, and racing tables each compute the same sums and
-store one complete dict, so concurrent stateless readers stay safe.  Once
-a table has stored the sums, :func:`count_feature` reads them, and a lookup
-is a dict read; before that a lookup is one partial query, which costs
-far less than the pass, and the first such query links the reader graph.
+The first table therefore costs about one pass more than the rest.  The
+derivative at the node of each ``-v`` (a literal has one node) is kept on
+the circuit as ``Ddnnf.derivative_sums``.  Every table runs the program
+and stores fresh sums; ``--count``, streams and set-up never pay for
+either.  Both stores are idempotent: racing first tables each compile an
+equal program and store one complete list, and racing tables each compute
+the same sums and store one complete dict, so concurrent stateless readers
+stay safe.  Once a table has stored the sums, :func:`count_feature` reads
+them, and a lookup is a dict read; before that a lookup is one partial
+query, which costs far less than the pass, and the first such query links
+the reader graph.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, neg
 from threading import Lock
 
 from .core import Assumptions, Ddnnf, compile_adjoint, sweep
@@ -259,7 +280,8 @@ def mark_ancestors(d: Ddnnf, literals) -> set[int]:
     readers = link_readers(d)
     tape = d.tape
     marked: set[int] = set()
-    stack = [j for lit in literals for i in d.literal_index.get(lit, ()) for j in readers[i]]
+    index = d.literal_index
+    stack = [j for lit in literals if lit in index for j in readers[index[lit]]]
     while stack:
         j = stack.pop()
         if j not in marked:
@@ -274,8 +296,8 @@ def _marked_nodes(d: Ddnnf, order, literals) -> int:
     reaches: the instructions that write a node, plus the literals' own
     nodes.
 
-    Every instruction writes one slot and distinct literals hold distinct
-    nodes, so nothing is counted twice.
+    Every instruction writes one slot and each literal has one node, or
+    none when no node holds it, so nothing is counted twice.
     """
     link_readers(d)  # the orders outlive a graph dropped by a smooth that changed nothing
     flags = d.writes_node
@@ -284,8 +306,7 @@ def _marked_nodes(d: Ddnnf, order, literals) -> int:
     marked = sum(
         itemgetter(*order)(flags) if len(order) > 1 else map(flags.__getitem__, order)
     )
-    index = d.literal_index
-    return marked + sum([len(index.get(lit, ())) for lit in literals])
+    return marked + sum(map(d.literal_index.__contains__, literals))
 
 
 def _marked_order(d: Ddnnf, literals) -> tuple[list[int], int]:
@@ -383,80 +404,101 @@ class SessionState:
     values: list[int] | None = None
 
 
+def _assumed_literals(d: Ddnnf, assumptions: Assumptions) -> list[int]:
+    """The signed literals of ``assumptions``: ``+v`` for an included
+    ``v``, ``-v`` for an excluded one.
+
+    Every variable is checked against the range first, since a variable
+    below 1 would turn into a valid literal: an included -3 into ``-3``.
+    """
+    n = d.num_variables
+    for v in assumptions.variables():
+        if not 1 <= v <= n:
+            raise VariableOutOfRange(f"variable {v} outside 1..{n}")
+    return [*assumptions.include, *map(neg, assumptions.exclude)]
+
+
 def query(
     d: Ddnnf,
-    assumptions: Assumptions,
+    assumptions: Assumptions | Iterable[int],
     cfg: OptimizationConfig = FULL,
     state: SessionState | None = None,
 ) -> QueryResult:
-    """Cardinality of the partial configuration given by ``assumptions``.
+    """Cardinality of the partial configuration given by ``assumptions``:
+    an :class:`~ddnnf.core.Assumptions`, or signed literals (``+v``
+    includes ``v``, ``-v`` excludes it; repeats are allowed).
 
-    Contradictory assumptions legitimately count 0 and are answered without
-    touching the circuit.  Assumptions on omitted variables never reach the
-    traversal: pinning a free variable exactly halves the omitted-variable
-    correction factor.  The count is identical under every configuration.
+    A literal whose variable lies outside ``1..n`` raises
+    :class:`~ddnnf.errors.VariableOutOfRange`.  Contradictory assumptions
+    legitimately count 0 and are answered without touching the circuit.
+    Assumptions on omitted variables never reach the traversal: pinning a
+    free variable exactly halves the omitted-variable correction factor.
+    The count is identical under every configuration.
 
     With a ``state``, the query may start from the kept value vector of the
     previous line instead of the baselines (see the module docstring), and
     keeps its own vector there for the next line.
     """
     _require_preprocessed(d)
-    n = d.num_variables
-    variables = assumptions.variables()
-    # min() and max() over the set run in C, but through generic compares:
-    # on CPython 3.11 they took 29.8 µs at 697 variables, this loop 19.6 µs
-    for v in variables:
-        if not 1 <= v <= n:
-            raise VariableOutOfRange(f"variable {v} outside 1..{n}")
-    if assumptions.contradictory:
+    if isinstance(assumptions, Assumptions):
+        assumptions = _assumed_literals(d, assumptions)
+    literals = set(assumptions)
+    table = d.literal_table
+    pinned = literals - table.present  # omitted variables, or out of range
+    if pinned:
+        n = d.num_variables
+        for lit in pinned:
+            if not 1 <= abs(lit) <= n:
+                raise VariableOutOfRange(f"variable {abs(lit)} outside 1..{n}")
+    negated = set(map(neg, literals))
+    if not negated.isdisjoint(literals):
         return QueryResult(0, 0, 0, "contradiction")
-
-    factor = d.omitted_factor
-    include = set(assumptions.include)
-    exclude = set(assumptions.exclude)
-    for v in variables & d.omitted:
-        factor //= 2
-    include -= d.omitted
-    exclude -= d.omitted
+    # no contradiction is left, so each pinned literal pins its own variable
+    factor = d.omitted_factor >> len(pinned)
 
     if cfg.core_dead_shortcuts:
-        if include & d.dead or exclude & d.core:
+        if not table.conflicting.isdisjoint(literals):
             return QueryResult(0, 0, 0, "shortcut")
-        include -= d.core
-        exclude -= d.dead
-
-    zero_literals = {-v for v in include} | set(exclude)
+        zero_literals = negated & table.free
+    else:
+        # core and dead variables' literals stay, nodeless ones too
+        zero_literals = negated & table.present
     if not zero_literals:
         return QueryResult(d.baseline[d.root] * factor, 0, 0, "shortcut")
 
     # reset the leaves that differ from the kept vector's when they are fewer
     # than those that differ from the baselines'; a tie starts from the
     # baselines.  The symmetric difference has len(zero_literals) + len(old)
-    # - 2 * shared literals, so only a line that takes the kept vector builds it.
-    index = d.literal_index
+    # - 2 * shared literals, so only a line that takes the kept vector builds
+    # it, and a kept set at least twice as large cannot win (shared is at
+    # most len(zero_literals)), so it is not intersected.
+    node = d.literal_index.get  # None for a zero literal no node holds
     kept = state is not None and state.values is not None
     if kept:
         old = state.zero_literals
-        shared = len(zero_literals & old)
-        if shared == len(zero_literals) == len(old):
-            return QueryResult(state.values[d.root] * factor, 0, 0, "shortcut")
-        kept = len(old) < 2 * shared
+        if len(old) >= 2 * len(zero_literals):
+            kept = False
+        else:
+            shared = len(zero_literals & old)
+            if shared == len(zero_literals) == len(old):
+                return QueryResult(state.values[d.root] * factor, 0, 0, "shortcut")
+            kept = len(old) < 2 * shared
     if kept:
         # an interrupted update must not leave a half-updated vector behind
         values, state.values = state.values, None
         delta, baseline = zero_literals ^ old, d.baseline
         for lit in delta:
-            zero = lit in zero_literals
-            for i in index.get(lit, ()):
-                values[i] = 0 if zero else baseline[i]
+            i = node(lit)
+            if i is not None:
+                values[i] = 0 if lit in zero_literals else baseline[i]
     else:
         # every slot under no assumptions, then the reset literals zeroed
         delta, values = zero_literals, [*d.baseline, 1, *d.scratch_baseline]
-        for lit in delta:
-            for i in index.get(lit, ()):
+        for i in map(node, delta):
+            if i is not None:
                 values[i] = 0
 
-    if len(delta) <= cfg.traversal_bypass_fraction * n:
+    if len(delta) <= cfg.traversal_bypass_fraction * d.num_variables:
         if len(delta) == 1:
             (lit,) = delta
             order, marked = _ancestor_order(d, lit)
@@ -483,7 +525,8 @@ def _derivative_sums(d: Ddnnf) -> dict[int, int]:
     where the multiplier is 1 and stored as it is into a slot that still
     holds 0, so an Or or a leaf-guarded And allocates no product, and a
     slot's first share no sum.  The slot's entry is then reset to 0, so
-    inner derivatives do not all live at once.
+    inner derivatives do not all live at once.  A variable's sum is the
+    entry of the one node holding its negative literal.
     """
     program = d.adjoint
     if program is None:
@@ -502,11 +545,7 @@ def _derivative_sums(d: Ddnnf) -> dict[int, int]:
                 x = g if mb == 1 else g * mb
                 y = derivative[b]
                 derivative[b] = y + x if y else x
-    return {
-        -lit: sum([derivative[i] for i in nodes])
-        for lit, nodes in d.literal_index.items()
-        if lit < 0
-    }
+    return {-lit: derivative[i] for lit, i in d.literal_index.items() if lit < 0}
 
 
 def _feature_count(d: Ddnnf, sums: dict[int, int], v: int) -> int:

@@ -1,10 +1,11 @@
 """Pipeline that turns a parsed circuit into query-ready form.
 
 Six steps, in order: prune the circuit to the root's cone, smooth it,
-compile the tape, index the literal nodes, detect core and dead variables,
-and run the tape for every node's baseline count under no assumptions.
-That is all set-up builds, and all that ``--count``, the all-features
-tables and ``--save-smoothed`` read.  The tape's reader graph, which maps
+compile the tape, index the literal nodes, detect core and dead variables
+(and build the literal table queries read), and run the tape for every
+node's baseline count under no assumptions.  That is all set-up builds,
+and all that ``--count``, the all-features tables and ``--save-smoothed``
+read.  The tape's reader graph, which maps
 each slot to the tape instructions that read it, serves only the partial
 rung, so the first partial-rung query links it
 (:func:`ddnnf.engine.link_readers`); a stream session links it in set-up,
@@ -31,6 +32,7 @@ from .core import (
     LITERAL,
     OR,
     Ddnnf,
+    LiteralTable,
     compile_tape,
     counts_zero,
     drop_readers,
@@ -229,11 +231,12 @@ def link_parents(d: Ddnnf) -> Ddnnf:
 
 
 def index_literals(d: Ddnnf) -> Ddnnf:
-    """Map every signed literal to the node indices holding it."""
-    index: dict[int, list[int]] = {}
-    for i, lit in enumerate(d.literal):
-        if lit:
-            index.setdefault(lit, []).append(i)
+    """Map every signed literal to the node holding it, and note the
+    omitted variables.
+
+    Smoothing merged equal nodes, so a literal has one node.
+    """
+    index = {lit: i for i, lit in enumerate(d.literal) if lit}
     d.literal_index = index
     present = {abs(lit) for lit in index}
     d.omitted = frozenset(
@@ -243,19 +246,24 @@ def index_literals(d: Ddnnf) -> Ddnnf:
 
 
 def compute_core_dead(d: Ddnnf) -> tuple[frozenset[int], frozenset[int]]:
-    """Classify variables by literal polarity in one pass.
+    """Classify variables by literal polarity in one pass, and build the
+    literal table queries read.
 
     On a smooth circuit a variable appearing only positively is core (in
     every satisfying assignment) and one appearing only negatively is dead
     (in none).  Sound only after smoothing, hence the guard.  Omitted
-    variables are free: neither core nor dead.
+    variables are free: neither core nor dead.  The
+    :class:`~ddnnf.core.LiteralTable` says what each present literal does
+    in a query, given these two sets.
     """
     if not d.is_smooth:
         raise NotSmooth("core/dead detection requires a smoothed circuit")
-    positive = {lit for lit in d.literal_index if lit > 0}
-    negative = {-lit for lit in d.literal_index if lit < 0}
+    index = d.literal_index
+    positive = {lit for lit in index if lit > 0}
+    negative = {-lit for lit in index if lit < 0}
     d.core = frozenset(positive - negative)
     d.dead = frozenset(negative - positive)
+    d.literal_table = LiteralTable.build(index, d.core, d.dead)
     return d.core, d.dead
 
 

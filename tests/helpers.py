@@ -220,7 +220,7 @@ def tape_order(d, literals) -> list[int]:
     """The tape instructions whose value depends on the nodes of
     ``literals``, ascending, found by one forward scan of the tape rather
     than by climbing the reader graph."""
-    changed = {i for lit in literals for i in d.literal_index.get(lit, ())}
+    changed = {d.literal_index[lit] for lit in literals if lit in d.literal_index}
     order = []
     for j, (dst, a, b) in enumerate(d.tape):
         if a in changed or b in changed:
@@ -238,7 +238,7 @@ def tape_nodes(d, literals) -> set[int]:
     """The nodes whose value depends on the nodes of ``literals``, by the
     forward scan of :func:`tape_order`: the literals' own nodes and the
     nodes its instructions write."""
-    own = {i for lit in literals for i in d.literal_index.get(lit, ())}
+    own = {d.literal_index[lit] for lit in literals if lit in d.literal_index}
     return own | {s for s in written_slots(d, tape_order(d, literals)) if s < len(d.nodes)}
 
 
@@ -256,8 +256,8 @@ def fresh_values(d, zero_literals) -> list[int]:
     baselines."""
     values = d.baseline + [1] + d.scratch_baseline
     for lit in zero_literals:
-        for i in d.literal_index.get(lit, ()):
-            values[i] = 0
+        if lit in d.literal_index:
+            values[d.literal_index[lit]] = 0
     sweep(d.tape, values)
     return values
 

@@ -126,7 +126,7 @@ def test_criterion_05_partial_traversal_sharpness():
     assert len(d.nodes) == 12
     # marking reaches the nodes its instructions write, and B's own node
     written = written_slots(d, mark_ancestors(d, {-2}))
-    assert len({i for i in written if i < len(d.nodes)} | set(d.literal_index[-2])) == 4
+    assert len({i for i in written if i < len(d.nodes)} | {d.literal_index[-2]}) == 4
     result = query(d, Assumptions.of({2}), OptimizationConfig(traversal_bypass_fraction=1.0))
     assert result.nodes_marked == 4 and result.count == 2
     _passed(5, "feature query on B marks exactly 4 of 12 nodes")

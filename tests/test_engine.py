@@ -95,6 +95,27 @@ class TestQuery:
         with pytest.raises(VariableOutOfRange):
             query(running_example, Assumptions.of({9}))
 
+    def test_variables_below_one_stay_out_of_range(self, running_example):
+        # an included -3 or an excluded 0 must not turn into the literal -3
+        # or 0 that the conversion to signed literals would make of them
+        for a in (
+            Assumptions.of(include={-3}),
+            Assumptions.of(exclude={-3}),
+            Assumptions.of(exclude={0}),
+            Assumptions.of(include={2}, exclude={0}),
+        ):
+            with pytest.raises(VariableOutOfRange):
+                query(running_example, a)
+
+    def test_literals_and_assumptions_agree(self, running_example):
+        # query takes signed literals as well, repeats allowed
+        for literals in ([4, -3], [2, 2], [2, -2], [-1], [1, 4, 4, -3]):
+            a = Assumptions.from_literals(literals)
+            assert query(running_example, literals) == query(running_example, a)
+        for literals in ([0], [2, 5], [-5]):
+            with pytest.raises(VariableOutOfRange):
+                query(running_example, literals)
+
     def test_dead_shortcut(self, circuits):
         d = circuits["single_neg"]
         result = query(d, Assumptions.of({1}))
@@ -309,7 +330,7 @@ def _assert_adjoint_structure(d):
     program = compile_adjoint(d)
     values = d.baseline + [1] + d.scratch_baseline
     # the slots whose cones hold a negative literal, by a forward scan
-    wanted = {i for lit, nodes in d.literal_index.items() if lit < 0 for i in nodes}
+    wanted = {i for lit, i in d.literal_index.items() if lit < 0}
     operands = {}  # slot -> (is an Or, first operand, second operand)
     for dst, a, b in d.tape:
         slot = ~dst if dst < 0 else dst

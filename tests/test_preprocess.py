@@ -165,8 +165,8 @@ def _assert_merged(d):
     reader graph is the exact inverse of the tape."""
     nodes = list(zip(d.kind, d.literal, d.children))
     assert len(set(nodes)) == len(nodes)
-    assert all(len(held) == 1 for held in d.literal_index.values())
-    assert sorted(d.literal_index) == sorted({lit for lit in d.literal if lit})
+    assert sorted(d.literal_index.values()) == [i for i, lit in enumerate(d.literal) if lit]
+    assert all(d.literal[i] == lit for lit, i in d.literal_index.items())
     assert link_readers(d) == tape_readers(d)
 
 
@@ -308,8 +308,9 @@ class TestLinkParents:
 
 class TestIndexLiterals:
     def test_running_example(self, running_example):
-        assert len(running_example.literal_index[2]) == 1
-        assert len(running_example.literal_index[-2]) == 1
+        d = running_example
+        for lit in (2, -2):
+            assert d.literal[d.literal_index[lit]] == lit and d.literal.count(lit) == 1
 
     def test_omitted_variable_absent(self, circuits):
         d = circuits["single_omitted"]
@@ -319,7 +320,8 @@ class TestIndexLiterals:
     def test_smoothing_gadget_adds_entry(self, circuits):
         d = circuits["unsmooth_pair"]
         assert -3 in d.literal_index  # the gadget's new literal
-        assert len(d.literal_index[3]) == 1  # the gadget leaf merged with the original
+        # the gadget leaf merged with the original
+        assert d.literal[d.literal_index[3]] == 3 and d.literal.count(3) == 1
 
 
 class TestCoreDead:

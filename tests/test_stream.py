@@ -18,9 +18,10 @@ from ddnnf import (
 )
 import ddnnf.engine
 from ddnnf.cli import StreamSession, build_parser, run_stream
-from ddnnf.engine import NAIVE, NO_PARTIAL_TRAVERSAL
+from ddnnf.engine import NAIVE, NO_CORE_DEAD, NO_PARTIAL_TRAVERSAL
+from ddnnf.errors import VariableOutOfRange
 
-from conftest import RUNNING_EXAMPLE_C2D
+from conftest import RUNNING_EXAMPLE_C2D, build_circuit, fixture_texts
 from helpers import (
     c2d_to_d4,
     fresh_values,
@@ -436,3 +437,157 @@ def test_session_vectors_stay_exact(seed, n, d4, data):
                 assert state.values == fresh_values(d, state.zero_literals)
             if ddnnf.engine.ANCESTOR_ORDER_BUDGET == 0:
                 assert d.ancestor_entries == entries
+
+
+# the literal kinds a line of test_literal_lines_match_oracle_and_assumptions
+# draws from; a kind the circuit lacks falls back to an out-of-range literal
+LITERAL_KINDS = (
+    "free", "free", "free", "core", "dead", "omitted",
+    "repeat", "contradict", "out-of-range", "zero",
+)
+
+
+def _literal_circuits():
+    """(name, builder) for the circuits the literal front end is checked on:
+    generator seeds with and without omitted variables, their d4 twins,
+    and the fixtures."""
+    out = []
+    for seed, n, omit in ((48, 12, 0), (7, 10, 2), (19, 8, 1), (33, 12, 3)):
+        text = random_c2d_text(seed, n, omit=omit, tree_budget=400)
+        out.append((f"seed{seed}", lambda text=text: parse_c2d(text, None)))
+        out.append((f"seed{seed}-d4", lambda text=text, n=n: parse_d4(c2d_to_d4(text), n)))
+    for name, (fmt, text, n) in fixture_texts().items():
+        out.append((name, lambda fmt=fmt, text=text, n=n: build_circuit(fmt, text, n)))
+    return out
+
+
+LITERAL_CIRCUITS = _literal_circuits()
+
+
+def _expected_strategy(d, literals, cfg):
+    """The rung a stateless query of ``literals`` takes, from the circuit's
+    core, dead and omitted sets rather than its literal table."""
+    if any(-lit in literals for lit in literals):
+        return "contradiction"
+    if cfg.core_dead_shortcuts and any(
+        (lit < 0 and -lit in d.core) or (lit > 0 and lit in d.dead) for lit in literals
+    ):
+        return "shortcut"
+    zero = {-lit for lit in literals if abs(lit) not in d.omitted}
+    if cfg.core_dead_shortcuts:
+        zero = {lit for lit in zero if abs(lit) not in d.core | d.dead}
+    if not zero:
+        return "shortcut"
+    return "partial" if len(zero) <= cfg.traversal_bypass_fraction * d.num_variables else "full"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    circuit=st.sampled_from(LITERAL_CIRCUITS),
+    lines=st.lists(
+        st.lists(st.sampled_from(LITERAL_KINDS), min_size=1, max_size=10),
+        min_size=1, max_size=8,
+    ),
+    data=st.data(),
+)
+def test_literal_lines_match_oracle_and_assumptions(circuit, lines, data):
+    # count v lines mixing free, core, dead (both signs), omitted, repeated,
+    # contradictory, out-of-range and 0 literals: each reply equals the
+    # oracle's count, or names the line's first out-of-range variable; a
+    # list of literals and the same Assumptions answer the same result
+    # under every shortcut setting, with the rung the old set algebra
+    # picked; and the session keeps an exact vector of the line's zero set
+    name, build = circuit
+    d = preprocess(build())
+    n = d.num_variables
+    oracle = ExhaustiveCounter(d)
+    s = StreamSession(d)
+    free = [v for v in range(1, n + 1) if v not in d.core | d.dead | d.omitted]
+    pools = {
+        "free": free,
+        "core": sorted(d.core),
+        "dead": sorted(d.dead),
+        "omitted": sorted(d.omitted),
+    }
+    for kinds in lines:
+        line: list[int] = []
+        for kind in kinds:
+            if kind in pools and pools[kind]:
+                v = data.draw(st.sampled_from(pools[kind]))
+                line.append(data.draw(st.sampled_from([v, -v])))
+            elif kind == "repeat" and line:
+                line.append(data.draw(st.sampled_from(line)))
+            elif kind == "contradict" and line:
+                line.append(-data.draw(st.sampled_from(line)))
+            elif kind == "zero":
+                line.append(0)
+            else:
+                line.append(data.draw(st.sampled_from([n + 1, -(n + 1), n + 7])))
+        reply = s.handle("count v " + " ".join(map(str, line)))
+        bad = [abs(lit) for lit in line if not 1 <= abs(lit) <= n]
+        if bad:
+            assert reply == (f"error variable-out-of-range {bad[0]}", False), (name, line)
+            with pytest.raises(VariableOutOfRange):
+                query(d, line)
+            continue
+        a = Assumptions.from_literals(line)
+        assert reply == (str(oracle.count(a)), False), (name, line)
+        for cfg in (ddnnf.engine.FULL, NO_CORE_DEAD, NAIVE):
+            result = query(d, line, cfg)
+            assert result == query(d, a, cfg), (name, line, cfg)
+            assert result.strategy == _expected_strategy(d, set(line), cfg), (name, line)
+        if s.state.values is not None:
+            assert s.state.values == fresh_values(d, s.state.zero_literals), (name, line)
+        if _expected_strategy(d, set(line), ddnnf.engine.FULL) not in ("contradiction", "shortcut"):
+            zero = {-lit for lit in line if abs(lit) not in d.core | d.dead | d.omitted}
+            assert s.state.zero_literals == zero, (name, line)
+
+
+def test_nodeless_literals_take_the_shortcut():
+    # core {2, 8}, dead {1, 3}: no node holds +1 (a dead variable included)
+    # or -2 (a core one excluded), yet each rules out every model; without
+    # shortcuts the zero literal they force reaches a node and counts 0 too
+    d = preprocess(parse_c2d(random_c2d_text(48, 12, tree_budget=400)))
+    assert {2, 8} <= d.core and {1, 3} <= d.dead
+    assert 1 not in d.literal_index and -2 not in d.literal_index
+    s = StreamSession(d)
+    for line in ([1], [-2], [4, 1], [4, -5, -2], [1, 1]):
+        assert s.handle("count v " + " ".join(map(str, line))) == ("0", False)
+        assert query(d, line).strategy == "shortcut"
+        assert query(d, line, NO_CORE_DEAD).count == 0
+    # the other signs change nothing, with shortcuts or without
+    total = str(ddnnf.engine.count_total(d))
+    for line in ([-1], [2], [2, -3, 8]):
+        assert s.handle("count v " + " ".join(map(str, line))) == (total, False)
+        assert query(d, line) == query(d, Assumptions.from_literals(line))
+        assert query(d, line, NO_CORE_DEAD).count == int(total)
+
+
+# the stream session over five.nnf in the CI job's installed-cli step:
+# tokens int() accepts answer as their canonical forms do
+FIVE_NNF = (
+    "nnf 16 15 5\nL 1\nL -1\nO 1 2 0 1\nL 2\nL -2\nO 2 2 3 4\nL 3\nL -3\nO 3 2 6 7\n"
+    "L 4\nL -4\nO 4 2 9 10\nL 5\nL -5\nO 5 2 12 13\nA 5 2 5 8 11 14\n"
+)
+NON_CANONICAL_LINES = [
+    ("count v +2", "16"),
+    ("count v 02", "16"),
+    ("count v 2 -0_3", "8"),
+    ("count v ２", "16"),  # a full-width 2
+    ("count v 2 -2", "0"),
+    ("count v 2 7 -2", "error variable-out-of-range 7"),
+    ("count v 2 x", "error unknown-command"),
+    ("count v -0", "error variable-out-of-range 0"),
+    ("count v 2 2 2", "16"),
+    ("exit", "bye"),
+]
+
+
+def test_non_canonical_tokens_answer_as_their_values(tmp_path):
+    path = tmp_path / "five.nnf"
+    path.write_text(FIVE_NNF)
+    stdin = io.StringIO("".join(line + "\n" for line, _ in NON_CANONICAL_LINES))
+    stdout = io.StringIO()
+    args = build_parser().parse_args([str(path), "--stream"])
+    assert run_stream(args, stdin, stdout) == 0
+    assert stdout.getvalue() == "".join(reply + "\n" for _, reply in NON_CANONICAL_LINES)
