@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import OracleLimitExceeded
+from .errors import NotSmooth, OracleLimitExceeded
 
 ORACLE_LIMIT_DEFAULT = 24
 
@@ -92,9 +92,8 @@ class Ddnnf:
 
     * ``tape``: the And and Or nodes compiled to the instructions of one
       forward sweep (see :func:`compile_tape`); a value list for it holds
-      one entry per *slot*: every node, then the constant slot, then the
-      ``scratch_slots`` scratch slots the tape writes for nodes with three
-      or more children;
+      one entry per *slot*: every node, then the ``scratch_slots`` scratch
+      slots the tape writes for nodes with three or more children;
     * ``baseline[i]``: the node's count under no assumptions, and
       ``scratch_baseline``, the scratch slots' values under no assumptions;
     * ``literal_index``: maps every literal that occurs in the circuit to
@@ -268,6 +267,11 @@ def root_cone(d: Ddnnf) -> list[int]:
     return [i for i, r in enumerate(reached) if r]
 
 
+# The positions a merging renumber gives the nodes that fold to True or to
+# False until a node keeps one as a child; a placed node is never below 0.
+_FOLDED_TRUE, _FOLDED_FALSE = -2, -3
+
+
 def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
     """Keep the nodes listed in ``order``, in that order, as nodes 0, 1, ...
 
@@ -277,15 +281,26 @@ def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
     index, and the circuit counts as not preprocessed; preprocessing
     refills them, and the first partial query links the graph again.
 
-    With ``merge``, the pass is also a unique table: a node whose kind,
-    literal and renumbered children (in their order) equal those of a node
-    already placed is not kept, and its parents and the root point at that
-    node instead, which keeps its own decision variable.  Children are
-    renumbered before their parents, so structurally identical subcircuits
-    merge whole, and the result holds no two equal nodes and one node per
-    literal.  Every count stays the same, since equal nodes count equally
-    under any assumptions.  When every node keeps its index, the circuit is
-    left as it is, and only its reader graph is dropped.
+    With ``merge``, the pass is also a unique table that folds constants.
+    A node whose kind, literal and renumbered children (in their order)
+    equal those of a node already placed is not kept, and its parents and
+    the root point at that node instead, which keeps its own decision
+    variable.  Before the lookup, an And drops its True children and an Or
+    its False children (a childless And and a TRUE leaf are both True, a
+    childless Or and a FALSE leaf both False); an And or Or left with no
+    child is that constant, and one left with one child is not kept: its
+    parents and the root point at the child.  An And with a False child and
+    an Or with a True child keep it, so folding drops no literal
+    occurrence.  The True and the False node are each placed once, just
+    before the first node that keeps it as a child, or last when the root
+    is that constant, so no constant is left without a reader.  Children
+    are renumbered before their parents, so structurally identical
+    subcircuits merge whole, and the result holds no two equal nodes, one
+    node per literal, no one-child And or Or and no constant operand that
+    folding drops.  Every count stays the same, since equal nodes count
+    equally under any assumptions and a dropped operand is the identity of
+    its node's operation.  When the result equals the circuit, the circuit
+    is left as it is, and only its reader graph is dropped.
     """
     kind, literal, decision, children = d.kind, d.literal, d.decision, d.children
     position = [-1] * len(kind)
@@ -295,36 +310,87 @@ def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
         new_decision: list[int] = []
         renamed: list[tuple[int, ...]] = []
         # one table per kind of key: And and Or nodes by their children,
-        # leaves by their literal, or by their kind for True and False
+        # literal leaves by their literal, and the placed constants by the
+        # position their folded nodes take until one is kept as a child
         ands: dict = {}
         ors: dict = {}
         leaves: dict = {}
+        constants: dict = {}
+
+        def constant(folded: int) -> int:
+            new = constants.get(folded)
+            if new is None:
+                new = constants[folded] = len(renamed)
+                new_kind.append(TRUE if folded == _FOLDED_TRUE else FALSE)
+                new_literal.append(0)
+                new_decision.append(0)
+                renamed.append(())
+            return new
+
+        def fold(old: int, k, ch: tuple[int, ...]) -> tuple[int, ...] | None:
+            # the children a node keeps once the constants that do not change
+            # it are dropped, or None when it is not kept
+            unit = _FOLDED_TRUE if k is AND or k is TRUE else _FOLDED_FALSE
+            ch = tuple([c for c in ch if c != unit])
+            if len(ch) < 2:
+                position[old] = ch[0] if ch else unit
+                return None
+            return tuple([c if c >= 0 else constant(c) for c in ch])
+
         for old in order:
+            k = kind[old]
+            if k is LITERAL:
+                lit = literal[old]
+                placed = len(renamed)
+                new = position[old] = leaves.setdefault(lit, placed)
+                if new == placed:
+                    new_kind.append(k)
+                    new_literal.append(lit)
+                    new_decision.append(decision[old])
+                    renamed.append(())
+                continue
             ch = children[old]
             if len(ch) == 2:  # most nodes: no inner loop
                 a, b = ch
-                ch = (position[a], position[b])
-            elif ch:
-                ch = tuple([position[c] for c in ch])
-            k = kind[old]
-            if k is AND:
-                table, key = ands, ch
-            elif k is OR:
-                table, key = ors, ch
+                a = position[a]
+                b = position[b]
+                if a | b >= 0:  # neither is a folded constant
+                    ch = (a, b)
+                else:
+                    unit = _FOLDED_TRUE if k is AND else _FOLDED_FALSE
+                    if a == unit:
+                        position[old] = b
+                        continue
+                    if b == unit:
+                        position[old] = a
+                        continue
+                    ch = (a if a >= 0 else constant(a), b if b >= 0 else constant(b))
             else:
-                table, key = leaves, literal[old] or k
+                ch = tuple([position[c] for c in ch])
+                if len(ch) < 2 or min(ch) < 0:
+                    ch = fold(old, k, ch)
+                    if ch is None:
+                        continue
+            table = ands if k is AND else ors
             placed = len(renamed)
-            new = position[old] = table.setdefault(key, placed)
+            new = position[old] = table.setdefault(ch, placed)
             if new == placed:
                 new_kind.append(k)
-                new_literal.append(literal[old])
+                new_literal.append(0)
                 new_decision.append(decision[old])
                 renamed.append(ch)
         del ands, ors, leaves
-        if len(renamed) == len(kind) and position == list(range(len(kind))):
+        root = position[d.root]
+        if root < 0:
+            root = constant(root)
+        if (
+            len(renamed) == len(kind) and root == d.root and renamed == children
+            and new_kind == kind and new_literal == literal and new_decision == decision
+        ):
             drop_readers(d)
             return
         d.kind, d.literal, d.decision = new_kind, new_literal, new_decision
+        d.root = root
     else:
         for new, old in enumerate(order):
             position[old] = new
@@ -339,8 +405,8 @@ def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
                 renamed.append((position[a], position[b]))
             else:
                 renamed.append(tuple([position[c] for c in ch]))
+        d.root = position[d.root]
     d.children = renamed
-    d.root = position[d.root]
     d.baseline, d.tape, d.literal_index = [], [], {}
     d.literal_table = EMPTY_TABLE
     d.scratch_slots, d.scratch_baseline = 0, []
@@ -361,39 +427,39 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
     for an And node, and an Or node's ``(~dst, a, b)`` sets
     ``values[dst] = values[a] + values[b]``.  The instructions follow node
     order, so each reads final values, and every slot is written by one
-    instruction at most.  A one-child node multiplies its child by the
-    constant 1 that the sweep's value list holds in one extra slot after the
-    nodes, at index ``len(d.nodes)``.  A node with k >= 3 children takes
-    k - 1 instructions through k - 2 fresh scratch slots numbered after the
-    constant slot, laid out as a balanced binary tree: the operands are
-    paired level by level, ``s1 = c0 . c1``, ``s2 = c2 . c3``, ..., an odd
-    one out rising to the next level as it is, until the last pair writes
-    the node.  The tree is ⌈log2 k⌉ deep, so a change to one child reaches
-    the node through that many instructions, not up to k - 1.  A node
-    without children takes no instruction: its value is constant, 1 for an
-    And and 0 for an Or, and the value list must start with it.
+    instruction at most.  A node with k >= 3 children takes k - 1
+    instructions through k - 2 fresh scratch slots numbered after the
+    nodes, from ``len(d.nodes)`` on, laid out as a balanced binary tree:
+    the operands are paired level by level, ``s1 = c0 . c1``,
+    ``s2 = c2 . c3``, ..., an odd one out rising to the next level as it
+    is, until the last pair writes the node.  The tree is ⌈log2 k⌉ deep, so
+    a change to one child reaches the node through that many instructions,
+    not up to k - 1.  A node without children takes no instruction: its
+    value is constant, 1 for an And and 0 for an Or, and the value list
+    must start with it.  A one-child node has no instruction to take and
+    raises :class:`~ddnnf.errors.NotSmooth`; smoothing leaves none, since
+    its renumbering folds such a node into its child (see :func:`renumber`).
 
     Returns the tape and its scratch slot count.  A value list for
-    :func:`sweep` holds every node, the constant slot and the scratch slots,
-    one entry per slot; a full sweep writes each scratch slot before any
-    instruction reads it.  Set-up's sweep keeps their values under no
-    assumptions as ``Ddnnf.scratch_baseline``.  Because every slot is
-    written once, the tape run backwards is the reverse-mode derivative of
-    the sweep, which reads those values; :func:`compile_adjoint` compiles
-    that run once per circuit.  Run forwards from a changed slot, the
-    instructions that depend on it are its readers, their destinations'
-    readers, and so on: :func:`ddnnf.engine.link_readers` links each slot's
-    readers, and the partial rung climbs them.
+    :func:`sweep` holds every node, then the scratch slots, one entry per
+    slot; a full sweep writes each scratch slot before any instruction
+    reads it.  Set-up's sweep keeps their values under no assumptions as
+    ``Ddnnf.scratch_baseline``.  Because every slot is written once, the
+    tape run backwards is the reverse-mode derivative of the sweep, which
+    reads those values; :func:`compile_adjoint` compiles that run once per
+    circuit.  Run forwards from a changed slot, the instructions that
+    depend on it are its readers, their destinations' readers, and so on:
+    :func:`ddnnf.engine.link_readers` links each slot's readers, and the
+    partial rung climbs them.
 
     The tape is data, not code: building it costs one pass over the nodes,
     and :func:`sweep` pays no per-node kind test or child-count branch.
     """
     kind, children = d.kind, d.children
-    one = len(kind)
-    free = one + 1  # the next scratch slot
+    free = len(kind)  # the next scratch slot
     tape: list[tuple[int, int, int]] = []
     append = tape.append
-    for i in range(one):
+    for i in range(len(kind)):
         k = kind[i]
         if k is AND:
             dst = i
@@ -419,8 +485,8 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
             a, b = level
             append((dst, a, b))
         elif ch:
-            append((i, ch[0], one))
-    return tape, free - one - 1
+            raise NotSmooth(f"node {i} has one child; smooth the circuit first")
+    return tape, free - len(kind)
 
 
 def compile_adjoint(d: Ddnnf) -> list[tuple[int, int, int, int, int]]:
@@ -435,17 +501,16 @@ def compile_adjoint(d: Ddnnf) -> list[tuple[int, int, int, int, int]]:
     ``g`` is ``dst``'s finished derivative; ``b`` is -1 when only one
     operand needs a derivative.  The multipliers are baked from the values
     under no assumptions: 1 for an Or, the other operand's value for an And
-    (``Ddnnf.baseline``, the constant slot's 1 or
-    ``Ddnnf.scratch_baseline``), so the program serves only the unconditioned
-    table.  In a wide And's balanced tree the other operand is a subproduct
-    of some of the node's children, never a running product of all the
-    children before it, so the baked multipliers stay short.  Every int the
-    program holds is one the tape or the values
-    already hold: an Or's destination is the positive slot index its
-    parent's instruction reads.
+    (``Ddnnf.baseline`` or ``Ddnnf.scratch_baseline``), so the program
+    serves only the unconditioned table.  In a wide And's balanced tree the
+    other operand is a subproduct of some of the node's children, never a
+    running product of all the children before it, so the baked
+    multipliers stay short.  Every int the program holds is one the tape or
+    the values already hold: an Or's destination is the positive slot index
+    its parent's instruction reads.
     """
     tape = d.tape
-    values = d.baseline + [1] + d.scratch_baseline
+    values = d.baseline + d.scratch_baseline
     # wanted[s]: slot s's cone holds a negative-literal node
     wanted = bytearray(len(values))
     for i, lit in enumerate(d.literal):
@@ -497,16 +562,6 @@ def sweep(tape, values: list[int]) -> None:
             values[dst] = values[a] * values[b]
 
 
-def counts_zero(kind: list[NodeKind], children: list[tuple[int, ...]], i: int) -> bool:
-    """Node ``i`` is constant False: a FALSE leaf, or an Or without children.
-
-    Such a node counts 0 under any assumption, so it absorbs any completion
-    and smoothing need not give it an Or sibling's variables.
-    """
-    k = kind[i]
-    return k is FALSE or (k is OR and not children[i])
-
-
 def present_variables(d: Ddnnf) -> set[int]:
     """Variables that occur in at least one literal node."""
     return {abs(lit) for lit in d.literal if lit}
@@ -518,10 +573,11 @@ def validate(d: Ddnnf) -> list[Violation]:
     Reported kinds: "dangling-child" (index outside the node list), "cycle"
     (child index not strictly below its parent, which is the only way the
     flat lists can loop), "decomposability" (And children share variables)
-    and "smoothness" (Or children differ in variable set; False children and
-    childless Or children are ignored since their count, 0, absorbs any
-    completion).  Determinism is a trust assumption on the compiler and is
-    not checked.
+    and "smoothness" (Or children differ in variable set).  Children that
+    are constant False are ignored, since their count, 0, absorbs any
+    completion: a FALSE leaf, a childless Or, and an Or whose children are
+    all constant False, the rule :func:`ddnnf.preprocess.smooth` follows.
+    Determinism is a trust assumption on the compiler and is not checked.
 
     One pass in node order computes each node's variable mask (bit v-1
     stands for variable v), reading only children below the node, and frees
@@ -537,10 +593,13 @@ def validate(d: Ddnnf) -> list[Violation]:
             if 0 <= c < i:
                 uses[c] += 1
     masks = [0] * n
+    zero: set[int] = set()  # the nodes that are constant False
     for i in range(n):
         k = kind[i]
         if k is LITERAL:
             masks[i] = 1 << (abs(literal[i]) - 1)
+        elif k is FALSE:
+            zero.add(i)
         below = []
         for c in children[i]:
             if 0 <= c < i:
@@ -564,7 +623,9 @@ def validate(d: Ddnnf) -> list[Violation]:
             for c in below:
                 union |= masks[c]
             masks[i] = union
-            if len({masks[c] for c in below if not counts_zero(kind, children, c)}) > 1:
+            if all(c in zero for c in below):
+                zero.add(i)
+            elif len({masks[c] for c in below if c not in zero}) > 1:
                 severity = "error" if d.is_smooth else "info"
                 out.append(
                     Violation(

@@ -37,17 +37,16 @@ runs ``FULL``.
 
 The tape (:func:`~ddnnf.core.compile_tape`) is the only evaluator.  Both
 rungs start from a value list with one entry per tape slot whose literal
-nodes are right: the nodes, the constant 1 of the tape's extra slot, and
-the scratch slots of the balanced trees that wide nodes compile to.  The
-full sweep runs the whole tape (:func:`~ddnnf.core.sweep`), the
-instructions that computed the baselines, with no per-node dispatch.  The
-partial pass runs the marked instructions in tape order through the same
-loop.  ``Ddnnf.readers`` maps every slot to the instructions that read
-it, so marking climbs instruction by instruction from a changed child
-through the scratch slots on its path to the root: a wide node with k
-children costs about log2 k instructions, not k - 1.  Only this rung
-reads ``readers`` and ``writes_node``, the tape's reader graph, so set-up
-leaves them empty and the first partial-rung use links them
+nodes are right: the nodes, then the scratch slots of the balanced trees
+that wide nodes compile to.  The full sweep runs the whole tape
+(:func:`~ddnnf.core.sweep`), the instructions that computed the baselines,
+with no per-node dispatch.  The partial pass runs the marked instructions
+in tape order through the same loop.  ``Ddnnf.readers`` maps every slot to
+the instructions that read it, so marking climbs instruction by instruction
+from a changed child through the scratch slots on its path to the root: a
+wide node with k children costs about log2 k instructions, not k - 1.  Only
+this rung reads ``readers`` and ``writes_node``, the tape's reader graph,
+so set-up leaves them empty and the first partial-rung use links them
 (:func:`link_readers`); ``count``, the full rung, the shortcuts and the
 tables never pay for it, and a stream session links it in set-up.  An
 unmarked sibling's scratch slot holds the product or sum of children that
@@ -56,20 +55,19 @@ keeps every slot current.  Every configuration returns identical counts;
 only the work differs.
 
 Without a :class:`SessionState`, that list is a copy of every slot's value
-under no assumptions (``Ddnnf.baseline``, the constant slot and
-``Ddnnf.scratch_baseline``), with the zero literals' nodes set to 0: one
-store per literal, through ``Ddnnf.literal_index``, which maps each
-literal to its one node.  With one, the state holds the zero literals and
-the value list of the last line it evaluated, and a query may start from
-that list instead: it resets only the symmetric difference of the old and
-new zero-literal sets (0 entering, baseline leaving), when that is smaller
-than the new set; on a tie it starts from the baselines.  A kept set at
-least twice the size of the new one cannot be closer, so it is not
-intersected.  The reset set, not the whole zero set, picks the rung and
-seeds the marking.  An empty reset set answers the kept root times the
-omitted factor as a ``"shortcut"`` with no visits.  Shortcut and
-contradiction lines, and lines with no zero literal, leave the state
-alone.
+under no assumptions (``Ddnnf.baseline`` and ``Ddnnf.scratch_baseline``),
+with the zero literals' nodes set to 0: one store per literal, through
+``Ddnnf.literal_index``, which maps each literal to its one node.  With
+one, the state holds the zero literals and the value list of the last line
+it evaluated, and a query may start from that list instead: it resets only
+the symmetric difference of the old and new zero-literal sets (0 entering,
+baseline leaving), when that is smaller than the new set; on a tie it
+starts from the baselines.  A kept set at least twice the size of the new
+one cannot be closer, so it is not intersected.  The reset set, not the
+whole zero set, picks the rung and seeds the marking.  An empty reset set
+answers the kept root times the omitted factor as a ``"shortcut"`` with no
+visits.  Shortcut and contradiction lines, and lines with no zero literal,
+leave the state alone.
 
 A configurator's lines mostly reset one literal, and the same literals
 recur, so a one-literal reset reads that literal's order (the indices of
@@ -109,8 +107,8 @@ the tape run in reverse.  Every tape slot is written once, so each
 instruction ``(dst, a, b)`` hands ``dst``'s finished derivative to its two
 operands: an Or instruction adds it to both, an And instruction adds it
 times the other operand's value.  No division is needed, and a zero value
-just multiplies.  The values are the baselines, the constant slot and the
-tape's scratch slots under no assumptions, all kept by set-up's sweep:
+just multiplies.  The values are the baselines and the tape's scratch
+slots under no assumptions, both kept by set-up's sweep:
 ``Ddnnf.baseline`` and ``Ddnnf.scratch_baseline``, so no table sweeps
 forward.
 
@@ -223,10 +221,10 @@ def _link_readers(d: Ddnnf) -> list[tuple[int, ...]]:
     store them, ``readers`` last.
 
     ``readers`` is the exact inverse of the tape's reads over every slot:
-    the nodes, the constant slot and the scratch slots, each mapped to the
-    indices of the instructions that read it, each index once.  An
-    instruction names one slot twice only where merging left a node over
-    two equal children, such as an And over one True node twice.
+    the nodes and the scratch slots, each mapped to the indices of the
+    instructions that read it, each index once.  An instruction names one
+    slot twice only where merging left a node over two equal children,
+    such as an And over one False node twice.
     ``writes_node`` flags the instructions that write a node, so a set of
     instructions names the nodes it writes.  A reader that finds
     ``readers`` filled finds ``writes_node`` filled too.
@@ -236,7 +234,7 @@ def _link_readers(d: Ddnnf) -> list[tuple[int, ...]]:
     # most slots have one reader, and the slots only instruction j reads
     # share one (j,); only slots read twice get a list, since a tuple or a
     # list per slot would raise the memory the graph keeps
-    readers: list[tuple[int, ...]] = [()] * (n + 1 + d.scratch_slots)
+    readers: list[tuple[int, ...]] = [()] * (n + d.scratch_slots)
     more: dict[int, list[int]] = {}
     writes_node = bytearray(len(tape))
     for j, (dst, a, b) in enumerate(tape):
@@ -324,9 +322,9 @@ def _marked_order(d: Ddnnf, literals) -> tuple[list[int], int]:
 
 
 #: The ancestor orders kept on one circuit hold at most this many
-#: instruction entries per tape slot (node, constant or scratch slot) in
-#: total.  On circuits shaped like compiled feature models, four passes of
-#: a configurator session's script keep 18-20 entries per slot, but the
+#: instruction entries per tape slot (node or scratch slot) in total.  On
+#: circuits shaped like compiled feature models, four passes of a
+#: configurator session's script keep 18-20 entries per slot, but the
 #: total grows with the square of the depth: about 1200 per slot on a
 #: 2000-level Shannon chain.  Merging equal nodes shrinks the node count
 #: far more than the slot count, so a budget per node would shrink faster
@@ -348,7 +346,7 @@ def _ancestor_order(d: Ddnnf, lit: int) -> tuple[array, int]:
     if kept is None:
         order, marked = _marked_order(d, (lit,))
         kept = array("i", order), marked
-        budget = ANCESTOR_ORDER_BUDGET * (len(d.kind) + 1 + d.scratch_slots)
+        budget = ANCESTOR_ORDER_BUDGET * (len(d.kind) + d.scratch_slots)
         with _store_lock:
             # a racing miss on the same literal may have stored an equal order
             if lit not in d.ancestor_orders and d.ancestor_entries + len(order) <= budget:
@@ -392,10 +390,10 @@ class SessionState:
 
     ``zero_literals`` is the zero-literal set of the last line that
     :func:`query` evaluated, and ``values`` that line's value of every tape
-    slot: every node, the constant slot and the scratch slots (``None``
-    before the first line).  Every slot is current, scratch slots too,
-    because a partial line reruns every instruction whose value changed,
-    and the next partial line reads an unmarked scratch slot as it stands.
+    slot: every node and the scratch slots (``None`` before the first
+    line).  Every slot is current, scratch slots too, because a partial
+    line reruns every instruction whose value changed, and the next
+    partial line reads an unmarked scratch slot as it stands.
     A state belongs to one circuit, and :func:`query` updates it in place,
     so it serves one caller at a time.
     """
@@ -493,7 +491,7 @@ def query(
                 values[i] = 0 if lit in zero_literals else baseline[i]
     else:
         # every slot under no assumptions, then the reset literals zeroed
-        delta, values = zero_literals, [*d.baseline, 1, *d.scratch_baseline]
+        delta, values = zero_literals, [*d.baseline, *d.scratch_baseline]
         for i in map(node, delta):
             if i is not None:
                 values[i] = 0
@@ -532,7 +530,7 @@ def _derivative_sums(d: Ddnnf) -> dict[int, int]:
     if program is None:
         # racing first tables each compile an equal program and store it whole
         program = d.adjoint = compile_adjoint(d)
-    derivative = [0] * (len(d.baseline) + 1 + len(d.scratch_baseline))
+    derivative = [0] * (len(d.baseline) + len(d.scratch_baseline))
     derivative[d.root] = 1
     for dst, a, ma, b, mb in program:
         g = derivative[dst]

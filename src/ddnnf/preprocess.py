@@ -13,9 +13,10 @@ so that its first line does not pay.
 Each step is one pass over node lists that are already in topological
 order, and each keeps that order: pruning drops nodes, and smoothing places
 the nodes it adds where their children precede them, so nothing is sorted.
-Smoothing's renumbering also merges equal nodes, so every later step, and
-every query, runs over a circuit with no two equal nodes and one node per
-literal.
+Smoothing's renumbering also folds constants and merges equal nodes, so
+every later step, and every query, runs over a circuit with no two equal
+nodes, one node per literal, no one-child And or Or, no True under an And
+and no False under an Or.
 Preprocessing is the only phase that mutates shared circuit state;
 afterwards the circuit is read-only and queries may run concurrently.  The
 later writes, the reader graph, the adjoint program the first
@@ -34,7 +35,6 @@ from .core import (
     Ddnnf,
     LiteralTable,
     compile_tape,
-    counts_zero,
     drop_readers,
     mask_variables,
     renumber,
@@ -67,13 +67,13 @@ def _shares_variables(node: int) -> DecomposabilityViolation:
     return DecomposabilityViolation(f"And node {node} has children sharing variables")
 
 
-def _note_deficits(deficits, i: int, ch, union: int, kind, children, masks) -> None:
+def _note_deficits(deficits, i: int, ch, union: int, masks, zero) -> None:
     """Append Or node ``i`` and the variables each child that is not
     constant False lacks."""
     lacking = [
         (slot, tuple(mask_variables(union ^ masks[c])))
         for slot, c in enumerate(ch)
-        if masks[c] != union and not counts_zero(kind, children, c)
+        if masks[c] != union and c not in zero
     ]
     if lacking:
         deficits.append((i, lacking))
@@ -85,28 +85,34 @@ def smooth(d: Ddnnf) -> Ddnnf:
     A child missing variables gets conjoined with one shared ``(v or not v)``
     gadget per missing variable; the gadgets are tautologies, so the formula
     is unchanged.  A missing-variable And child with a single reference is
-    extended in place, anything else is wrapped in a fresh And node.  False
-    children and childless Or children need no gadgets because their count,
-    0, absorbs any completion.  Idempotent: smoothing a smooth circuit
-    without equal nodes changes nothing, but a reader graph is dropped all
-    the same.
+    extended in place, anything else is wrapped in a fresh And node.  A
+    child that is constant False needs no gadgets because its count, 0,
+    absorbs any completion: a FALSE leaf, a childless Or, or an Or whose
+    children are all constant False (the rule :func:`~ddnnf.core.validate`
+    follows).  Idempotent: smoothing a smooth circuit without equal nodes,
+    one-child nodes or constant operands to fold changes nothing, but a
+    reader graph is dropped all the same.
 
     One bottom-up pass over the nodes, which are in topological order,
-    computes every node's variable mask, checks decomposability at And
-    nodes and notes the variables each Or child lacks.  A mask is freed as
-    soon as its last parent has read it, so the masks live at any time stay
-    few however wide they are.  The circuit changes only after the pass:
-    a :class:`DecomposabilityViolation` leaves it as it was.  The circuit
-    is then renumbered once, with every gadget node first (their children
-    are only gadget leaves), then the original nodes in their order, each
-    wrapper And just before its Or; a circuit that needed no gadget keeps
-    its order.  The renumbering merges equal nodes (see
-    :func:`~ddnnf.core.renumber`): a node whose kind, literal and children
-    equal those of a node placed before it becomes that node.  So an
-    original ``L v`` leaf merges into the gadget's leaf placed before it,
-    an original ``(v or not v)`` Or with its children in the gadget's order
-    into the gadget, and the copies of a repeated subcircuit into one.  A
-    smoothed circuit holds no two equal nodes and one node per literal.
+    computes every node's variable mask, flags the nodes that are constant
+    False, checks decomposability at And nodes and notes the variables each
+    Or child lacks.  A mask is freed as soon as its last parent has read it,
+    so the masks live at any time stay few however wide they are.  The
+    circuit changes only after the pass: a :class:`DecomposabilityViolation`
+    leaves it as it was.  The circuit is then renumbered once, with every
+    gadget node first (their children are only gadget leaves), then the
+    original nodes in their order, each wrapper And just before its Or; a
+    circuit that needed no gadget keeps its order.  The renumbering folds
+    constants and merges equal nodes (see :func:`~ddnnf.core.renumber`).  An
+    And drops its True children and an Or its False children, a node left
+    with one child becomes that child, and a node whose kind, literal and
+    children equal those of a node placed before it becomes that node.  So a
+    d4 edge's ``And(True, L v)`` becomes the leaf, an original ``L v`` leaf
+    merges into the gadget's leaf placed before it, an original ``(v or not
+    v)`` Or with its children in the gadget's order into the gadget, and the
+    copies of a repeated subcircuit into one.  A smoothed circuit holds no
+    two equal nodes, one node per literal and no one-child And or Or; an And
+    over False keeps it, so no literal occurrence is dropped.
     """
     kind, literal, children = d.kind, d.literal, d.children
     original = len(kind)
@@ -119,6 +125,9 @@ def smooth(d: Ddnnf) -> Ddnnf:
     # (Or node, [(slot, variables the child lacks), ...]) in node order
     deficits: list[tuple[int, list[tuple[int, tuple[int, ...]]]]] = []
     masks = [0] * original
+    # the nodes that are constant False: a FALSE leaf, a childless Or, and an
+    # Or whose children all are; each has no variables, so its mask is 0
+    zero: set[int] = set()
     for i in range(original):
         k = kind[i]
         if k is LITERAL:
@@ -131,8 +140,11 @@ def smooth(d: Ddnnf) -> Ddnnf:
             if k is AND and ma & mb:
                 raise _shares_variables(i)
             union = masks[i] = ma | mb
-            if k is OR and ma != mb:
-                _note_deficits(deficits, i, ch, union, kind, children, masks)
+            if k is OR:
+                if ma != mb:
+                    _note_deficits(deficits, i, ch, union, masks, zero)
+                elif not union and a in zero and b in zero:
+                    zero.add(i)
             uses[a] -= 1
             if not uses[a]:
                 masks[a] = 0
@@ -151,14 +163,19 @@ def smooth(d: Ddnnf) -> Ddnnf:
             for c in ch:
                 union |= masks[c]
             if k is OR:
-                _note_deficits(deficits, i, ch, union, kind, children, masks)
+                if not union and all(c in zero for c in ch):
+                    zero.add(i)
+                else:
+                    _note_deficits(deficits, i, ch, union, masks, zero)
+            elif k is FALSE:
+                zero.add(i)
         masks[i] = union
         for c in ch:
             uses[c] -= 1
             if not uses[c]:
                 masks[c] = 0
     # every use is spent; the lists go before renumbering, set-up's memory peak
-    del masks, uses
+    del masks, uses, zero
 
     if deficits:
         decision = d.decision
@@ -217,12 +234,14 @@ def link_parents(d: Ddnnf) -> Ddnnf:
 
     The stage once also linked the tape's reader graph, which maps each
     slot to the instructions that read it.  Only the partial rung reads
-    that graph, so the first partial-rung query links it now (:func:`ddnnf.engine.link_readers`), and ``--count``, the
-    tables and ``--save-smoothed`` never pay for it.  The name stays
-    because perfbench's tracer wraps it by module and attribute, and its
-    layer metrics read this stage's span from every set-up window.  The
-    reader graph and the ancestor orders that queries keep index the old
-    tape, so they are dropped.
+    that graph, so the first partial-rung query links it now
+    (:func:`ddnnf.engine.link_readers`), and ``--count``, the tables and
+    ``--save-smoothed`` never pay for it.  The circuit must be smoothed
+    first: :func:`~ddnnf.core.compile_tape` takes no one-child node.  The
+    name stays because perfbench's tracer wraps it by module and attribute,
+    and its layer metrics read this stage's span from every set-up window.
+    The reader graph and the ancestor orders that queries keep index the
+    old tape, so they are dropped.
     """
     d.ancestor_orders, d.ancestor_entries = {}, 0
     d.tape, d.scratch_slots = compile_tape(d)
@@ -274,13 +293,13 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
     sweep (:func:`~ddnnf.core.sweep`), once, over the slot count that
     :func:`~ddnnf.core.compile_tape` returned.  Leaves start at their own
     count (a literal and True count 1, False 0), childless Or nodes at 0
-    and childless And nodes at 1.  The sweep's value list holds every slot:
-    the nodes, the constant slot and the tape's scratch slots.  Each part
-    is kept as an exact-size copy: ``baseline`` holds one count per node,
-    and ``scratch_baseline`` the scratch slots' values, which every query's
-    start list and the all-features tables' backward pass read.  The
-    adjoint program and the derivative sums that tables keep belong to the
-    old baselines, so they are dropped.
+    and childless And nodes at 1 (smoothing folds both into the constants).
+    The sweep's value list holds every slot: the nodes, then the tape's
+    scratch slots.  Each part is kept as an exact-size copy: ``baseline``
+    holds one count per node, and ``scratch_baseline`` the scratch slots'
+    values, which every query's start list and the all-features tables'
+    backward pass read.  The adjoint program and the derivative sums that
+    tables keep belong to the old baselines, so they are dropped.
     """
     kind, children = d.kind, d.children
     d.adjoint = d.derivative_sums = None
@@ -290,19 +309,20 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
         for k, ch in zip(kind, children)
     ]
     n = len(kind)
-    values += [1] + [0] * d.scratch_slots
+    values += [0] * d.scratch_slots
     sweep(d.tape, values)
     d.baseline = values[:n]
-    d.scratch_baseline = values[n + 1:]
+    d.scratch_baseline = values[n:]
     return d
 
 
 def preprocess(d: Ddnnf) -> Ddnnf:
     """Run the full pipeline; the result answers queries in place.
 
-    The result holds no two nodes of equal kind, literal and children, and
-    one node per literal (see :func:`smooth`), so its node count can be
-    below the input's; every count is the input's.
+    The result holds no two nodes of equal kind, literal and children, one
+    node per literal, no one-child And or Or and no constant operand that
+    leaves its node's value unchanged (see :func:`smooth`), so its node
+    count can be below the input's; every count is the input's.
     """
     prune(d)
     smooth(d)

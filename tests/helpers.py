@@ -254,7 +254,7 @@ def node_parents(d) -> list[set[int]]:
 def fresh_values(d, zero_literals) -> list[int]:
     """Every slot's value under ``zero_literals``, by a full sweep from the
     baselines."""
-    values = d.baseline + [1] + d.scratch_baseline
+    values = d.baseline + d.scratch_baseline
     for lit in zero_literals:
         if lit in d.literal_index:
             values[d.literal_index[lit]] = 0
@@ -297,7 +297,7 @@ def with_duplicates(d, rng: random.Random, copies: float = 0.3, repoint: float =
 def tape_readers(d) -> list[tuple[int, ...]]:
     """Each slot's reading instructions, ascending and each once, by one
     scan of the tape."""
-    out: list[list[int]] = [[] for _ in range(len(d.nodes) + 1 + d.scratch_slots)]
+    out: list[list[int]] = [[] for _ in range(len(d.nodes) + d.scratch_slots)]
     for j, (_, a, b) in enumerate(d.tape):
         out[a].append(j)
         if b != a:

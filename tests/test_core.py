@@ -117,7 +117,7 @@ def test_parent_child_duality(circuits):
     for name, d in circuits.items():
         link_readers(d)
         n = len(d.nodes)
-        slots = n + 1 + len(d.scratch_baseline)
+        slots = n + len(d.scratch_baseline)
         reads: list[list[int]] = [[] for _ in range(slots)]
         for j, (dst, a, b) in enumerate(d.tape):
             reads[a].append(j)

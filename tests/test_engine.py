@@ -208,30 +208,30 @@ def _assert_tape_structure(d):
         if d.kind[i] in (NodeKind.AND, NodeKind.OR) and d.children[i]
     ]
     widths = [len(d.children[i]) for i in inner]
-    # a k-child node takes k - 1 instructions, k - 2 of them into scratch
-    # slots; a one-child node takes one
-    assert len(d.tape) == sum(max(k - 1, 1) for k in widths)
-    assert len(d.scratch_baseline) == sum(max(k - 2, 0) for k in widths)
-    scratch = range(n + 1, n + 1 + len(d.scratch_baseline))
+    # no node has one child, and a k-child node takes k - 1 instructions,
+    # k - 2 of them into scratch slots numbered after the nodes
+    assert 1 not in widths
+    assert len(d.tape) == sum(k - 1 for k in widths)
+    assert len(d.scratch_baseline) == sum(k - 2 for k in widths)
+    scratch = range(n, n + len(d.scratch_baseline))
     childless = {i for i in d.nodes if not d.children[i]}
     written = set()
     for dst, a, b in d.tape:
         for operand in (a, b):
-            assert operand in childless or operand == n or operand in written
+            assert operand in childless or operand in written
         dst = ~dst if dst < 0 else dst
         assert dst not in written
         written.add(dst)
     assert written == set(inner) | set(scratch)
     # each node's instructions run together and end with the node; inside
     # them every scratch slot is read once, the operands left over are the
-    # node's children (a one-child node's child and the constant slot), and
-    # the tree is ⌈log2 k⌉ deep for k children
+    # node's children, and the tree is ⌈log2 k⌉ deep for k children
     group = []
     for instruction in d.tape:
         group.append(instruction)
         dst = instruction[0]
         slot = ~dst if dst < 0 else dst
-        if slot > n:
+        if slot >= n:
             continue
         ch = d.children[slot]
         depth, unread, leaves = {}, set(), []
@@ -246,8 +246,8 @@ def _assert_tape_structure(d):
             depth[g_slot] = 1 + max(depth.get(a, 0), depth.get(b, 0))
             unread.add(g_slot)
         assert unread == {slot}
-        assert sorted(leaves) == sorted(ch if len(ch) > 1 else (ch[0], n)), slot
-        assert depth[slot] == max(len(ch) - 1, 1).bit_length(), slot
+        assert sorted(leaves) == sorted(ch), slot
+        assert depth[slot] == (len(ch) - 1).bit_length(), slot
         group = []
     assert group == []
 
@@ -295,11 +295,13 @@ class TestCountAllFeatures:
     @pytest.mark.parametrize("name", ["childless_nodes", "childless_and_or"])
     def test_childless_or_reads_as_false(self, name):
         # x1 and <empty And>, or <empty Or>: the empty Or counts 0, so its
-        # sibling needs no gadget and nothing grows
+        # sibling needs no gadget; folding drops the True operand, the False
+        # operand and the two one-child nodes they leave, so x1 is all that
+        # remains
         if name == "childless_and_or":
             assert validate(TAPE_CIRCUITS[name][1]()) == []
         d = _tape_circuit(name)
-        assert len(d.nodes) == 5
+        assert d.kind == [NodeKind.LITERAL] and d.root == 0 and d.tape == []
         assert validate(d) == []
         assert count_total(d) == 1
         assert count_all_features(d) == [(1, 1)]
@@ -328,7 +330,7 @@ def _assert_adjoint_structure(d):
     values under no assumptions, and holds no int the tape, the values or
     the root do not already hold."""
     program = compile_adjoint(d)
-    values = d.baseline + [1] + d.scratch_baseline
+    values = d.baseline + d.scratch_baseline
     # the slots whose cones hold a negative literal, by a forward scan
     wanted = {i for lit, i in d.literal_index.items() if lit < 0}
     operands = {}  # slot -> (is an Or, first operand, second operand)
@@ -372,9 +374,10 @@ class TestAdjointProgram:
     exact-table check also checks its structure (_assert_table_exact)."""
 
     def test_no_negative_literal_gives_empty_program(self):
-        # x1 and (x2 and True): nothing is ever summed, so nothing is kept
+        # x1 and (x2 and True), which folds to x1 and x2: nothing is ever
+        # summed, so nothing is kept
         d = preprocess(parse_c2d("nnf 5 4 2\nL 1\nL 2\nA 0\nA 2 1 2\nA 2 0 3\n"))
-        assert len(d.tape) == 2 and _assert_adjoint_structure(d) == []
+        assert d.tape == [(2, 0, 1)] and _assert_adjoint_structure(d) == []
         assert count_all_features(d) == [(1, 1), (2, 1)]
         assert d.adjoint == [] and d.derivative_sums == {}
 
@@ -465,25 +468,21 @@ class TestFeatureLookups:
         assert count_feature(d, 2) == 4
 
     def test_preprocess_drops_sums_without_renumber(self):
-        # (x1 or not x1) and ((x2 and True) or not x2); turning the True leaf
-        # into False changes the counts but keeps every node reachable and
-        # the circuit smooth, so nothing renumbers.  The old sums would give
-        # (2 - 2) * 1 for x1.
-        text = "nnf 9 10 2\nL 1\nL -1\nL 2\nL -2\nA 0\nO 1 2 0 1\nA 2 2 4\nO 2 2 6 3\nA 2 5 7\n"
-        # The table compiles a program whose root instruction bakes the x2
-        # side's value 2 as the x1 side's multiplier; the edit makes it 1.
-        d = preprocess(parse_c2d(text))
-        assert count_all_features(d) == [(1, 2), (2, 2)]
-        program = d.adjoint
-        assert program[0] == (8, 5, 2, 7, 2)
-        nodes = len(d.nodes)
-        d.kind[4] = NodeKind.FALSE
+        # x1 and (x2 or not x2); swapping the names x1 and x2 changes the
+        # table but keeps every node, and the circuit smooth, folded and
+        # merged, so nothing renumbers.  The old sums would give x1
+        # (2 - 0) * 1, since no node held -1 when they were taken.
+        d = preprocess(parse_c2d("nnf 5 4 2\nL 1\nL 2\nL -2\nO 2 2 1 2\nA 2 0 3\n"))
+        assert count_all_features(d) == [(1, 2), (2, 1)]
+        assert d.derivative_sums == {2: 1}
+        children = d.children
+        d.literal[:3] = [2, 1, -1]
         preprocess(d)
-        assert len(d.nodes) == nodes
+        assert d.children is children
         assert d.adjoint is None and d.derivative_sums is None
-        want = preprocess(parse_c2d(text.replace("A 0\n", "O 0 0\n")))
-        assert count_all_features(d) == count_all_features(want) == [(1, 1), (2, 0)]
-        assert d.adjoint[0] == (8, 5, 1, 7, 2)
+        want = preprocess(parse_c2d("nnf 5 4 2\nL 2\nL 1\nL -1\nO 1 2 1 2\nA 2 0 3\n"))
+        assert count_all_features(d) == count_all_features(want) == [(1, 1), (2, 2)]
+        assert d.derivative_sums == {1: 1}
 
     def test_table_fills_one_sum_per_negative_literal(self):
         d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
@@ -600,7 +599,7 @@ def _assert_orders_exact(d):
 
 def _slots(d):
     """The tape's slot count, the unit of the order budget."""
-    return len(d.nodes) + 1 + d.scratch_slots
+    return len(d.nodes) + d.scratch_slots
 
 
 @pytest.fixture()
@@ -1131,7 +1130,7 @@ class TestTape:
         # included; the scratch slots start with arbitrary values too
         text = random_c2d_text(seed, n, omit=omit, tree_budget=400)
         d = preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
-        values = d.baseline + [1]
+        values = list(d.baseline)
         for i in d.nodes:
             if d.kind[i] is NodeKind.LITERAL:
                 values[i] = data.draw(st.integers(0, 3))
@@ -1140,8 +1139,7 @@ class TestTape:
         scratch = len(d.scratch_baseline)
         values += data.draw(st.lists(st.integers(0, 3), min_size=scratch, max_size=scratch))
         sweep(d.tape, values)
-        assert values[: len(d.nodes) + 1] == reference
-        assert reference[-1] == 1
+        assert values[: len(d.nodes)] == reference
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1161,9 +1159,9 @@ class TestTape:
         d = _tape_circuit(name)
         _assert_tape_structure(d)
         assert len(d.baseline) == len(d.nodes)
-        values = d.baseline + [1] + [0] * len(d.scratch_baseline)
+        values = d.baseline + [0] * len(d.scratch_baseline)
         sweep(d.tape, values)
-        assert d.scratch_baseline == values[len(d.nodes) + 1:]
+        assert d.scratch_baseline == values[len(d.nodes):]
         assert d.baseline == values[: len(d.nodes)]
         baseline, scratch = d.baseline, d.scratch_baseline
         before = (baseline.copy(), scratch.copy())

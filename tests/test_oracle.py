@@ -175,9 +175,11 @@ class TestRecursiveVisits:
         assert report.all_equal
 
     def test_deep_chain_matrix_is_linear(self):
-        # the tree expansion of 40 levels is 6 * 2**40 - 5 nodes
+        # folding drops the True at the bottom, so the first level is
+        # (x1 or not x1), 3 nodes, and level k adds 5 + twice level k - 1:
+        # the tree expansion of 40 levels is 4 * 2**40 - 5 nodes
         d = preprocess(parse_c2d(shannon_chain_c2d(40)))
         report = run_variant_matrix(d, AssumptionBatch([], [], seed=0))
-        assert report.totals["naive"] == 40 * (6 * 2**40 - 5)
+        assert report.totals["naive"] == 40 * (4 * 2**40 - 5)
         assert report.totals["reusing-subtrees"] == 40 * len(d.nodes)
         assert {count for _, _, count, _ in report.rows} == {2**39}

@@ -142,8 +142,9 @@ class TestParseD4:
         assert {NodeKind.TRUE, NodeKind.FALSE} <= set(edgeless.kind)
         assert edgeless.children == twin.children
         assert validate(edgeless) == validate(twin) == []
-        # smoothing adds no gadget under the False
-        assert len(preprocess(edgeless).nodes) == len(preprocess(twin).nodes) == 5
+        # smoothing adds no gadget under the False, and folding drops the
+        # True and the False operands and the one-child nodes they leave
+        assert preprocess(edgeless).literal == preprocess(twin).literal == [1]
         assert count_total(edgeless) == count_total(twin) == 2
         assert count_all_features(edgeless) == count_all_features(twin) == [(1, 2), (2, 1)]
 

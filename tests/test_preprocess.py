@@ -118,13 +118,13 @@ class TestSmooth:
         assert count_total(preprocess(d)) == 4
 
     def test_false_child_needs_no_gadgets(self):
-        # Or(False, A and B): False's count absorbs any completion
+        # Or(False, A and B): False's count absorbs any completion, so no
+        # gadget is added; folding drops the False and the Or it leaves
+        # with one child, so A and B is the root
         text = "nnf 5 4 2\nO 0 0\nL 1\nL 2\nA 2 1 2\nO 0 2 0 3\n"
-        d = parse_c2d(text)
-        before = len(d.nodes)
-        smooth(d)
-        assert len(d.nodes) == before
-        assert count_total(preprocess(d)) == brute_force_count(d) == 1
+        d = smooth(parse_c2d(text))
+        assert d.literal == [1, 2, 0] and d.children == [(), (), (0, 1)] and d.root == 2
+        assert count_total(preprocess(d)) == brute_force_count(parse_c2d(text)) == 1
 
     def test_deficient_literal_child_is_wrapped(self):
         # Or((A and B), not-A): the literal child cannot be extended in place
@@ -179,25 +179,25 @@ class TestMerge:
         assert count_all_features(d) == [(1, 4), (2, 4), (3, 8), (4, 4)]
 
     def test_and_over_two_equal_true_nodes(self):
+        # the And drops both True operands, so it is True itself
         d = preprocess(parse_c2d("nnf 3 2 1\nA 0\nA 0\nA 2 0 1\n"))
         _assert_merged(d)
-        assert d.kind == [NodeKind.TRUE, NodeKind.AND] and d.children[1] == (0, 0)
-        assert d.tape == [(1, 0, 0)] and d.readers[0] == (0,)
+        assert d.kind == [NodeKind.TRUE] and d.root == 0 and d.tape == []
         assert count_total(d) == 2
         assert count_all_features(d) == [(1, 1)]
         assert query(d, Assumptions.of(set(), {1})).count == 1
 
     def test_or_over_two_equal_false_nodes(self):
-        # beside x1's own branches, so the Or's count, 0, absorbs x1
+        # beside x1's own branches, so the Or's count, 0, absorbs x1, and
+        # validate reads it as constant False as smoothing does
         text = "nnf 6 5 1\nL 1\nL -1\nO 0 0\nO 0 0\nO 0 2 2 3\nO 1 3 0 1 4\n"
+        assert validate(parse_c2d(text)) == []
         d = preprocess(parse_c2d(text))
         _assert_merged(d)
-        false = d.kind.index(NodeKind.FALSE)
-        assert d.kind.count(NodeKind.FALSE) == 1
-        assert [ch for ch in d.children if false in ch] == [(false, false)]
-        # x1's two leaves, the gadget Or that smoothing adds to the Or over
-        # False, the False leaf, that Or, its wrapper And and the root
-        assert len(d.nodes) == 7
+        # the Or over two False records is constant False, so smoothing adds
+        # it no gadget, and folding drops it: x1's two leaves and the root
+        assert d.kind == [NodeKind.LITERAL, NodeKind.LITERAL, NodeKind.OR]
+        assert d.children == [(), (), (0, 1)] and d.tape == [(~2, 0, 1)]
         assert count_total(d) == brute_force_count(parse_c2d(text)) == 2
         assert count_all_features(d) == [(1, 1)]
         for a in (Assumptions.of({1}), Assumptions.of(set(), {1})):
@@ -206,16 +206,20 @@ class TestMerge:
     def test_merge_keeps_the_first_decision(self):
         # two equal Or nodes with different decision variables merge into the
         # first; the decision is metadata and never changes a count
-        text = "nnf 4 3 1\nO 0 0\nO 3 1 0\nO 0 1 0\nA 2 1 2\n"
+        text = (
+            "nnf 9 10 2\nL 1\nL -1\nO 3 2 0 1\nO 0 2 0 1\nL 2\nL -2\n"
+            "A 2 4 2\nA 2 5 3\nO 2 2 6 7\n"
+        )
         d = smooth(parse_c2d(text))
-        assert d.decision == [0, 3, 0] and d.children == [(), (0,), (1, 1)]
-        assert count_total(preprocess(d)) == 0
+        assert len(d.nodes) == 8 and d.children.count((0, 1)) == 1
+        assert d.decision[d.children.index((0, 1))] == 3
+        assert count_total(preprocess(d)) == brute_force_count(parse_c2d(text)) == 4
 
     def test_smooth_circuit_with_duplicates_is_merged(self):
-        # nothing to smooth, but the merging renumber still runs
+        # nothing to smooth, but the merging renumber still runs: the And
+        # drops its two True operands, and its one child x1 is the root
         d = smooth(parse_c2d("nnf 4 3 1\nL 1\nA 0\nA 0\nA 3 0 1 2\n"))
-        assert d.kind == [NodeKind.LITERAL, NodeKind.TRUE, NodeKind.AND]
-        assert d.children == [(), (), (0, 1, 1)] and d.root == 2
+        assert d.kind == [NodeKind.LITERAL] and d.root == 0
         assert count_total(preprocess(d)) == 1
 
     def test_merged_circuit_is_left_as_it_is(self):
@@ -271,6 +275,103 @@ def test_duplicated_subcircuits_merge(seed, n, omit, d4, copies):
             assert query(d, a, ALWAYS_PARTIAL).count == oracle.count(a), line
 
 
+# (x2 and x1) or (not x1 and x2), with x3 omitted, in d4 with literals on
+# the edges into the t node 3 and into a one-child a node 2.  The parser
+# gives 9 nodes: the 3 declared, the leaves 1, -1 and 2, and the edge Ands
+# (a2, 1), (t3, -1, 2) and (t3, 2).  Folding drops True from the two edge
+# Ands over it, which leaves (t3, 2) and then a2 with one child, so both
+# become the leaf 2: 6 nodes, three two-child nodes, three instructions
+FOLDED_D4 = "o 1 0\na 2 0\nt 3 0\n1 2 1 0\n1 3 -1 2 0\n2 3 2 0\n"
+
+
+def _assert_folded(d):
+    """No one-child And or Or, no True under an And or False under an Or,
+    at most one node of each constant, and no instruction reading one but
+    an And's reading False: folding keeps an And's False operand, which
+    drops no literal."""
+    kind, children = d.kind, d.children
+    true, false = NodeKind.TRUE, NodeKind.FALSE
+    inner = [i for i in d.nodes if kind[i] in (NodeKind.AND, NodeKind.OR)]
+    assert all(len(children[i]) != 1 for i in inner)
+    for i in inner:
+        dropped = true if kind[i] is NodeKind.AND else false
+        assert all(kind[c] is not dropped for c in children[i]), i
+    assert kind.count(true) <= 1 and kind.count(false) <= 1
+    constants = {i for i in d.nodes if kind[i] in (true, false)}
+    for dst, a, b in d.tape:
+        for x in {a, b} & constants:
+            assert dst >= 0 and kind[x] is false, (dst, a, b)
+
+
+class TestFold:
+    def test_d4_edges_into_a_true_node(self):
+        d = preprocess(parse_d4(FOLDED_D4, 3))
+        _assert_folded(d)
+        assert len(d.nodes) == 6 and NodeKind.TRUE not in d.kind
+        assert len(d.tape) == 3 and d.scratch_slots == 0
+        assert sorted(d.literal_index) == [-1, 1, 2]
+        oracle = ExhaustiveCounter(parse_d4(FOLDED_D4, 3))
+        assert count_total(d) == oracle.count() == 4
+        assert count_all_features(d) == [(1, 2), (2, 4), (3, 2)]
+        assert d.core == {2} and d.omitted == {3}
+
+    def test_constant_root(self):
+        # an Or of False alone folds to False; the root is placed last
+        d = preprocess(parse_c2d("nnf 3 2 2\nO 0 0\nO 0 1 0\nO 0 1 1\n"))
+        assert d.kind == [NodeKind.FALSE] and d.root == 0
+        assert count_total(d) == 0
+
+    def test_tape_refuses_a_one_child_node(self):
+        # the tape has no instruction for a one-child node, and smoothing
+        # leaves none
+        d = parse_c2d("nnf 2 1 1\nL 1\nO 1 1 0\n")
+        with pytest.raises(NotSmooth):
+            link_parents(d)
+        assert link_parents(smooth(d)).tape == [] and d.kind == [NodeKind.LITERAL]
+
+    def test_kept_constants_are_placed_once(self):
+        # x1 and False, and (x2 and False): the And keeps its False operand,
+        # which drops no literal, so x1 and x2 stay present
+        text = "nnf 6 5 2\nL 1\nO 0 0\nL 2\nO 0 0\nA 2 2 3\nA 3 0 1 4\n"
+        d = preprocess(parse_c2d(text))
+        _assert_merged(d)
+        assert d.kind.count(NodeKind.FALSE) == 1
+        assert count_total(d) == 0 and sorted(d.literal_index) == [1, 2]
+        assert count_all_features(d) == [(1, 0), (2, 0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.sampled_from([4, 8, 14]),
+    omit=st.integers(0, 2),
+)
+def test_folded_circuits_on_random_circuits(seed, n, omit):
+    # a generator circuit and its d4 twin, whose literals sit under And
+    # nodes over one True node, fold to the same circuit, and every count
+    # equals the oracle's
+    text = random_c2d_text(seed, n, omit=omit, tree_budget=300)
+    oracle = ExhaustiveCounter(parse_c2d(text))
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(6):
+        chosen = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+        queries.append(Assumptions.from_literals(rng.choice((v, -v)) for v in chosen))
+    twins = [preprocess(parse_c2d(text)), preprocess(parse_d4(c2d_to_d4(text), n))]
+    for d in twins:
+        _assert_folded(d)
+        assert count_total(d) == oracle.count()
+        assert count_all_features(d) == [
+            (v, oracle.count(Assumptions.of({v}))) for v in range(1, n + 1)
+        ]
+        for a in queries:
+            assert query(d, a).count == query(d, a, ALWAYS_PARTIAL).count == oracle.count(a)
+    c2d, d4 = twins
+    assert (c2d.kind, c2d.literal, c2d.children, c2d.tape) == (
+        d4.kind, d4.literal, d4.children, d4.tape
+    )
+
+
 class TestLinkParents:
     def test_shared_node_has_two_parents(self):
         d = link_parents(smooth(parse_c2d(SHARED_SUBTREE_C2D)))
@@ -290,19 +391,19 @@ class TestLinkParents:
         d = link_parents(smooth(parse_c2d("nnf 1 0 1\nL 1\n")))
         link_readers(d)
         assert d.tape == [] and d.writes_node == b""
-        assert d.readers == [(), ()]  # the literal and the constant slot
+        assert d.readers == [()]  # the literal, the one slot
         assert d.root == 0
 
     def test_running_example_or_node_parent(self):
         # the root And 11 over (0, 9, 10) compiles to instruction 4, which
-        # reads 0 and 9 into scratch slot 13 (after the 12 nodes and the
-        # constant slot 12), and instruction 5, which reads 13 and 10 into 11
+        # reads 0 and 9 into scratch slot 12 (the first after the 12 nodes),
+        # and instruction 5, which reads 12 and 10 into 11
         d = link_parents(smooth(parse_c2d(RUNNING_EXAMPLE_C2D)))
         link_readers(d)
         assert d.children[11] == (0, 9, 10)
-        assert d.tape[4] == (13, 0, 9) and d.tape[5] == (11, 13, 10)
-        assert d.readers[9] == (4,) and d.readers[13] == (5,)
-        assert d.readers[10] is d.readers[13]  # instruction 5's one tuple
+        assert d.tape[4] == (12, 0, 9) and d.tape[5] == (11, 12, 10)
+        assert d.readers[9] == (4,) and d.readers[12] == (5,)
+        assert d.readers[10] is d.readers[12]  # instruction 5's one tuple
         assert d.writes_node[4] == 0 and d.writes_node[5] == 1
 
 

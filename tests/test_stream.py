@@ -245,7 +245,7 @@ def test_select_deselect_session_reads_exact_orders(seed, n, omit, d4, data):
 @pytest.mark.parametrize("d4", [False, True])
 @pytest.mark.parametrize("seed", range(8))
 def test_session_alternates_full_and_partial_lines(seed, d4):
-    # the tape leaves its value list, constant slot included, in the session
+    # the tape leaves its value list, scratch slots included, in the session
     # state; lines that flip one literal run the partial pass from it, and
     # lines that flip a third of them run the tape from it again
     n = 12
@@ -293,7 +293,7 @@ def test_partial_lines_leave_scratch_stale_and_unread(seed, d4):
     free = [v for v in range(1, n + 1) if v not in d.core | d.dead | d.omitted]
     assert len(free) >= 3
     selection = [rng.choice((v, -v)) for v in free]
-    scratch = slice(len(d.nodes) + 1, None)
+    scratch = slice(len(d.nodes), None)
     for step in range(10):
         if step:
             flip = rng.choice(selection)
@@ -305,12 +305,12 @@ def test_partial_lines_leave_scratch_stale_and_unread(seed, d4):
         assert result.count == oracle.count(a), selection
         assert result.strategy == ("partial" if step % 2 else "full")
         assert step == 0 or state.values is kept  # each line starts from the last
-        assert len(state.values) == len(d.nodes) + 1 + len(d.scratch_baseline)
+        assert len(state.values) == len(d.nodes) + len(d.scratch_baseline)
         assert state.values == fresh_values(d, state.zero_literals)
         if step % 2:
             rerun = written_slots(d, tape_order(d, {flip, -flip}))
             for i, (old, new) in enumerate(zip(before, state.values[scratch])):
-                assert old == new or i + len(d.nodes) + 1 in rerun
+                assert old == new or i + len(d.nodes) in rerun
         assert count_all_features(d) == table
 
 
