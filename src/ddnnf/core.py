@@ -94,8 +94,8 @@ class Ddnnf:
       forward sweep (see :func:`compile_tape`); a value list for it holds
       one entry per *slot*: every node, then the ``scratch_slots`` scratch
       slots the tape writes for nodes with three or more children;
-    * ``baseline[i]``: the node's count under no assumptions, and
-      ``scratch_baseline``, the scratch slots' values under no assumptions;
+    * ``baseline[s]``: every slot's value under no assumptions, one list
+      at exact size: each node's count, then the scratch slots' values;
     * ``literal_index``: maps every literal that occurs in the circuit to
       the one node holding it (a preprocessed circuit holds one node per
       literal);
@@ -106,10 +106,12 @@ class Ddnnf:
 
     The other fields are filled by the calls that answer queries, not by
     preprocessing (see :mod:`ddnnf.engine`), and every preprocess empties
-    them again (``link_parents`` the reader graph and the orders,
-    ``compute_baseline`` the rest).  The first partial-rung query links
-    the tape's *reader graph*, two fields built together by
-    :func:`ddnnf.engine.link_readers`; a stream session links it in set-up:
+    them again: ``link_parents`` the tape's indexes (the reader graph and
+    the ancestor orders, which index one tape and are dropped together by
+    :func:`drop_tape_indexes`), and ``compute_baseline`` the rest.  The
+    first partial-rung query links the tape's *reader graph*, two fields
+    built together by :func:`ddnnf.engine.link_readers`; a stream session
+    links it in set-up:
 
     * ``readers[s]``: for every slot ``s``, a tuple of the indices of the
       tape instructions that read it, ascending and each once, the exact
@@ -123,9 +125,8 @@ class Ddnnf:
     * ``adjoint``: the backward pass compiled from the tape and the values
       under no assumptions (see :func:`compile_adjoint`), built by the first
       all-features table;
-    * ``derivative_sums``: maps each variable ``v`` to the partial
-      derivative of the root count at the node holding ``-v``, the models
-      that forcing ``-v`` to zero removes; every table stores them;
+    * ``feature_counts[v - 1]``: the cardinality of variable ``v``, one
+      entry per variable; every table stores a fresh list;
     * ``ancestor_orders``: maps a literal to ``(order, marked)``: the
       indices of the tape instructions that write its nodes' ancestor
       slots, ascending, as an ``array("i")``, which the partial rung runs
@@ -147,7 +148,6 @@ class Ddnnf:
     baseline: list[int] = field(default_factory=list)
     tape: list[tuple[int, int, int]] = field(default_factory=list)
     scratch_slots: int = 0
-    scratch_baseline: list[int] = field(default_factory=list)
     literal_index: dict[int, int] = field(default_factory=dict)
     core: frozenset[int] = frozenset()
     dead: frozenset[int] = frozenset()
@@ -159,7 +159,7 @@ class Ddnnf:
     adjoint: list[tuple[int, int, int, int, int]] | None = field(
         default=None, compare=False
     )
-    derivative_sums: dict[int, int] | None = field(default=None, compare=False)
+    feature_counts: list[int] | None = field(default=None, compare=False)
     ancestor_orders: dict[int, tuple[array, int]] = field(
         default_factory=dict, compare=False
     )
@@ -276,8 +276,8 @@ def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
     """Keep the nodes listed in ``order``, in that order, as nodes 0, 1, ...
 
     Every child of a kept node must be kept too, and listed before it.  The
-    tape, its reader graph, the baselines and the literal index no longer
-    match the new indices, so they are emptied, the literal table with the
+    tape, its indexes, the baselines and the literal index no longer match
+    the new indices, so they are emptied, the literal table with the
     index, and the circuit counts as not preprocessed; preprocessing
     refills them, and the first partial query links the graph again.
 
@@ -300,7 +300,7 @@ def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
     folding drops.  Every count stays the same, since equal nodes count
     equally under any assumptions and a dropped operand is the identity of
     its node's operation.  When the result equals the circuit, the circuit
-    is left as it is, and only its reader graph is dropped.
+    is left wholly as it is, its tape's indexes included.
     """
     kind, literal, decision, children = d.kind, d.literal, d.decision, d.children
     position = [-1] * len(kind)
@@ -387,7 +387,6 @@ def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
             len(renamed) == len(kind) and root == d.root and renamed == children
             and new_kind == kind and new_literal == literal and new_decision == decision
         ):
-            drop_readers(d)
             return
         d.kind, d.literal, d.decision = new_kind, new_literal, new_decision
         d.root = root
@@ -409,15 +408,22 @@ def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
     d.children = renamed
     d.baseline, d.tape, d.literal_index = [], [], {}
     d.literal_table = EMPTY_TABLE
-    d.scratch_slots, d.scratch_baseline = 0, []
-    drop_readers(d)
+    d.scratch_slots = 0
+    drop_tape_indexes(d)
     d.preprocessed = False
 
 
-def drop_readers(d: Ddnnf) -> None:
-    """Empty the tape's reader graph: ``readers`` and ``writes_node``.  The
-    first partial query links it again."""
+def drop_tape_indexes(d: Ddnnf) -> None:
+    """Empty the tape's indexes: the reader graph (``readers`` and
+    ``writes_node``) and the ancestor orders (``ancestor_orders`` and
+    ``ancestor_entries``).
+
+    Both index one tape, and a union of cached orders reads the graph's
+    ``writes_node``, so they are dropped together.  The first partial query
+    links the graph again, and queries store orders anew.
+    """
     d.readers, d.writes_node = [], b""
+    d.ancestor_orders, d.ancestor_entries = {}, 0
 
 
 def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
@@ -434,21 +440,21 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
     ``s2 = c2 . c3``, ..., an odd one out rising to the next level as it
     is, until the last pair writes the node.  The tree is ⌈log2 k⌉ deep, so
     a change to one child reaches the node through that many instructions,
-    not up to k - 1.  A node without children takes no instruction: its
-    value is constant, 1 for an And and 0 for an Or, and the value list
-    must start with it.  A one-child node has no instruction to take and
-    raises :class:`~ddnnf.errors.NotSmooth`; smoothing leaves none, since
-    its renumbering folds such a node into its child (see :func:`renumber`).
+    not up to k - 1.  An And or Or with fewer than two children has no
+    instruction to take and raises :class:`~ddnnf.errors.NotSmooth`;
+    smoothing leaves none, since its renumbering folds a one-child node
+    into its child and a childless one into its constant (see
+    :func:`renumber`).
 
     Returns the tape and its scratch slot count.  A value list for
-    :func:`sweep` holds every node, then the scratch slots, one entry per
-    slot; a full sweep writes each scratch slot before any instruction
-    reads it.  Set-up's sweep keeps their values under no assumptions as
-    ``Ddnnf.scratch_baseline``.  Because every slot is written once, the
-    tape run backwards is the reverse-mode derivative of the sweep, which
-    reads those values; :func:`compile_adjoint` compiles that run once per
-    circuit.  Run forwards from a changed slot, the instructions that
-    depend on it are its readers, their destinations' readers, and so on:
+    :func:`sweep` holds every node, then the scratch slots, one entry per slot;
+    a full sweep writes each scratch slot before any instruction reads it.
+    Set-up's sweep keeps every slot's value under no assumptions as
+    ``Ddnnf.baseline``.  Because every slot is written once, the tape run
+    backwards is the reverse-mode derivative of the sweep, which reads those
+    values; :func:`compile_adjoint` compiles that run once per circuit.  Run
+    forwards from a changed slot, the instructions that depend on it are its
+    readers, their destinations' readers, and so on:
     :func:`ddnnf.engine.link_readers` links each slot's readers, and the
     partial rung climbs them.
 
@@ -484,8 +490,10 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
                 level = up
             a, b = level
             append((dst, a, b))
-        elif ch:
-            raise NotSmooth(f"node {i} has one child; smooth the circuit first")
+        else:
+            raise NotSmooth(
+                f"node {i} has fewer than two children; smooth the circuit first"
+            )
     return tape, free - len(kind)
 
 
@@ -494,23 +502,21 @@ def compile_adjoint(d: Ddnnf) -> list[tuple[int, int, int, int, int]]:
 
     Only the derivatives of negative-literal nodes are ever summed, so the
     program keeps an instruction only when its destination is in the root's
-    cone and its own cone holds a negative-literal node, and hands a
-    derivative only to the operands whose cones hold one.  Each kept tape
-    instruction, taken in reverse order, becomes ``(dst, a, ma, b, mb)``:
-    add ``g * ma`` to ``a``'s derivative and ``g * mb`` to ``b``'s, where
-    ``g`` is ``dst``'s finished derivative; ``b`` is -1 when only one
-    operand needs a derivative.  The multipliers are baked from the values
-    under no assumptions: 1 for an Or, the other operand's value for an And
-    (``Ddnnf.baseline`` or ``Ddnnf.scratch_baseline``), so the program
-    serves only the unconditioned table.  In a wide And's balanced tree the
-    other operand is a subproduct of some of the node's children, never a
-    running product of all the children before it, so the baked
-    multipliers stay short.  Every int the program holds is one the tape or
-    the values already hold: an Or's destination is the positive slot index
+    cone and its own cone holds a negative-literal node, and hands a derivative
+    only to the operands whose cones hold one.  Each kept tape instruction,
+    taken in reverse order, becomes ``(dst, a, ma, b, mb)``: add ``g * ma`` to
+    ``a``'s derivative and ``g * mb`` to ``b``'s, where ``g`` is ``dst``'s
+    finished derivative; ``b`` is -1 when only one operand needs a derivative.
+    The multipliers are baked from the values under no assumptions: 1 for an
+    Or, the other operand's value for an And (its entry of ``Ddnnf.baseline``),
+    so the program serves only the unconditioned table.  In a wide And's
+    balanced tree the other operand is a subproduct of some of the node's
+    children, never a running product of all the children before it, so the
+    baked multipliers stay short.  Every int the program holds is one the tape
+    or the values already hold: an Or's destination is the positive slot index
     its parent's instruction reads.
     """
-    tape = d.tape
-    values = d.baseline + d.scratch_baseline
+    tape, values = d.tape, d.baseline
     # wanted[s]: slot s's cone holds a negative-literal node
     wanted = bytearray(len(values))
     for i, lit in enumerate(d.literal):

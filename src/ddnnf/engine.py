@@ -55,19 +55,18 @@ keeps every slot current.  Every configuration returns identical counts;
 only the work differs.
 
 Without a :class:`SessionState`, that list is a copy of every slot's value
-under no assumptions (``Ddnnf.baseline`` and ``Ddnnf.scratch_baseline``),
-with the zero literals' nodes set to 0: one store per literal, through
-``Ddnnf.literal_index``, which maps each literal to its one node.  With
-one, the state holds the zero literals and the value list of the last line
-it evaluated, and a query may start from that list instead: it resets only
-the symmetric difference of the old and new zero-literal sets (0 entering,
-baseline leaving), when that is smaller than the new set; on a tie it
-starts from the baselines.  A kept set at least twice the size of the new
-one cannot be closer, so it is not intersected.  The reset set, not the
-whole zero set, picks the rung and seeds the marking.  An empty reset set
-answers the kept root times the omitted factor as a ``"shortcut"`` with no
-visits.  Shortcut and contradiction lines, and lines with no zero literal,
-leave the state alone.
+under no assumptions (``Ddnnf.baseline``), with the zero literals' nodes
+set to 0: one store per literal, through ``Ddnnf.literal_index``, which
+maps each literal to its one node.  With one, the state holds the zero
+literals and the value list of the last line it evaluated, and a query may
+start from that list instead: it resets only the symmetric difference of
+the old and new zero-literal sets (0 entering, baseline leaving), when that
+is smaller than the new set; on a tie it starts from the baselines.  A kept
+set at least twice the size of the new one cannot be closer, so it is not
+intersected.  The reset set, not the whole zero set, picks the rung and
+seeds the marking.  An empty reset set answers the kept root times the
+omitted factor as a ``"shortcut"`` with no visits.  Shortcut and
+contradiction lines, and lines with no zero literal, leave the state alone.
 
 A configurator's lines mostly reset one literal, and the same literals
 recur, so a one-literal reset reads that literal's order (the indices of
@@ -107,9 +106,8 @@ the tape run in reverse.  Every tape slot is written once, so each
 instruction ``(dst, a, b)`` hands ``dst``'s finished derivative to its two
 operands: an Or instruction adds it to both, an And instruction adds it
 times the other operand's value.  No division is needed, and a zero value
-just multiplies.  The values are the baselines and the tape's scratch
-slots under no assumptions, both kept by set-up's sweep:
-``Ddnnf.baseline`` and ``Ddnnf.scratch_baseline``, so no table sweeps
+just multiplies.  The values are every slot's under no assumptions,
+which set-up's sweep keeps as ``Ddnnf.baseline``, so no table sweeps
 forward.
 
 Those values are fixed once set-up ends, so the first
@@ -117,17 +115,18 @@ Those values are fixed once set-up ends, so the first
 program (:func:`~ddnnf.core.compile_adjoint`) with each multiplier baked
 in, and keeps only the instructions that lead to a negative literal; it
 stores the program as ``Ddnnf.adjoint``, and later tables only run it.
-The first table therefore costs about one pass more than the rest.  The
-derivative at the node of each ``-v`` (a literal has one node) is kept on
-the circuit as ``Ddnnf.derivative_sums``.  Every table runs the program
-and stores fresh sums; ``--count``, streams and set-up never pay for
-either.  Both stores are idempotent: racing first tables each compile an
-equal program and store one complete list, and racing tables each compute
-the same sums and store one complete dict, so concurrent stateless readers
-stay safe.  Once a table has stored the sums, :func:`count_feature` reads
-them, and a lookup is a dict read; before that a lookup is one partial
-query, which costs far less than the pass, and the first such query links
-the reader graph.
+The first table therefore costs about one pass more than the rest.  A
+table reads the derivative at the node of each free ``-v`` (a literal has
+one node) from the program's per-slot list, and keeps its counts on the
+circuit as ``Ddnnf.feature_counts``, one entry per variable.  Every table
+runs the program and stores a fresh list; ``--count``, streams and set-up
+never pay for either.  Both stores are idempotent: racing first tables
+each compile an equal program and store one complete list, and racing
+tables each compute the same counts and store one complete list, so
+concurrent stateless readers stay safe.  Once a table has stored the
+counts, :func:`count_feature` reads them, and a lookup is a list read;
+before that a lookup is one partial query, which costs far less than the
+pass, and the first such query links the reader graph.
 """
 
 from __future__ import annotations
@@ -297,7 +296,6 @@ def _marked_nodes(d: Ddnnf, order, literals) -> int:
     Every instruction writes one slot and each literal has one node, or
     none when no node holds it, so nothing is counted twice.
     """
-    link_readers(d)  # the orders outlive a graph dropped by a smooth that changed nothing
     flags = d.writes_node
     # itemgetter of two or more indices returns a tuple, in a third of the
     # time that map takes over a union of some 500 instructions
@@ -491,7 +489,7 @@ def query(
                 values[i] = 0 if lit in zero_literals else baseline[i]
     else:
         # every slot under no assumptions, then the reset literals zeroed
-        delta, values = zero_literals, [*d.baseline, *d.scratch_baseline]
+        delta, values = zero_literals, d.baseline.copy()
         for i in map(node, delta):
             if i is not None:
                 values[i] = 0
@@ -512,8 +510,10 @@ def query(
     return result
 
 
-def _derivative_sums(d: Ddnnf) -> dict[int, int]:
-    """Each variable's derivative sum: the circuit's adjoint program run once.
+def _derivatives(d: Ddnnf) -> list[int]:
+    """Every slot's derivative entry after the circuit's adjoint program
+    has run once; the entry of a negative literal's node is its
+    derivative.
 
     The first call on a preprocessed circuit compiles the program
     (:func:`~ddnnf.core.compile_adjoint`) and stores it as ``d.adjoint``.
@@ -523,14 +523,14 @@ def _derivative_sums(d: Ddnnf) -> dict[int, int]:
     where the multiplier is 1 and stored as it is into a slot that still
     holds 0, so an Or or a leaf-guarded And allocates no product, and a
     slot's first share no sum.  The slot's entry is then reset to 0, so
-    inner derivatives do not all live at once.  A variable's sum is the
-    entry of the one node holding its negative literal.
+    inner derivatives do not all live at once.  Leaves write nothing, so
+    their entries stay.
     """
     program = d.adjoint
     if program is None:
         # racing first tables each compile an equal program and store it whole
         program = d.adjoint = compile_adjoint(d)
-    derivative = [0] * (len(d.baseline) + len(d.scratch_baseline))
+    derivative = [0] * len(d.baseline)
     derivative[d.root] = 1
     for dst, a, ma, b, mb in program:
         g = derivative[dst]
@@ -543,70 +543,52 @@ def _derivative_sums(d: Ddnnf) -> dict[int, int]:
                 x = g if mb == 1 else g * mb
                 y = derivative[b]
                 derivative[b] = y + x if y else x
-    return {-lit: derivative[i] for lit, i in d.literal_index.items() if lit < 0}
-
-
-def _feature_count(d: Ddnnf, sums: dict[int, int], v: int) -> int:
-    """Cardinality of variable ``v``, taking the shortcuts :func:`query` takes.
-
-    In the same order: an omitted variable halves the free factor, a dead
-    one counts 0, a core one counts every model.  Any other ``v`` counts
-    the root baseline minus the derivative sum of ``-v``, times the
-    omitted-variable factor.
-    """
-    n = d.num_variables
-    if not 1 <= v <= n:
-        raise VariableOutOfRange(f"variable {v} outside 1..{n}")
-    root_count = d.baseline[d.root]
-    factor = d.omitted_factor
-    if v in d.omitted:
-        return root_count * (factor >> 1)  # factor is a power of two, at least 2
-    if v in d.dead:
-        return 0
-    if v in d.core:
-        return root_count * factor
-    return (root_count - sums.get(v, 0)) * factor
+    return derivative
 
 
 def count_feature(d: Ddnnf, feature: int) -> int:
     """Cardinality of one feature: models that include it.
 
-    Equals ``query(d, Assumptions.of({feature})).count``.  It is read from
-    the derivative sums once a table has stored them, and otherwise is that
-    query.
+    Equals ``query(d, Assumptions.of({feature})).count``.  Once a table has
+    stored the feature counts it is their entry ``feature - 1``, and
+    before that it is that query.
     """
     _require_preprocessed(d)
-    sums = d.derivative_sums
-    if sums is None:
-        return query(d, Assumptions.of(include={feature})).count
-    return _feature_count(d, sums, feature)
+    n = d.num_variables
+    if not 1 <= feature <= n:
+        raise VariableOutOfRange(f"variable {feature} outside 1..{n}")
+    counts = d.feature_counts
+    if counts is None:
+        return query(d, (feature,)).count
+    return counts[feature - 1]
 
 
 def count_all_features(d: Ddnnf) -> list[tuple[int, int]]:
     """(variable, cardinality) for every variable, ascending.
 
-    Every table runs the circuit's adjoint program (:func:`_derivative_sums`),
-    whose per-slot list lives only until the derivative sums are taken, and
-    stores the sums for later lookups.  The first table on a preprocessed
-    circuit also compiles the program, about one more pass; later tables
-    only run it, and read neither sums an earlier table stored nor a
-    forward sweep.  Each row takes the shortcuts of :func:`_feature_count`
-    in its order, with the root count and the omitted factor read once per
-    table, so the table equals ``count_feature`` on every variable.
+    Every table runs the circuit's adjoint program (:func:`_derivatives`),
+    whose per-slot list lives only until the counts are taken, and stores
+    the counts as ``d.feature_counts`` for later lookups.  The first table
+    on a preprocessed circuit also compiles the program, about one more
+    pass; later tables only run it, and read neither counts an earlier
+    table stored nor a forward sweep.  Each count takes the shortcuts
+    :func:`query` takes, in its order: an omitted variable halves the
+    omitted factor, a dead one counts 0 and a core one every model.  Any
+    other ``v`` has both literals in the circuit, and counts the root
+    baseline minus the derivative at the node of ``-v``, times the omitted
+    factor.
     """
     _require_preprocessed(d)
-    sums = d.derivative_sums = _derivative_sums(d)
+    derivative = _derivatives(d)
     root_count, factor = d.baseline[d.root], d.omitted_factor
     every = root_count * factor
     half = root_count * (factor >> 1)  # read only when something is omitted
-    omitted, dead, core, get = d.omitted, d.dead, d.core, sums.get
-    return [
-        (
-            v,
-            half if v in omitted
-            else 0 if v in dead
-            else every if v in core
-            else (root_count - get(v, 0)) * factor,
-        )
+    omitted, dead, core, node = d.omitted, d.dead, d.core, d.literal_index
+    counts = d.feature_counts = [
+        half if v in omitted
+        else 0 if v in dead
+        else every if v in core
+        else (root_count - derivative[node[-v]]) * factor
         for v in range(1, d.num_variables + 1)
     ]
+    return list(enumerate(counts, 1))

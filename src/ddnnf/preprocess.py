@@ -20,7 +20,7 @@ and no False under an Or.
 Preprocessing is the only phase that mutates shared circuit state;
 afterwards the circuit is read-only and queries may run concurrently.  The
 later writes, the reader graph, the adjoint program the first
-all-features table compiles, the derivative sums each table stores and the
+all-features table compiles, the feature counts each table stores and the
 ancestor orders one-literal queries store, are idempotent (see
 :mod:`ddnnf.engine`).
 """
@@ -35,7 +35,7 @@ from .core import (
     Ddnnf,
     LiteralTable,
     compile_tape,
-    drop_readers,
+    drop_tape_indexes,
     mask_variables,
     renumber,
     root_cone,
@@ -90,8 +90,8 @@ def smooth(d: Ddnnf) -> Ddnnf:
     absorbs any completion: a FALSE leaf, a childless Or, or an Or whose
     children are all constant False (the rule :func:`~ddnnf.core.validate`
     follows).  Idempotent: smoothing a smooth circuit without equal nodes,
-    one-child nodes or constant operands to fold changes nothing, but a
-    reader graph is dropped all the same.
+    one-child nodes or constant operands to fold changes nothing, its
+    tape's indexes included.
 
     One bottom-up pass over the nodes, which are in topological order,
     computes every node's variable mask, flags the nodes that are constant
@@ -237,15 +237,15 @@ def link_parents(d: Ddnnf) -> Ddnnf:
     that graph, so the first partial-rung query links it now
     (:func:`ddnnf.engine.link_readers`), and ``--count``, the tables and
     ``--save-smoothed`` never pay for it.  The circuit must be smoothed
-    first: :func:`~ddnnf.core.compile_tape` takes no one-child node.  The
-    name stays because perfbench's tracer wraps it by module and attribute,
-    and its layer metrics read this stage's span from every set-up window.
-    The reader graph and the ancestor orders that queries keep index the
-    old tape, so they are dropped.
+    first: :func:`~ddnnf.core.compile_tape` takes no And or Or with fewer
+    than two children.  The name stays because perfbench's tracer wraps it
+    by module and attribute, and its layer metrics read this stage's span
+    from every set-up window.  The reader graph and the ancestor orders
+    that queries keep index the old tape, so they are dropped
+    (:func:`~ddnnf.core.drop_tape_indexes`).
     """
-    d.ancestor_orders, d.ancestor_entries = {}, 0
     d.tape, d.scratch_slots = compile_tape(d)
-    drop_readers(d)
+    drop_tape_indexes(d)
     return d
 
 
@@ -287,32 +287,27 @@ def compute_core_dead(d: Ddnnf) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def compute_baseline(d: Ddnnf) -> Ddnnf:
-    """Store every node's count under no assumptions as its baseline.
+    """Store every slot's value under no assumptions as the baseline.
 
     Runs the tape that :func:`link_parents` compiled, the one forward
     sweep (:func:`~ddnnf.core.sweep`), once, over the slot count that
     :func:`~ddnnf.core.compile_tape` returned.  Leaves start at their own
-    count (a literal and True count 1, False 0), childless Or nodes at 0
-    and childless And nodes at 1 (smoothing folds both into the constants).
-    The sweep's value list holds every slot: the nodes, then the tape's
-    scratch slots.  Each part is kept as an exact-size copy: ``baseline``
-    holds one count per node, and ``scratch_baseline`` the scratch slots'
-    values, which every query's start list and the all-features tables'
-    backward pass read.  The adjoint program and the derivative sums that
-    tables keep belong to the old baselines, so they are dropped.
+    count: False at 0, a literal and True at 1.  And and Or nodes and the
+    scratch slots start at 1 too, and the tape overwrites them before any
+    instruction reads them.  The sweep's value list is kept whole, at
+    exact size, as ``baseline``: every node, then the tape's scratch
+    slots.  Every query's start list and the all-features tables' backward
+    pass read it.  The adjoint program and the feature counts that tables
+    keep belong to the old baselines, so they are dropped.
     """
-    kind, children = d.kind, d.children
-    d.adjoint = d.derivative_sums = None
-    # a node with children starts at 1 and the tape overwrites it
-    values = [
-        1 if ch or (k is not FALSE and k is not OR) else 0
-        for k, ch in zip(kind, children)
-    ]
-    n = len(kind)
-    values += [0] * d.scratch_slots
+    kind = d.kind
+    d.adjoint = d.feature_counts = None
+    values = [1] * (len(kind) + d.scratch_slots)
+    for i, k in enumerate(kind):
+        if k is FALSE:
+            values[i] = 0
     sweep(d.tape, values)
-    d.baseline = values[:n]
-    d.scratch_baseline = values[n:]
+    d.baseline = values
     return d
 
 

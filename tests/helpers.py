@@ -254,7 +254,7 @@ def node_parents(d) -> list[set[int]]:
 def fresh_values(d, zero_literals) -> list[int]:
     """Every slot's value under ``zero_literals``, by a full sweep from the
     baselines."""
-    values = d.baseline + d.scratch_baseline
+    values = d.baseline.copy()
     for lit in zero_literals:
         if lit in d.literal_index:
             values[d.literal_index[lit]] = 0

@@ -117,7 +117,7 @@ def test_parent_child_duality(circuits):
     for name, d in circuits.items():
         link_readers(d)
         n = len(d.nodes)
-        slots = n + len(d.scratch_baseline)
+        slots = n + d.scratch_slots
         reads: list[list[int]] = [[] for _ in range(slots)]
         for j, (dst, a, b) in enumerate(d.tape):
             reads[a].append(j)
@@ -169,17 +169,17 @@ def test_renumber_empties_preprocessed_lists(circuits):
     queries = [(a, cfg) for a in queries for cfg in (FULL, NO_PARTIAL_TRAVERSAL)]
     before = [query(d, a, cfg) for a, cfg in queries]
     table = count_all_features(d)
-    assert d.derivative_sums is not None
+    assert d.feature_counts is not None
     leaves = [i for i in d.nodes if not d.children[i]]
     order = leaves + [i for i in d.nodes if d.children[i]]
     assert order != list(d.nodes)
     renumber(d, order)
     assert (d.readers, d.baseline, d.tape, d.literal_index) == ([], [], [], {})
-    assert d.scratch_baseline == [] and d.writes_node == b""
+    assert d.scratch_slots == 0 and d.writes_node == b""
     assert not d.preprocessed
     assert validate(d) == []
     preprocess(d)
-    assert d.derivative_sums is None
+    assert d.feature_counts is None
     assert all(not d.children[i] for i in range(len(leaves)))
     assert [query(d, a, cfg) for a, cfg in queries] == before
     assert count_all_features(d) == table == count_all_features(circuits["rand_n12a"])

@@ -35,6 +35,7 @@ from ddnnf.engine import (
     NO_CORE_DEAD,
     NO_PARTIAL_TRAVERSAL,
     VARIANTS,
+    _derivatives,
 )
 from ddnnf.errors import DdnnfError, VariableOutOfRange
 
@@ -212,8 +213,8 @@ def _assert_tape_structure(d):
     # k - 2 of them into scratch slots numbered after the nodes
     assert 1 not in widths
     assert len(d.tape) == sum(k - 1 for k in widths)
-    assert len(d.scratch_baseline) == sum(k - 2 for k in widths)
-    scratch = range(n, n + len(d.scratch_baseline))
+    assert d.scratch_slots == sum(k - 2 for k in widths)
+    scratch = range(n, n + d.scratch_slots)
     childless = {i for i in d.nodes if not d.children[i]}
     written = set()
     for dst, a, b in d.tape:
@@ -289,7 +290,7 @@ class TestCountAllFeatures:
 
     def test_leaf_root_has_empty_tape(self):
         d = _tape_circuit("leaf_root")
-        assert d.tape == [] and d.scratch_baseline == []
+        assert d.tape == [] and d.scratch_slots == 0
         assert count_all_features(d) == [(1, 1), (2, 0)]
 
     @pytest.mark.parametrize("name", ["childless_nodes", "childless_and_or"])
@@ -330,7 +331,7 @@ def _assert_adjoint_structure(d):
     values under no assumptions, and holds no int the tape, the values or
     the root do not already hold."""
     program = compile_adjoint(d)
-    values = d.baseline + d.scratch_baseline
+    values = d.baseline
     # the slots whose cones hold a negative literal, by a forward scan
     wanted = {i for lit, i in d.literal_index.items() if lit < 0}
     operands = {}  # slot -> (is an Or, first operand, second operand)
@@ -379,14 +380,15 @@ class TestAdjointProgram:
         d = preprocess(parse_c2d("nnf 5 4 2\nL 1\nL 2\nA 0\nA 2 1 2\nA 2 0 3\n"))
         assert d.tape == [(2, 0, 1)] and _assert_adjoint_structure(d) == []
         assert count_all_features(d) == [(1, 1), (2, 1)]
-        assert d.adjoint == [] and d.derivative_sums == {}
+        assert d.adjoint == [] and d.feature_counts == [1, 1]
 
     def test_negative_literal_root(self):
         # the root's own derivative is the sum, with no instruction to run
         d = preprocess(parse_c2d("nnf 1 0 1\nL -1\n"))
         assert d.tape == [] and _assert_adjoint_structure(d) == []
         assert count_all_features(d) == [(1, 0)]
-        assert d.adjoint == [] and d.derivative_sums == {1: 1}
+        assert d.adjoint == [] and _derivatives(d) == [1]
+        assert d.feature_counts == [0]
         assert count_feature(d, 1) == 0
 
     def test_false_operand_gives_zero_multiplier(self):
@@ -396,7 +398,8 @@ class TestAdjointProgram:
         assert len(d.nodes) == 5 and d.kind[1] is NodeKind.FALSE
         assert _assert_adjoint_structure(d) == [(4, 2, 1, -1, 1), (2, 0, 0, -1, 1)]
         _assert_table_exact(d)
-        assert d.derivative_sums == {1: 0}
+        assert _derivatives(d)[d.literal_index[-1]] == 0
+        assert d.feature_counts == [1]
 
     def test_only_tables_build_the_program(self):
         # set-up, queries and lookups before a table never pay for it
@@ -412,7 +415,7 @@ class TestAdjointProgram:
 
 
 class TestFeatureLookups:
-    """count_feature reads the derivative sums a table caches on the circuit."""
+    """count_feature reads the feature counts a table caches on the circuit."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -430,9 +433,9 @@ class TestFeatureLookups:
         variables = range(1, n + 1)
         # a lookup before any table is a partial query and fills nothing
         before = [count_feature(d, v) for v in variables]
-        assert d.derivative_sums is None
+        assert d.feature_counts is None
         table = count_all_features(d)
-        assert d.derivative_sums is not None
+        assert d.feature_counts == before
         lookups = [count_feature(d, v) for v in variables]
         assert lookups == before
         assert table == list(zip(variables, lookups))
@@ -441,7 +444,7 @@ class TestFeatureLookups:
             a = Assumptions.of({v})
             assert lookups[v - 1] == oracle.count(a) == query(d, a).count, v
 
-        # re-rooting renumbers; the second preprocess must not read the old sums
+        # re-rooting renumbers; the second preprocess must not read the old counts
         inner = [i for i in d.nodes if d.children[i] and i != d.root]
         if inner:
             d.root = data.draw(st.sampled_from(inner))
@@ -455,8 +458,8 @@ class TestFeatureLookups:
 
     def test_reroot_does_not_read_stale_sums(self):
         # the running example's left Or, (B and not C) or (not B and C), as
-        # the root: A and D become omitted, and B counts 1 * 4.  The old sums
-        # would give (2 - 2) * 4 for B.
+        # the root: A and D become omitted, and B counts 1 * 4.  The old
+        # counts would give 2 for B.
         d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
         assert count_all_features(d) == [(1, 4), (2, 2), (3, 2), (4, 2)]
         d.root = next(
@@ -470,37 +473,45 @@ class TestFeatureLookups:
     def test_preprocess_drops_sums_without_renumber(self):
         # x1 and (x2 or not x2); swapping the names x1 and x2 changes the
         # table but keeps every node, and the circuit smooth, folded and
-        # merged, so nothing renumbers.  The old sums would give x1
-        # (2 - 0) * 1, since no node held -1 when they were taken.
+        # merged, so nothing renumbers.  The old counts would give x1 2.
         d = preprocess(parse_c2d("nnf 5 4 2\nL 1\nL 2\nL -2\nO 2 2 1 2\nA 2 0 3\n"))
         assert count_all_features(d) == [(1, 2), (2, 1)]
-        assert d.derivative_sums == {2: 1}
+        assert d.feature_counts == [2, 1]
         children = d.children
         d.literal[:3] = [2, 1, -1]
         preprocess(d)
         assert d.children is children
-        assert d.adjoint is None and d.derivative_sums is None
+        assert d.adjoint is None and d.feature_counts is None
+        assert count_feature(d, 1) == 1
         want = preprocess(parse_c2d("nnf 5 4 2\nL 2\nL 1\nL -1\nO 1 2 1 2\nA 2 0 3\n"))
         assert count_all_features(d) == count_all_features(want) == [(1, 1), (2, 2)]
-        assert d.derivative_sums == {1: 1}
+        assert d.feature_counts == [1, 2]
 
     def test_table_fills_one_sum_per_negative_literal(self):
+        # the program leaves a derivative at every negative literal's node;
+        # A is core, so -1 labels no node, and its count needs none
         d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
         count_all_features(d)
-        # keyed by variable; A is core, so -1 labels no node
-        assert sorted(d.derivative_sums) == sorted(-lit for lit in d.literal_index if lit < 0)
-        assert sorted(d.derivative_sums) == [2, 3, 4]
+        derivative = _derivatives(d)
+        assert sorted(-lit for lit in d.literal_index if lit < 0) == [2, 3, 4]
         # forcing -2 to zero removes the two models with not B
-        assert d.derivative_sums[2] == 2
+        assert derivative[d.literal_index[-2]] == 2
+        assert d.feature_counts == [4, 2, 2, 2]
 
     def test_every_table_takes_the_sweep(self):
         # a later table runs the program the first one compiled and stores
-        # fresh, equal sums instead of reading the stored ones
+        # fresh, equal counts instead of reading the stored ones
         d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
         table = count_all_features(d)
-        first, program = d.derivative_sums, d.adjoint
-        assert count_all_features(d) == table
-        assert d.derivative_sums == first and d.derivative_sums is not first
+        first, program = d.feature_counts, d.adjoint
+        want = list(table)
+        # a returned table is the caller's: mutating it changes neither
+        # later lookups nor the next table
+        table[1] = (2, 99)
+        table.append((5, 1))
+        assert [count_feature(d, v) for v in range(1, 5)] == [4, 2, 2, 2]
+        assert count_all_features(d) == want
+        assert d.feature_counts == first and d.feature_counts is not first
         assert d.adjoint is program
 
     def test_requires_preprocessing(self):
@@ -521,8 +532,9 @@ class TestFeatureLookups:
 
 
 def test_concurrent_first_tables_fill_one_cache(circuits):
-    # tables racing on an empty cache each store complete, equal sums, and
-    # lookups racing with them read either the sums or a partial query
+    # tables racing on an empty cache each store one complete, correct
+    # counts list, and lookups racing with them read either the counts or a
+    # partial query
     from concurrent.futures import ThreadPoolExecutor
 
     text = fixture_texts()["rand_n24"][1]
@@ -538,6 +550,7 @@ def test_concurrent_first_tables_fill_one_cache(circuits):
                 lookups = [pool.submit(count_feature, d, v) for v in range(1, 25)]
                 assert [f.result(timeout=60) for f in tables] == [want] * 4
                 assert [f.result(timeout=60) for f in lookups] == [c for _, c in want]
+            assert d.feature_counts == [c for _, c in want]
             assert count_all_features(d) == want
             assert d.adjoint == compile_adjoint(d)
     finally:
@@ -949,21 +962,21 @@ class TestReaderGraph:
         want = [query(d, a, NO_PARTIAL_TRAVERSAL).count for a in cases]
         assert [query(d, a).count for a in cases] == want
         assert not _unlinked(d) and d.ancestor_orders
-        if step == "smooth":  # a smooth circuit: nothing changes but the graph
+        if step == "smooth":
+            # a smooth circuit: nothing changes, the tape's indexes included
+            readers, orders = d.readers, d.ancestor_orders
             smooth(d)
-        elif step == "renumber":
+            assert d.readers is readers and d.ancestor_orders is orders
+            assert [query(d, a).count for a in cases] == want
+            assert reader_links == [d]
+            return
+        if step == "renumber":
             renumber(d, list(d.nodes))
         else:
             link_parents(d)
-        assert _unlinked(d)
-        if step == "smooth":
-            # the cached orders outlive the graph, and a union of them relinks it
-            cached = {lit for lit in d.ancestor_orders if lit > 0}
-            a = Assumptions.of(set(), set(sorted(cached)[:2]))
-            assert len(a) == 2
-            assert query(d, a).count == query(d, a, NO_PARTIAL_TRAVERSAL).count
-        else:
-            preprocess(d)
+        # the graph and the orders index one tape and go together
+        assert _unlinked(d) and d.ancestor_orders == {} and d.ancestor_entries == 0
+        preprocess(d)
         assert [query(d, a).count for a in cases] == want
         assert len(reader_links) == 2 and not _unlinked(d)
 
@@ -1130,13 +1143,13 @@ class TestTape:
         # included; the scratch slots start with arbitrary values too
         text = random_c2d_text(seed, n, omit=omit, tree_budget=400)
         d = preprocess(parse_d4(c2d_to_d4(text), n) if d4 else parse_c2d(text))
-        values = list(d.baseline)
+        values = d.baseline[: len(d.nodes)]
         for i in d.nodes:
             if d.kind[i] is NodeKind.LITERAL:
                 values[i] = data.draw(st.integers(0, 3))
         reference = values.copy()
         recompute(d, reference)
-        scratch = len(d.scratch_baseline)
+        scratch = d.scratch_slots
         values += data.draw(st.lists(st.integers(0, 3), min_size=scratch, max_size=scratch))
         sweep(d.tape, values)
         assert values[: len(d.nodes)] == reference
@@ -1154,20 +1167,21 @@ class TestTape:
 
     @pytest.mark.parametrize("name", sorted(TAPE_CIRCUITS))
     def test_setup_keeps_scratch_baselines(self, name):
-        # set-up keeps the scratch part of its sweep next to one baseline
-        # per node, and a table reads both without sweeping or replacing them
+        # set-up keeps its sweep's value list whole, every node and then the
+        # scratch slots, with no spare capacity, and a table reads it
+        # without sweeping or replacing it
         d = _tape_circuit(name)
         _assert_tape_structure(d)
-        assert len(d.baseline) == len(d.nodes)
-        values = d.baseline + [0] * len(d.scratch_baseline)
+        assert len(d.baseline) == len(d.nodes) + d.scratch_slots
+        assert sys.getsizeof(d.baseline) == sys.getsizeof(d.baseline[:])
+        values = [0 if d.children[i] else d.baseline[i] for i in d.nodes]
+        values += [0] * d.scratch_slots
         sweep(d.tape, values)
-        assert d.scratch_baseline == values[len(d.nodes):]
-        assert d.baseline == values[: len(d.nodes)]
-        baseline, scratch = d.baseline, d.scratch_baseline
-        before = (baseline.copy(), scratch.copy())
+        assert d.baseline == values
+        baseline = d.baseline
+        before = baseline.copy()
         count_all_features(d)
-        assert d.baseline is baseline and d.scratch_baseline is scratch
-        assert (baseline, scratch) == before
+        assert d.baseline is baseline and baseline == before
 
 
 def test_full_sweep_on_deep_chain():

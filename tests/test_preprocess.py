@@ -223,15 +223,20 @@ class TestMerge:
         assert count_total(preprocess(d)) == 1
 
     def test_merged_circuit_is_left_as_it_is(self):
-        # a circuit with nothing to smooth or merge keeps its lists and its
-        # preprocessed state, but drops its reader graph
+        # a circuit with nothing to smooth or merge keeps its lists, its
+        # preprocessed state and its tape's indexes
         d = preprocess(parse_c2d(REPEATED_RECORDS_C2D))
-        link_readers(d)
+        # a partial query links the reader graph and stores the order of -2
+        query(d, (2,), OptimizationConfig(traversal_bypass_fraction=1.0))
         lists = (d.kind, d.literal, d.children, d.decision, d.tape, d.baseline)
+        indexes = (d.readers, d.writes_node, d.ancestor_orders, d.ancestor_entries)
+        assert d.readers and list(d.ancestor_orders) == [-2]
         smooth(d)
         assert (d.kind, d.literal, d.children, d.decision, d.tape, d.baseline) == lists
         assert all(a is b for a, b in zip((d.kind, d.children, d.tape), lists[::2]))
-        assert d.preprocessed and d.readers == []
+        assert d.preprocessed
+        kept = (d.readers, d.writes_node, d.ancestor_orders, d.ancestor_entries)
+        assert all(a is b for a, b in zip(kept, indexes))
 
 
 @settings(max_examples=40, deadline=None)
@@ -328,6 +333,14 @@ class TestFold:
         with pytest.raises(NotSmooth):
             link_parents(d)
         assert link_parents(smooth(d)).tape == [] and d.kind == [NodeKind.LITERAL]
+        # nor for a childless And or Or, which no parser returns and smoothing
+        # folds into its constant: x1 and True is x1, x1 and False counts 0
+        for k, total in ((NodeKind.AND, 1), (NodeKind.OR, 0)):
+            kinds = [NodeKind.LITERAL, k, NodeKind.AND]
+            d = Ddnnf(kinds, [1, 0, 0], [(), (), (0, 1)], 1, root=2)
+            with pytest.raises(NotSmooth):
+                link_parents(d)
+            assert count_total(preprocess(d)) == total
 
     def test_kept_constants_are_placed_once(self):
         # x1 and False, and (x2 and False): the And keeps its False operand,
@@ -467,7 +480,7 @@ class TestBaseline:
 
     def test_every_baseline_filled(self, circuits):
         for name, d in circuits.items():
-            assert len(d.baseline) == len(d.nodes), name
+            assert len(d.baseline) == len(d.nodes) + d.scratch_slots, name
             assert all(isinstance(b, int) for b in d.baseline), name
 
 

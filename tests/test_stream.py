@@ -284,7 +284,7 @@ def test_partial_lines_leave_scratch_stale_and_unread(seed, d4):
     # never the session's.
     n = 12
     d = _random_circuit(seed, n, 0, d4)
-    assert d.scratch_baseline
+    assert d.scratch_slots
     oracle = ExhaustiveCounter(d)
     table = count_all_features(d)
     always_partial = OptimizationConfig(traversal_bypass_fraction=1.0)
@@ -305,7 +305,7 @@ def test_partial_lines_leave_scratch_stale_and_unread(seed, d4):
         assert result.count == oracle.count(a), selection
         assert result.strategy == ("partial" if step % 2 else "full")
         assert step == 0 or state.values is kept  # each line starts from the last
-        assert len(state.values) == len(d.nodes) + len(d.scratch_baseline)
+        assert len(state.values) == len(d.nodes) + d.scratch_slots
         assert state.values == fresh_values(d, state.zero_literals)
         if step % 2:
             rerun = written_slots(d, tape_order(d, {flip, -flip}))
