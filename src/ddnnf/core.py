@@ -46,18 +46,20 @@ class LiteralTable:
 
     A query literal ``lit`` forces the literal ``-lit`` to zero.
     ``conflicting`` holds the present literals that rule out every model:
-    ``-v`` for a core ``v`` and ``+v`` for a dead one.  ``free`` holds both
-    signs of the present variables that are neither core nor dead; the
-    other present literals (``+v`` for a core ``v``, ``-v`` for a dead one)
-    change no count.  A literal outside ``present`` pins an omitted
-    variable if its variable is in range, and names no variable otherwise.
-    ``present`` and ``free`` hold both signs of each of their variables,
-    so a query negates its literals once and intersects the result with
-    them (see :func:`ddnnf.engine.query`).
+    ``-v`` for a core ``v`` and ``+v`` for a dead one.  ``free`` maps both
+    signs of the present variables that are neither core nor dead each to
+    its negation, so mapping a query's literals through it gives their zero
+    literals in one pass; the other present literals (``+v`` for a core
+    ``v``, ``-v`` for a dead one) change no count.  A literal outside
+    ``present`` pins an omitted variable if its variable is in range, and
+    names no variable otherwise.  ``present`` and ``free`` hold both signs
+    of each of their variables, and a literal is free exactly when its
+    negation is, so only the few literals of a query that are not free need
+    the other checks (see :func:`ddnnf.engine.query`).
     """
 
     present: frozenset[int] = frozenset()
-    free: frozenset[int] = frozenset()
+    free: dict[int, int] = field(default_factory=dict)
     conflicting: frozenset[int] = frozenset()
 
     @classmethod
@@ -67,9 +69,9 @@ class LiteralTable:
         present = frozenset(literals)
         present |= frozenset([-lit for lit in present])
         fixed = {*core, *dead}
-        fixed |= {-v for v in fixed}
+        free = {lit: -lit for lit in present if abs(lit) not in fixed}
         conflicting = frozenset([-v for v in core] + [*dead])
-        return cls(present, present - fixed, conflicting)
+        return cls(present, free, conflicting)
 
 
 EMPTY_TABLE = LiteralTable()
@@ -94,6 +96,9 @@ class Ddnnf:
       forward sweep (see :func:`compile_tape`); a value list for it holds
       one entry per *slot*: every node, then the ``scratch_slots`` scratch
       slots the tape writes for nodes with three or more children;
+    * ``runs``: the whole tape's schedule for a full sweep (see
+      :func:`compile_runs`): ``(kind, instructions)`` pairs, each a run of
+      And or of Or instructions in level order, built with the tape;
     * ``baseline[s]``: every slot's value under no assumptions, one list
       at exact size: each node's count, then the scratch slots' values;
     * ``literal_index``: maps every literal that occurs in the circuit to
@@ -107,11 +112,11 @@ class Ddnnf:
     The other fields are filled by the calls that answer queries, not by
     preprocessing (see :mod:`ddnnf.engine`), and every preprocess empties
     them again: ``link_parents`` the tape's indexes (the reader graph and
-    the ancestor orders, which index one tape and are dropped together by
-    :func:`drop_tape_indexes`), and ``compute_baseline`` the rest.  The
-    first partial-rung query links the tape's *reader graph*, two fields
-    built together by :func:`ddnnf.engine.link_readers`; a stream session
-    links it in set-up:
+    the ancestor orders, which index one tape and are dropped together with
+    its runs by :func:`drop_tape_indexes`), and ``compute_baseline`` the
+    rest.  The first partial-rung query links the tape's *reader graph*,
+    two fields built together by :func:`ddnnf.engine.link_readers`; a
+    stream session links it in set-up:
 
     * ``readers[s]``: for every slot ``s``, a tuple of the indices of the
       tape instructions that read it, ascending and each once, the exact
@@ -147,6 +152,9 @@ class Ddnnf:
     decision: list[int] = field(default_factory=list)
     baseline: list[int] = field(default_factory=list)
     tape: list[tuple[int, int, int]] = field(default_factory=list)
+    runs: list[tuple[NodeKind, list[tuple[int, int, int]]]] = field(
+        default_factory=list
+    )
     scratch_slots: int = 0
     literal_index: dict[int, int] = field(default_factory=dict)
     core: frozenset[int] = frozenset()
@@ -276,10 +284,11 @@ def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
     """Keep the nodes listed in ``order``, in that order, as nodes 0, 1, ...
 
     Every child of a kept node must be kept too, and listed before it.  The
-    tape, its indexes, the baselines and the literal index no longer match
-    the new indices, so they are emptied, the literal table with the
-    index, and the circuit counts as not preprocessed; preprocessing
-    refills them, and the first partial query links the graph again.
+    tape, its runs and indexes, the baselines and the literal index no
+    longer match the new indices, so they are emptied, the literal table
+    with the index, and the circuit counts as not preprocessed;
+    preprocessing refills them, and the first partial query links the graph
+    again.
 
     With ``merge``, the pass is also a unique table that folds constants.
     A node whose kind, literal and renumbered children (in their order)
@@ -414,14 +423,16 @@ def renumber(d: Ddnnf, order: Sequence[int], merge: bool = False) -> None:
 
 
 def drop_tape_indexes(d: Ddnnf) -> None:
-    """Empty the tape's indexes: the reader graph (``readers`` and
-    ``writes_node``) and the ancestor orders (``ancestor_orders`` and
-    ``ancestor_entries``).
+    """Empty the tape's indexes: its run schedule (``runs``), the reader
+    graph (``readers`` and ``writes_node``) and the ancestor orders
+    (``ancestor_orders`` and ``ancestor_entries``).
 
-    Both index one tape, and a union of cached orders reads the graph's
-    ``writes_node``, so they are dropped together.  The first partial query
-    links the graph again, and queries store orders anew.
+    All of them index one tape, and a union of cached orders reads the
+    graph's ``writes_node``, so they are dropped together.  Compiling the
+    tape builds the runs again, the first partial query links the graph
+    again, and queries store orders anew.
     """
+    d.runs = []
     d.readers, d.writes_node = [], b""
     d.ancestor_orders, d.ancestor_entries = {}, 0
 
@@ -449,6 +460,9 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
     Returns the tape and its scratch slot count.  A value list for
     :func:`sweep` holds every node, then the scratch slots, one entry per slot;
     a full sweep writes each scratch slot before any instruction reads it.
+    The tape keeps node order, because the reader graph, the ancestor orders
+    and the adjoint program index its instructions; a full sweep runs the
+    same instructions in the order :func:`compile_runs` schedules them.
     Set-up's sweep keeps every slot's value under no assumptions as
     ``Ddnnf.baseline``.  Because every slot is written once, the tape run
     backwards is the reverse-mode derivative of the sweep, which reads those
@@ -459,7 +473,9 @@ def compile_tape(d: Ddnnf) -> tuple[list[tuple[int, int, int]], int]:
     partial rung climbs them.
 
     The tape is data, not code: building it costs one pass over the nodes,
-    and :func:`sweep` pays no per-node kind test or child-count branch.
+    and running it pays no child-count branch; :func:`sweep` tests each
+    instruction's sign for its operation, and :func:`sweep_runs` tests one
+    kind per run.
     """
     kind, children = d.kind, d.children
     free = len(kind)  # the next scratch slot
@@ -553,13 +569,89 @@ def compile_adjoint(d: Ddnnf) -> list[tuple[int, int, int, int, int]]:
     return program
 
 
-def sweep(tape, values: list[int]) -> None:
-    """Run the instructions of a :func:`compile_tape` tape over ``values``.
+def compile_runs(
+    tape: list[tuple[int, int, int]], slots: int
+) -> list[tuple[NodeKind, list[tuple[int, int, int]]]]:
+    """Schedule a whole tape of ``slots`` slots as runs of one operation.
 
-    ``values`` holds every slot and is updated in place.  ``tape`` may be
-    the whole tape or any part of it in tape order, such as the
-    instructions a partial query marks: each instruction reads the values
-    as they stand, so every slot it reads must be current.
+    A slot's *level* is 0 for a node the tape does not write, and one more
+    than its instruction's higher operand level otherwise, so an
+    instruction reads only slots of lower levels.  The instructions are
+    taken level by level, in tape order within a level, and each level is
+    split into an And run and an Or run.  The kind of the run before a
+    level goes first, so it goes on into that level, and the other kind
+    follows; a level without one kind adds nothing of it.  So the runs
+    alternate kinds, and there are about twice as many as levels, where the
+    tape switches operation on most instructions.  Returns
+    ``(kind, instructions)`` pairs, ``kind`` being :data:`AND` or :data:`OR`.
+    An And run holds the tape's own tuples; an Or run holds ``(dst, a, b)``
+    with ``dst`` positive, one new tuple per Or instruction.
+    :func:`sweep_runs` runs them.  One pass over the tape builds them.
+    """
+    level = [0] * slots
+    ands: list[list[tuple[int, int, int]]] = []  # ands[h]: writes level h + 1
+    ors: list[list[tuple[int, int, int]]] = []
+    top = 0  # len(ands): no slot is above this level yet
+    for instruction in tape:
+        dst, a, b = instruction
+        h = level[a]
+        hb = level[b]
+        if hb > h:
+            h = hb
+        if h == top:
+            ands.append([])
+            ors.append([])
+            top += 1
+        if dst < 0:
+            dst = ~dst
+            ors[h].append((dst, a, b))
+        else:
+            ands[h].append(instruction)
+        level[dst] = h + 1
+    runs: list[tuple[NodeKind, list[tuple[int, int, int]]]] = []
+    last = AND
+    for level_ands, level_ors in zip(ands, ors):
+        if last is AND:
+            pair = ((AND, level_ands), (OR, level_ors))
+        else:
+            pair = ((OR, level_ors), (AND, level_ands))
+        for k, run in pair:
+            if not run:
+                continue
+            if runs and k is last:
+                runs[-1][1].extend(run)
+            else:
+                runs.append((k, run))
+                last = k
+    return runs
+
+
+def sweep_runs(runs, values: list[int]) -> None:
+    """Run every instruction of a tape over ``values``, as the runs
+    :func:`compile_runs` scheduled.
+
+    ``values`` holds every slot and is updated in place, and every leaf
+    slot must be current.  Each run has one operation, so its inner loop
+    tests nothing.  A full sweep (set-up's baselines and the full rung)
+    takes this loop, and :func:`sweep` serves the partial rung's orders.
+    """
+    for k, run in runs:
+        if k is OR:
+            for dst, a, b in run:
+                values[dst] = values[a] + values[b]
+        else:
+            for dst, a, b in run:
+                values[dst] = values[a] * values[b]
+
+
+def sweep(tape, values: list[int]) -> None:
+    """Run some instructions of a :func:`compile_tape` tape over ``values``.
+
+    ``values`` holds every slot and is updated in place.  ``tape`` is any
+    part of the tape in tape order, such as the instructions a partial
+    query marks: each instruction reads the values as they stand, so every
+    slot it reads must be current.  Each instruction's sign picks its
+    operation.  A whole tape runs faster as runs (:func:`sweep_runs`).
     """
     for dst, a, b in tape:
         if dst < 0:

@@ -20,16 +20,22 @@ A query is a set of signed literals; an :class:`~ddnnf.core.Assumptions`
 is turned into one after its variables are checked against the range.  The
 front end reads them through the circuit's
 :class:`~ddnnf.core.LiteralTable`, built at set-up, with a few set
-operations that run in C over the query's literals: those outside the
-table's present literals pin omitted variables (each halves the omitted
-factor) or are out of range; the literals negated once and met with the
-query give the contradiction; meeting the table's conflicting literals
-gives the core/dead shortcut; and the negation met with the table's free
-literals is the zero-literal set.  Without shortcuts (``NO_CORE_DEAD``)
-the negation is met with every present literal instead, so the zero set
-keeps the literals of core and dead variables, nodeless ones too, and they
-count toward the bypass fraction.  Loops in Python run only over the
-pinned literals and over the reset literals, one node each.
+operations that run in C over the query's literals.  The table's ``free``
+dict maps each literal of a variable that is neither core nor dead to its
+negation, so one pass through it builds the zero-literal set, and one
+difference leaves the few literals that are not free, those of core,
+dead and omitted variables and those out of range.  Only these few meet
+the other checks, in this order: those outside the table's present
+literals pin omitted variables (each halves the omitted factor) or are
+out of range; a zero literal that the query names, or a literal among the
+few whose negation is among them too, is a contradiction, since a literal
+is free exactly when its negation is; meeting the table's conflicting
+literals gives the core/dead shortcut; and an empty zero set answers
+without the circuit.  Without shortcuts (``NO_CORE_DEAD``) the negations
+of the present ones among the few join the zero set, so it keeps the
+literals of core and dead variables, nodeless ones too, and they count
+toward the bypass fraction.  Loops in Python run only over the pinned
+literals and over the reset literals, one node each.
 
 :class:`OptimizationConfig` exists for the variant matrix, which switches
 rungs off one at a time to measure what each saves; every other caller
@@ -38,15 +44,18 @@ runs ``FULL``.
 The tape (:func:`~ddnnf.core.compile_tape`) is the only evaluator.  Both
 rungs start from a value list with one entry per tape slot whose literal
 nodes are right: the nodes, then the scratch slots of the balanced trees
-that wide nodes compile to.  The full sweep runs the whole tape
-(:func:`~ddnnf.core.sweep`), the instructions that computed the baselines,
-with no per-node dispatch.  The partial pass runs the marked instructions
-in tape order through the same loop.  ``Ddnnf.readers`` maps every slot to
-the instructions that read it, so marking climbs instruction by instruction
-from a changed child through the scratch slots on its path to the root: a
-wide node with k children costs about log2 k instructions, not k - 1.  Only
-this rung reads ``readers`` and ``writes_node``, the tape's reader graph,
-so set-up leaves them empty and the first partial-rung use links them
+that wide nodes compile to.  The full sweep runs the whole tape as
+set-up's baseline pass did: as ``Ddnnf.runs``, the tape's instructions in
+level order split into runs of one operation, so the loop
+(:func:`~ddnnf.core.sweep_runs`) tests a kind once per run, not once per
+instruction.  The partial pass runs the marked instructions in tape order
+through :func:`~ddnnf.core.sweep`, which reads each instruction's
+operation off the sign of its destination.  ``Ddnnf.readers`` maps every
+slot to the instructions that read it, so marking climbs instruction by
+instruction from a changed child through the scratch slots on its path to
+the root: a wide node with k children costs about log2 k instructions,
+not k - 1.  Only this rung reads ``readers`` and ``writes_node``, the
+tape's reader graph, so set-up leaves them empty and the first partial-rung use links them
 (:func:`link_readers`); ``count``, the full rung, the shortcuts and the
 tables never pay for it, and a stream session links it in set-up.  An
 unmarked sibling's scratch slot holds the product or sum of children that
@@ -137,7 +146,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter, neg
 from threading import Lock
 
-from .core import Assumptions, Ddnnf, compile_adjoint, sweep
+from .core import Assumptions, Ddnnf, compile_adjoint, sweep, sweep_runs
 from .errors import DdnnfError, VariableOutOfRange
 
 
@@ -427,6 +436,11 @@ def query(
     A literal whose variable lies outside ``1..n`` raises
     :class:`~ddnnf.errors.VariableOutOfRange`.  Contradictory assumptions
     legitimately count 0 and are answered without touching the circuit.
+    The zero-literal set is one pass of the literals through the literal
+    table's ``free`` dict; only the literals it does not hold meet the
+    range check, the contradiction test and the core/dead shortcut (see the
+    module docstring).  The full rung sweeps ``d.runs``, and the partial
+    rung the tape instructions it marks or reads from the order cache.
     Assumptions on omitted variables never reach the traversal: pinning a
     free variable exactly halves the omitted-variable correction factor.
     The count is identical under every configuration.
@@ -440,25 +454,30 @@ def query(
         assumptions = _assumed_literals(d, assumptions)
     literals = set(assumptions)
     table = d.literal_table
-    pinned = literals - table.present  # omitted variables, or out of range
+    free = table.free
+    # the literals of core, dead and omitted variables and those out of range
+    rest = literals.difference(free)
+    pinned = rest - table.present  # omitted variables, or out of range
     if pinned:
         n = d.num_variables
         for lit in pinned:
             if not 1 <= abs(lit) <= n:
                 raise VariableOutOfRange(f"variable {abs(lit)} outside 1..{n}")
-    negated = set(map(neg, literals))
-    if not negated.isdisjoint(literals):
+    zero_literals = set(map(free.get, literals))
+    zero_literals.discard(None)  # what the literals in ``rest`` mapped to
+    # a literal is free exactly when its negation is, so a contradiction
+    # meets a free literal's negation in the zero set or lies within rest
+    if not zero_literals.isdisjoint(literals) or not rest.isdisjoint(map(neg, rest)):
         return QueryResult(0, 0, 0, "contradiction")
     # no contradiction is left, so each pinned literal pins its own variable
     factor = d.omitted_factor >> len(pinned)
 
     if cfg.core_dead_shortcuts:
-        if not table.conflicting.isdisjoint(literals):
+        if not table.conflicting.isdisjoint(rest):
             return QueryResult(0, 0, 0, "shortcut")
-        zero_literals = negated & table.free
     else:
         # core and dead variables' literals stay, nodeless ones too
-        zero_literals = negated & table.present
+        zero_literals.update(map(neg, rest - pinned))
     if not zero_literals:
         return QueryResult(d.baseline[d.root] * factor, 0, 0, "shortcut")
 
@@ -503,7 +522,7 @@ def query(
         sweep(map(d.tape.__getitem__, order), values)
         result = QueryResult(values[d.root] * factor, marked, marked, "partial")
     else:
-        sweep(d.tape, values)
+        sweep_runs(d.runs, values)
         result = QueryResult(values[d.root] * factor, len(d.nodes), 0, "full")
     if state is not None:
         state.zero_literals, state.values = zero_literals, values

@@ -1,11 +1,11 @@
 """Pipeline that turns a parsed circuit into query-ready form.
 
 Six steps, in order: prune the circuit to the root's cone, smooth it,
-compile the tape, index the literal nodes, detect core and dead variables
-(and build the literal table queries read), and run the tape for every
-node's baseline count under no assumptions.  That is all set-up builds,
-and all that ``--count``, the all-features tables and ``--save-smoothed``
-read.  The tape's reader graph, which maps
+compile the tape and schedule its runs, index the literal nodes, detect
+core and dead variables (and build the literal table queries read), and
+run the tape for every node's baseline count under no assumptions.  That
+is all set-up builds, and all that ``--count``, the all-features tables
+and ``--save-smoothed`` read.  The tape's reader graph, which maps
 each slot to the tape instructions that read it, serves only the partial
 rung, so the first partial-rung query links it
 (:func:`ddnnf.engine.link_readers`); a stream session links it in set-up,
@@ -34,12 +34,13 @@ from .core import (
     OR,
     Ddnnf,
     LiteralTable,
+    compile_runs,
     compile_tape,
     drop_tape_indexes,
     mask_variables,
     renumber,
     root_cone,
-    sweep,
+    sweep_runs,
 )
 from .errors import DecomposabilityViolation, NotSmooth
 
@@ -230,7 +231,7 @@ def smooth(d: Ddnnf) -> Ddnnf:
 
 
 def link_parents(d: Ddnnf) -> Ddnnf:
-    """Compile the tape, and empty its reader graph.
+    """Compile the tape and its runs, and empty its reader graph.
 
     The stage once also linked the tape's reader graph, which maps each
     slot to the instructions that read it.  Only the partial rung reads
@@ -240,12 +241,15 @@ def link_parents(d: Ddnnf) -> Ddnnf:
     first: :func:`~ddnnf.core.compile_tape` takes no And or Or with fewer
     than two children.  The name stays because perfbench's tracer wraps it
     by module and attribute, and its layer metrics read this stage's span
-    from every set-up window.  The reader graph and the ancestor orders
-    that queries keep index the old tape, so they are dropped
-    (:func:`~ddnnf.core.drop_tape_indexes`).
+    from every set-up window.  The runs, the reader graph and the ancestor
+    orders that queries keep index the old tape, so they are dropped
+    (:func:`~ddnnf.core.drop_tape_indexes`), and the runs are scheduled
+    anew for the new tape (:func:`~ddnnf.core.compile_runs`), one more
+    pass over it.
     """
-    d.tape, d.scratch_slots = compile_tape(d)
     drop_tape_indexes(d)
+    d.tape, d.scratch_slots = tape, scratch = compile_tape(d)
+    d.runs = compile_runs(tape, len(d.kind) + scratch)
     return d
 
 
@@ -289,9 +293,10 @@ def compute_core_dead(d: Ddnnf) -> tuple[frozenset[int], frozenset[int]]:
 def compute_baseline(d: Ddnnf) -> Ddnnf:
     """Store every slot's value under no assumptions as the baseline.
 
-    Runs the tape that :func:`link_parents` compiled, the one forward
-    sweep (:func:`~ddnnf.core.sweep`), once, over the slot count that
-    :func:`~ddnnf.core.compile_tape` returned.  Leaves start at their own
+    Runs the tape that :func:`link_parents` compiled once, as the runs it
+    scheduled (:func:`~ddnnf.core.sweep_runs`, the loop the full rung
+    takes too), over the slot count that :func:`~ddnnf.core.compile_tape`
+    returned.  Leaves start at their own
     count: False at 0, a literal and True at 1.  And and Or nodes and the
     scratch slots start at 1 too, and the tape overwrites them before any
     instruction reads them.  The sweep's value list is kept whole, at
@@ -306,7 +311,7 @@ def compute_baseline(d: Ddnnf) -> Ddnnf:
     for i, k in enumerate(kind):
         if k is FALSE:
             values[i] = 0
-    sweep(d.tape, values)
+    sweep_runs(d.runs, values)
     d.baseline = values
     return d
 

@@ -175,6 +175,7 @@ def test_renumber_empties_preprocessed_lists(circuits):
     assert order != list(d.nodes)
     renumber(d, order)
     assert (d.readers, d.baseline, d.tape, d.literal_index) == ([], [], [], {})
+    assert d.runs == []
     assert d.scratch_slots == 0 and d.writes_node == b""
     assert not d.preprocessed
     assert validate(d) == []

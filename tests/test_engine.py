@@ -27,7 +27,14 @@ from ddnnf import (
     smooth,
     write_c2d,
 )
-from ddnnf.core import ORACLE_LIMIT_DEFAULT, compile_adjoint, renumber, sweep, validate
+from ddnnf.core import (
+    ORACLE_LIMIT_DEFAULT,
+    compile_adjoint,
+    renumber,
+    sweep,
+    sweep_runs,
+    validate,
+)
 from ddnnf.engine import (
     ANCESTOR_ORDER_BUDGET,
     FULL,
@@ -152,6 +159,11 @@ class TestCountFeature:
 
 # Circuits for the tape's corner cases: (format, text, num_variables).
 TAPE_CIRCUITS = {
+    # (x1 and x2) or (x1 and not x2) or (not x1 and x2): a three-child Or
+    "wide_or": (
+        "c2d", "nnf 8 9 2\nL 1\nL 2\nL -2\nL -1\nA 2 0 1\nA 2 0 2\nA 2 3 1\nO 0 3 4 5 6\n",
+        None,
+    ),
     # x1 under a one-child And, and (x2 or not x2) under a one-child Or
     "one_child_nodes": (
         "c2d", "nnf 7 6 2\nL 1\nA 1 0\nL 2\nL -2\nO 2 2 2 3\nO 0 1 4\nA 2 1 5\n", None,
@@ -202,7 +214,8 @@ TAPE_CIRCUITS = {
 
 def _assert_tape_structure(d):
     """Every slot is written once, and only after what it reads, and each
-    node's instructions form a balanced binary tree over its children."""
+    node's instructions form a balanced binary tree over its children; the
+    runs schedule every instruction once, in level order."""
     n = len(d.nodes)
     inner = [
         i for i in d.nodes
@@ -251,6 +264,36 @@ def _assert_tape_structure(d):
         assert depth[slot] == (len(ch) - 1).bit_length(), slot
         group = []
     assert group == []
+    _assert_runs_structure(d, childless)
+
+
+def _assert_runs_structure(d, childless):
+    """The runs hold every tape instruction once: an And run the tape's own
+    tuples, an Or run each Or instruction with its destination positive.
+    Runs alternate kinds, none is empty, every operand is a childless node
+    or a slot an earlier instruction of the runs writes, and the levels
+    they write never fall."""
+    tape_tuples = {id(instruction) for instruction in d.tape}
+    level = dict.fromkeys(childless, 0)
+    scheduled, levels = [], []
+    kinds = [k for k, _ in d.runs]
+    assert set(kinds) <= {NodeKind.AND, NodeKind.OR}
+    assert all(k1 is not k2 for k1, k2 in zip(kinds, kinds[1:]))
+    for k, run in d.runs:
+        assert run
+        for instruction in run:
+            dst, a, b = instruction
+            assert dst >= 0 and dst not in level
+            assert a in level and b in level
+            if k is NodeKind.AND:
+                assert id(instruction) in tape_tuples
+                scheduled.append(instruction)
+            else:
+                scheduled.append((~dst, a, b))
+            level[dst] = 1 + max(level[a], level[b])
+            levels.append(level[dst])
+    assert sorted(scheduled) == sorted(d.tape)
+    assert levels == sorted(levels)
 
 
 def _tape_circuit(name):
@@ -970,14 +1013,22 @@ class TestReaderGraph:
             assert [query(d, a).count for a in cases] == want
             assert reader_links == [d]
             return
+        runs = d.runs
         if step == "renumber":
             renumber(d, list(d.nodes))
+            # the runs go with the tape
+            assert d.tape == [] and d.runs == []
         else:
             link_parents(d)
+            # an equal tape, and runs scheduled anew for it
+            assert d.runs is not runs and d.runs == runs
         # the graph and the orders index one tape and go together
         assert _unlinked(d) and d.ancestor_orders == {} and d.ancestor_entries == 0
         preprocess(d)
+        assert d.runs and d.runs is not runs
+        _assert_tape_structure(d)
         assert [query(d, a).count for a in cases] == want
+        assert [query(d, a, NO_PARTIAL_TRAVERSAL).count for a in cases] == want
         assert len(reader_links) == 2 and not _unlinked(d)
 
 
@@ -1151,8 +1202,12 @@ class TestTape:
         recompute(d, reference)
         scratch = d.scratch_slots
         values += data.draw(st.lists(st.integers(0, 3), min_size=scratch, max_size=scratch))
+        # the runs, from the same leaf weights and scratch values
+        scheduled = values.copy()
         sweep(d.tape, values)
         assert values[: len(d.nodes)] == reference
+        sweep_runs(d.runs, scheduled)
+        assert scheduled == values
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1182,6 +1237,23 @@ class TestTape:
         before = baseline.copy()
         count_all_features(d)
         assert d.baseline is baseline and baseline == before
+
+
+def test_wide_or_runs_an_or_into_scratch_then_the_node():
+    # the Ands are one run; the Or's first pair writes scratch slot 8 and
+    # the node reads it, both in one Or run.  Every line resets more than
+    # 0.2 * 2 literals, so each takes the full sweep, as in CI's check
+    d = _tape_circuit("wide_or")
+    assert d.runs == [
+        (NodeKind.AND, [(4, 0, 1), (5, 0, 2), (6, 3, 1)]),
+        (NodeKind.OR, [(8, 4, 5), (7, 8, 6)]),
+    ]
+    lines = {(1,): 2, (-1,): 1, (2,): 2, (-2,): 1, (1, -2): 1, (-1, -2): 0}
+    for literals, count in lines.items():
+        result = query(d, literals)
+        assert (result.count, result.strategy) == (count, "full"), literals
+    assert count_total(d) == 3
+    assert count_all_features(d) == [(1, 2), (2, 2)]
 
 
 def test_full_sweep_on_deep_chain():
