@@ -14,7 +14,6 @@ circuit.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -112,9 +111,9 @@ class Ddnnf:
     The other fields are filled by the calls that answer queries, not by
     preprocessing (see :mod:`ddnnf.engine`), and every preprocess empties
     them again: ``link_parents`` the tape's indexes (the reader graph and
-    the ancestor orders, which index one tape and are dropped together with
-    its runs by :func:`drop_tape_indexes`), and ``compute_baseline`` the
-    rest.  The first partial-rung query links the tape's *reader graph*,
+    the ancestor orders, which belong to one tape and are dropped together
+    with its runs by :func:`drop_tape_indexes`), and ``compute_baseline``
+    the rest.  The first partial-rung query links the tape's *reader graph*,
     two fields built together by :func:`ddnnf.engine.link_readers`; a
     stream session links it in set-up:
 
@@ -132,12 +131,12 @@ class Ddnnf:
       all-features table;
     * ``feature_counts[v - 1]``: the cardinality of variable ``v``, one
       entry per variable; every table stores a fresh list;
-    * ``ancestor_orders``: maps a literal to ``(order, marked)``: the
-      indices of the tape instructions that write its nodes' ancestor
-      slots, ascending, as an ``array("i")``, which the partial rung runs
-      when that literal alone is reset, and the number of nodes marking
-      that literal reaches.  A one-literal partial query stores it on a
-      miss while the stored orders stay within
+    * ``ancestor_orders``: maps a literal to ``(order, marked)``: a tuple
+      of the tape's own instructions that write its nodes' ancestor slots,
+      in tape order, which the partial rung runs when that literal alone
+      is reset and in passes when it is reset with others, and the number
+      of nodes marking that literal reaches.  A partial query stores it on
+      a miss while the stored orders stay within
       ``engine.ANCESTOR_ORDER_BUDGET`` entries per tape slot in total, and
       ``ancestor_entries`` counts the entries they hold.
 
@@ -168,7 +167,7 @@ class Ddnnf:
         default=None, compare=False
     )
     feature_counts: list[int] | None = field(default=None, compare=False)
-    ancestor_orders: dict[int, tuple[array, int]] = field(
+    ancestor_orders: dict[int, tuple[tuple[tuple[int, int, int], ...], int]] = field(
         default_factory=dict, compare=False
     )
     ancestor_entries: int = field(default=0, compare=False)
@@ -427,10 +426,10 @@ def drop_tape_indexes(d: Ddnnf) -> None:
     graph (``readers`` and ``writes_node``) and the ancestor orders
     (``ancestor_orders`` and ``ancestor_entries``).
 
-    All of them index one tape, and a union of cached orders reads the
-    graph's ``writes_node``, so they are dropped together.  Compiling the
-    tape builds the runs again, the first partial query links the graph
-    again, and queries store orders anew.
+    All of them belong to one tape: the runs and the orders hold its
+    instructions, and the graph indexes them, so they are dropped
+    together.  Compiling the tape builds the runs again, the first partial
+    query links the graph again, and queries store orders anew.
     """
     d.runs = []
     d.readers, d.writes_node = [], b""

@@ -48,9 +48,10 @@ that wide nodes compile to.  The full sweep runs the whole tape as
 set-up's baseline pass did: as ``Ddnnf.runs``, the tape's instructions in
 level order split into runs of one operation, so the loop
 (:func:`~ddnnf.core.sweep_runs`) tests a kind once per run, not once per
-instruction.  The partial pass runs the marked instructions in tape order
-through :func:`~ddnnf.core.sweep`, which reads each instruction's
-operation off the sign of its destination.  ``Ddnnf.readers`` maps every
+instruction.  The partial pass runs the marked instructions in tape order,
+or a reset's passes one after the other, through
+:func:`~ddnnf.core.sweep`, which reads each instruction's operation off
+the sign of its destination.  ``Ddnnf.readers`` maps every
 slot to the instructions that read it, so marking climbs instruction by
 instruction from a changed child through the scratch slots on its path to
 the root: a wide node with k children costs about log2 k instructions,
@@ -78,22 +79,27 @@ omitted factor as a ``"shortcut"`` with no visits.  Shortcut and
 contradiction lines, and lines with no zero literal, leave the state alone.
 
 A configurator's lines mostly reset one literal, and the same literals
-recur, so a one-literal reset reads that literal's order (the indices of
-the instructions to rerun, ascending) from ``Ddnnf.ancestor_orders``.  A
-miss marks with :func:`mark_ancestors` and stores the order as an
-``array("i")``, while the circuit's orders stay within
-:data:`ANCESTOR_ORDER_BUDGET` entries per tape slot in total; past that a miss
-marks and stores nothing, with no eviction.  A reset of several literals
-runs the sorted union of their orders when the cache lacks at most one of
+recur, so a one-literal reset reads that literal's order from
+``Ddnnf.ancestor_orders``: a tuple of the tape's own instructions to
+rerun, in tape order, which the pass runs as it stands.  A miss marks
+with :func:`mark_ancestors`, gathers the marked instructions once, and
+stores the tuple, while the circuit's orders stay within
+:data:`ANCESTOR_ORDER_BUDGET` entries per tape slot in total; past that a
+miss marks and stores nothing, with no eviction.  A reset of several
+literals runs their orders as passes when the cache lacks at most one of
 them, and that one is marked alone and stored as a one-literal miss would
-be.  When it lacks two or more, the reset marks all its literals together
-once and stores nothing, as a stateless query of k literals does: storing
-each literal's order would mark each closure on its own, where one
-marking covers their union.  ``nodes_marked`` and ``nodes_visited`` report
-the circuit nodes marking reaches, counted the same way for a marked order
-and a union: the instructions ``Ddnnf.writes_node`` flags, plus one node
-for each reset literal that a node holds (without shortcuts a reset
-literal may have none); scratch slots are not nodes and do not count.
+be.  The orders are walked from last to first, and each keeps only the
+instructions no later order holds, so each instruction of the union runs
+once, in the pass of the last order that holds it, with no union built
+and no sort (see :func:`_union_order`).  When the cache lacks two or
+more, the reset marks all its literals together once and stores nothing,
+as a stateless query of k literals does: storing each literal's order
+would mark each closure on its own, where one marking covers their union.
+``nodes_marked`` and ``nodes_visited`` report the circuit nodes marking
+reaches, counted the same way for a marked order and for passes: the
+instructions that write a node, plus one node for each reset literal that
+a node holds (without shortcuts a reset literal may have none); scratch
+slots are not nodes and do not count.
 
 Queries never mutate the circuit's lists.  A stateless query keeps its
 values in a local buffer, so such queries may run concurrently; a state is
@@ -140,7 +146,6 @@ pass, and the first such query links the reader graph.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import itemgetter, neg
@@ -297,50 +302,46 @@ def mark_ancestors(d: Ddnnf, literals) -> set[int]:
     return marked
 
 
-def _marked_nodes(d: Ddnnf, order, literals) -> int:
-    """The nodes marking ``literals`` reaches, given the instructions it
-    reaches: the instructions that write a node, plus the literals' own
-    nodes.
-
-    Every instruction writes one slot and each literal has one node, or
-    none when no node holds it, so nothing is counted twice.
-    """
-    flags = d.writes_node
-    # itemgetter of two or more indices returns a tuple, in a third of the
-    # time that map takes over a union of some 500 instructions
-    marked = sum(
-        itemgetter(*order)(flags) if len(order) > 1 else map(flags.__getitem__, order)
-    )
-    return marked + sum(map(d.literal_index.__contains__, literals))
-
-
-def _marked_order(d: Ddnnf, literals) -> tuple[list[int], int]:
-    """The tape instructions to rerun when ``literals`` are reset, ascending,
-    and the number of nodes marking them reaches.
+def _marked_order(d: Ddnnf, literals) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """The tape instructions to rerun when ``literals`` are reset, in tape
+    order, and the number of nodes marking them reaches.
 
     Marks with :func:`mark_ancestors`, which links the reader graph on
     first use, once for all of ``literals``: a one-literal miss marks here,
     and so does a reset of several literals when the cache lacks two or
     more of their orders (see :func:`_union_order`).  Tape order is a
-    topological order, so each instruction reads final values.
+    topological order, so each instruction reads final values.  The
+    instructions are the tape's own tuples, gathered once here, so a stored
+    order runs with no index lookup.  The nodes are the marked
+    instructions that write a node, plus the literals' own nodes: every
+    instruction writes one slot and each literal has one node, or none
+    when no node holds it, so nothing is counted twice.
     """
     order = sorted(mark_ancestors(d, literals))
-    return order, _marked_nodes(d, order, literals)
+    flags = d.writes_node
+    # itemgetter of two or more indices returns a tuple, in a third of the
+    # time that map takes over an order of some 350 instructions
+    marked = sum(
+        itemgetter(*order)(flags) if len(order) > 1 else map(flags.__getitem__, order)
+    )
+    marked += sum(map(d.literal_index.__contains__, literals))
+    return tuple(map(d.tape.__getitem__, order)), marked
 
 
 #: The ancestor orders kept on one circuit hold at most this many
-#: instruction entries per tape slot (node or scratch slot) in total.  On
-#: circuits shaped like compiled feature models, four passes of a
-#: configurator session's script keep 18-20 entries per slot, but the
-#: total grows with the square of the depth: about 1200 per slot on a
-#: 2000-level Shannon chain.  Merging equal nodes shrinks the node count
-#: far more than the slot count, so a budget per node would shrink faster
-#: than the orders do.
+#: instruction entries per tape slot (node or scratch slot) in total.  An
+#: entry is a reference to one of the tape's own tuples, 8 bytes, so the
+#: budget bounds the orders at about 256 bytes per slot.  On circuits
+#: shaped like compiled feature models, four passes of a configurator
+#: session's script keep 18-20 entries per slot, but the total grows with
+#: the square of the depth: about 1200 per slot on a 2000-level Shannon
+#: chain.  Merging equal nodes shrinks the node count far more than the
+#: slot count, so a budget per node would shrink faster than the orders do.
 ANCESTOR_ORDER_BUDGET = 32
 
 
-def _ancestor_order(d: Ddnnf, lit: int) -> tuple[array, int]:
-    """:func:`_marked_order` of ``lit`` alone, as an ``array("i")``.
+def _ancestor_order(d: Ddnnf, lit: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """:func:`_marked_order` of ``lit`` alone.
 
     Read from ``d.ancestor_orders``.  A miss marks and stores the order
     while the circuit's orders stay within :data:`ANCESTOR_ORDER_BUDGET`
@@ -351,8 +352,7 @@ def _ancestor_order(d: Ddnnf, lit: int) -> tuple[array, int]:
     """
     kept = d.ancestor_orders.get(lit)
     if kept is None:
-        order, marked = _marked_order(d, (lit,))
-        kept = array("i", order), marked
+        kept = order, _ = _marked_order(d, (lit,))
         budget = ANCESTOR_ORDER_BUDGET * (len(d.kind) + d.scratch_slots)
         with _store_lock:
             # a racing miss on the same literal may have stored an equal order
@@ -362,33 +362,55 @@ def _ancestor_order(d: Ddnnf, lit: int) -> tuple[array, int]:
     return kept
 
 
-def _union_order(d: Ddnnf, literals) -> tuple[list[int], int]:
-    """:func:`_marked_order` of several ``literals``, built from their
-    cached orders when ``d.ancestor_orders`` lacks at most one of them.
+_destination = itemgetter(0)
 
-    The union of the literals' orders is the order of their union, so the
-    literals the cache holds mark nothing.  One uncached literal is marked
-    alone and stored by :func:`_ancestor_order`.  With two or more uncached,
-    every literal is marked together once and nothing is stored: marking
-    them one by one would climb their shared ancestors once per literal,
-    and marking only the uncached ones costs nearly what marking all of
-    them does, before the union.  The union's nodes are counted as a
-    marking's are (:func:`_marked_nodes`).
+
+def _union_order(d: Ddnnf, literals) -> tuple[list, int]:
+    """The instructions to rerun when several ``literals`` are reset, as
+    passes to run one after the other, each in tape order, and the number
+    of nodes marking them reaches.
+
+    When ``d.ancestor_orders`` lacks at most one of the literals' orders,
+    the passes come from the cached orders, and the literals the cache
+    holds mark nothing; one uncached literal is marked alone and stored by
+    :func:`_ancestor_order`.  The orders are walked from last to first, and
+    each keeps only the instructions that no later order holds, found
+    through the set of the later orders' destinations (an instruction is
+    the one writer of its destination).  So each instruction of the union
+    runs once, in the pass of the last order that holds it.  Its operands
+    are final by then: an instruction that no later order holds depends on
+    none of their literals, so each operand's writer runs in an earlier
+    pass or earlier in its own.  The nodes are the last order's stored
+    count, plus the earlier passes' instructions that write a node (a
+    destination in ``range(-n, n)``) and the earlier literals' own nodes.
+
+    With two or more uncached, every literal is marked together once and
+    nothing is stored, which gives one pass: marking them one by one would
+    climb their shared ancestors once per literal, and marking only the
+    uncached ones costs nearly what marking all of them does.
     """
     kept = d.ancestor_orders
-    orders, missing = [], None
+    hits, missing = [], None
     for lit in literals:
-        hit = kept.get(lit)
-        if hit is not None:
-            orders.append(hit[0])
+        if lit in kept:
+            hits.append(lit)
         elif missing is None:
             missing = lit
         else:
-            return _marked_order(d, literals)
-    if missing is not None:
-        orders.append(_ancestor_order(d, missing)[0])
-    order = sorted(set().union(*orders))
-    return order, _marked_nodes(d, order, literals)
+            order, marked = _marked_order(d, literals)
+            return [order], marked
+    order, marked = _ancestor_order(d, hits.pop() if missing is None else missing)
+    later = set(map(_destination, order))
+    passes = [order]
+    is_node = range(-len(d.kind), len(d.kind)).__contains__
+    for lit in reversed(hits):
+        run = [instruction for instruction in kept[lit][0] if instruction[0] not in later]
+        passes.append(run)
+        dsts = [*map(_destination, run)]
+        later.update(dsts)
+        marked += sum(map(is_node, dsts))
+    passes.reverse()
+    return passes, marked + sum(map(d.literal_index.__contains__, hits))
 
 
 @dataclass
@@ -517,9 +539,11 @@ def query(
         if len(delta) == 1:
             (lit,) = delta
             order, marked = _ancestor_order(d, lit)
+            sweep(order, values)
         else:
-            order, marked = _union_order(d, delta)
-        sweep(map(d.tape.__getitem__, order), values)
+            passes, marked = _union_order(d, delta)
+            for order in passes:
+                sweep(order, values)
         result = QueryResult(values[d.root] * factor, marked, marked, "partial")
     else:
         sweep_runs(d.runs, values)
@@ -591,23 +615,28 @@ def count_all_features(d: Ddnnf) -> list[tuple[int, int]]:
     on a preprocessed circuit also compiles the program, about one more
     pass; later tables only run it, and read neither counts an earlier
     table stored nor a forward sweep.  Each count takes the shortcuts
-    :func:`query` takes, in its order: an omitted variable halves the
-    omitted factor, a dead one counts 0 and a core one every model.  Any
-    other ``v`` has both literals in the circuit, and counts the root
+    :func:`query` takes: an omitted variable halves the omitted factor, a
+    dead one counts 0 and a core one every model.  The other variables are
+    the free ones, whose literals the literal table's ``free`` dict holds:
+    a free ``v`` has both literals in the circuit, and counts the root
     baseline minus the derivative at the node of ``-v``, times the omitted
-    factor.
+    factor.  So the counts start as every model's, the omitted and dead
+    entries are written from their sets, and the free entries from the
+    negative free literals, with no membership test per variable.
     """
     _require_preprocessed(d)
     derivative = _derivatives(d)
     root_count, factor = d.baseline[d.root], d.omitted_factor
     every = root_count * factor
     half = root_count * (factor >> 1)  # read only when something is omitted
-    omitted, dead, core, node = d.omitted, d.dead, d.core, d.literal_index
-    counts = d.feature_counts = [
-        half if v in omitted
-        else 0 if v in dead
-        else every if v in core
-        else (root_count - derivative[node[-v]]) * factor
-        for v in range(1, d.num_variables + 1)
-    ]
+    counts = [every] * d.num_variables  # a core variable's count
+    for v in d.omitted:
+        counts[v - 1] = half
+    for v in d.dead:
+        counts[v - 1] = 0
+    node = d.literal_index
+    for lit in d.literal_table.free:
+        if lit < 0:  # -v for each free v, whose entry is ~lit = v - 1
+            counts[~lit] = (root_count - derivative[node[lit]]) * factor
+    d.feature_counts = counts
     return list(enumerate(counts, 1))

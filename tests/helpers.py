@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 
 from ddnnf.core import AND, OR, Ddnnf, sweep
+from ddnnf.engine import ANCESTOR_ORDER_BUDGET
 
 
 def random_c2d_text(
@@ -240,6 +241,38 @@ def tape_nodes(d, literals) -> set[int]:
     nodes its instructions write."""
     own = {d.literal_index[lit] for lit in literals if lit in d.literal_index}
     return own | {s for s in written_slots(d, tape_order(d, literals)) if s < len(d.nodes)}
+
+
+def assert_orders_exact(d) -> None:
+    """Every stored order holds the tape's own instructions that depend on
+    its literal, in tape order, as a forward scan of the tape finds them,
+    and the nodes marking that literal reaches; the entry count adds the
+    orders up and stays within the budget."""
+    for lit, (order, marked) in d.ancestor_orders.items():
+        assert type(order) is tuple, lit
+        want = tape_order(d, (lit,))
+        assert len(order) == len(want), lit
+        assert all(x is d.tape[j] for x, j in zip(order, want)), lit
+        assert marked == len(tape_nodes(d, (lit,))), lit
+    assert d.ancestor_entries == sum(len(order) for order, _ in d.ancestor_orders.values())
+    assert d.ancestor_entries <= ANCESTOR_ORDER_BUDGET * (len(d.nodes) + d.scratch_slots)
+
+
+def assert_runs_union(d, ran, literals) -> None:
+    """``ran``, the instructions a reset of ``literals`` ran in the order it
+    ran them, is the union a forward scan of the tape finds: the tape's own
+    instructions, each exactly once, and each after the writers of its
+    operands within the union."""
+    want = tape_order(d, literals)
+    at = {id(d.tape[j]): j for j in want}
+    assert len(ran) == len(want)
+    assert sorted(at.get(id(x), -1) for x in ran) == want
+    union = written_slots(d, want)
+    written = set()
+    for dst, a, b in ran:
+        assert a not in union or a in written, (dst, a, b)
+        assert b not in union or b in written, (dst, a, b)
+        written.add(~dst if dst < 0 else dst)
 
 
 def node_parents(d) -> list[set[int]]:

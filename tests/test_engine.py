@@ -50,6 +50,8 @@ from conftest import RUNNING_EXAMPLE_C2D, fixture_texts
 from helpers import (
     UNREFERENCED_C2D,
     UNREFERENCED_D4,
+    assert_orders_exact,
+    assert_runs_union,
     c2d_to_d4,
     gadget_chain_c2d,
     random_c2d_text,
@@ -641,18 +643,6 @@ class TestMarkAncestors:
         assert small <= large == set(tape_order(running_example, {-2, 3}))
 
 
-def _assert_orders_exact(d):
-    """Every stored order holds the tape instructions that depend on its
-    literal, found by a forward scan of the tape, and the nodes marking
-    reaches; the count adds the orders up."""
-    for lit, (order, marked) in d.ancestor_orders.items():
-        assert order.typecode == "i"
-        assert list(order) == tape_order(d, (lit,)), lit
-        assert marked == len(tape_nodes(d, (lit,))), lit
-    assert d.ancestor_entries == sum(len(order) for order, _ in d.ancestor_orders.values())
-    assert d.ancestor_entries <= ANCESTOR_ORDER_BUDGET * _slots(d)
-
-
 def _slots(d):
     """The tape's slot count, the unit of the order budget."""
     return len(d.nodes) + d.scratch_slots
@@ -685,7 +675,7 @@ class TestAncestorOrders:
         assert query(d, Assumptions.of({2}), ALWAYS_PARTIAL) == first
         assert mark_calls == [{-2}]  # the hit marks nothing
         assert d.ancestor_orders[-2] is order
-        _assert_orders_exact(d)
+        assert_orders_exact(d)
 
     def test_multi_literal_resets_mark_and_store_nothing(self, mark_calls):
         d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
@@ -720,7 +710,7 @@ class TestAncestorOrders:
                             continue
                         want = len(tape_nodes(d, zero))
                         assert result.nodes_visited == result.nodes_marked == want, (name, a)
-            _assert_orders_exact(d)
+            assert_orders_exact(d)
 
     def test_all_cached_resets_mark_nothing(self, mark_calls):
         d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
@@ -731,9 +721,9 @@ class TestAncestorOrders:
         result = query(d, Assumptions.of({2}, {4}), ALWAYS_PARTIAL)
         assert result.count == 1 and result.strategy == "partial"
         assert result.nodes_marked == result.nodes_visited == len(tape_nodes(d, {-2, 4}))
-        assert mark_calls == [{-2}, {4}]  # the union of the two cached orders
+        assert mark_calls == [{-2}, {4}]  # the two cached orders run as passes
         assert d.ancestor_orders == stored
-        _assert_orders_exact(d)
+        assert_orders_exact(d)
 
     def test_one_uncached_literal_is_marked_alone_and_stored(self, mark_calls):
         d = preprocess(parse_c2d(RUNNING_EXAMPLE_C2D))
@@ -743,7 +733,7 @@ class TestAncestorOrders:
         assert result.nodes_marked == result.nodes_visited == len(tape_nodes(d, {-2, 4}))
         assert mark_calls == [{-2}, {4}]
         assert sorted(d.ancestor_orders) == [-2, 4]
-        _assert_orders_exact(d)
+        assert_orders_exact(d)
 
     def test_one_uncached_literal_past_the_budget_stores_nothing(self, mark_calls, monkeypatch):
         import ddnnf.engine
@@ -758,7 +748,7 @@ class TestAncestorOrders:
             assert result.nodes_marked == len(tape_nodes(d, {-2, 4}))
         assert mark_calls == [{-2}, {4}, {4}]
         assert list(d.ancestor_orders) == [-2]
-        _assert_orders_exact(d)
+        assert_orders_exact(d)
 
     def test_uncached_stateless_query_marks_once(self, mark_calls):
         # marking each of k uncached literals alone, to store its order, would
@@ -781,7 +771,7 @@ class TestAncestorOrders:
         assert result.nodes_marked == len(tape_nodes(d, zero))
         assert mark_calls == [zero]
         assert list(d.ancestor_orders) == [-free[0]]
-        _assert_orders_exact(d)
+        assert_orders_exact(d)
 
     def test_preprocess_after_edit_empties_the_cache(self):
         # re-rooting at the running example's left Or renumbers the nodes, so
@@ -800,7 +790,7 @@ class TestAncestorOrders:
         for v in (2, 3, 4):
             for a in (Assumptions.of({v}), Assumptions.of(set(), {v})):
                 assert query(d, a, ALWAYS_PARTIAL).count == query(want, a).count, a
-        _assert_orders_exact(d)
+        assert_orders_exact(d)
 
     def test_deep_chain_stays_within_budget(self):
         # 300 Shannon levels are 900 deep: keeping every literal's order would
@@ -814,7 +804,7 @@ class TestAncestorOrders:
                 result = query(d, a, ALWAYS_PARTIAL)
                 assert result.count == 2 ** (k - 1) and result.strategy == "partial"
         assert 0 < len(d.ancestor_orders) < len(d.literal_index)
-        _assert_orders_exact(d)
+        assert_orders_exact(d)
         # a miss past the budget still answers exactly, and stores nothing
         stored = dict(d.ancestor_orders)
         for v in range(1, k + 1):
@@ -858,7 +848,7 @@ class TestAncestorOrders:
                 assert d.ancestor_orders
                 if name == "chain":  # every order would take ~48 entries per node
                     assert len(d.ancestor_orders) < len(d.literal_index)
-                _assert_orders_exact(d)
+                assert_orders_exact(d)
         finally:
             sys.setswitchinterval(interval)
 
@@ -883,11 +873,12 @@ def _order_circuit(source: str, seed: int):
 def test_multi_literal_orders_match_a_forward_scan(source, seed, uncached, data):
     import ddnnf.engine
 
-    # a reset of two to six literals runs the union of their cached orders
-    # (none uncached), marks the one uncached literal alone and takes the
-    # union (one), or marks them all together (several).  Each way, the
-    # instructions it runs are the ones a forward scan of the tape finds,
-    # and it reports the nodes that scan reaches
+    # a reset of two to six literals runs its literals' cached orders as
+    # one pass each (none uncached), marks the one uncached literal alone,
+    # stores it and runs the passes (one), or marks them all together and
+    # runs one pass (several).  Each way, it runs the union a forward scan
+    # of the tape finds, each instruction once and after the writers of its
+    # operands, and reports the nodes that scan reaches
     d = _order_circuit(source, seed)
     free = [v for v in range(1, d.num_variables + 1) if v not in d.core | d.dead | d.omitted]
     if len(free) < 2:
@@ -915,12 +906,13 @@ def test_multi_literal_orders_match_a_forward_scan(source, seed, uncached, data)
         patch.setattr(ddnnf.engine, "sweep", recording_sweep)
         result = query(d, a, ALWAYS_PARTIAL)
     assert result.strategy == "partial"
-    assert ran == [[d.tape[j] for j in tape_order(d, delta)]]
+    assert len(ran) == (1 if uncached == "several" else k)
+    assert_runs_union(d, [x for run in ran for x in run], delta)
     assert result.nodes_marked == result.nodes_visited == len(tape_nodes(d, delta))
     assert result.count == query(d, a, NO_PARTIAL_TRAVERSAL).count
     stored = cached + delta[:1] if missing == 1 else cached
     assert sorted(d.ancestor_orders) == sorted(stored)
-    _assert_orders_exact(d)
+    assert_orders_exact(d)
 
 
 def _unlinked(d) -> bool:
@@ -994,7 +986,7 @@ class TestReaderGraph:
                 assert counts == [c for c in want for _ in range(3)]
                 assert reader_links == [d]
                 assert _graph(d) == _graph(reference)
-                _assert_orders_exact(d)
+                assert_orders_exact(d)
         finally:
             sys.setswitchinterval(interval)
 

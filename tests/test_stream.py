@@ -18,14 +18,18 @@ from ddnnf import (
 )
 import ddnnf.engine
 from ddnnf.cli import StreamSession, build_parser, run_stream
+from ddnnf.core import sweep
 from ddnnf.engine import NAIVE, NO_CORE_DEAD, NO_PARTIAL_TRAVERSAL
 from ddnnf.errors import VariableOutOfRange
 
 from conftest import RUNNING_EXAMPLE_C2D, build_circuit, fixture_texts
 from helpers import (
+    assert_orders_exact,
+    assert_runs_union,
     c2d_to_d4,
     fresh_values,
     random_c2d_text,
+    shannon_chain_c2d,
     tape_nodes,
     tape_order,
     wide_c2d_text,
@@ -213,33 +217,52 @@ def _uncached_count(d, a):
 )
 def test_select_deselect_session_reads_exact_orders(seed, n, omit, d4, data):
     # each line selects or deselects one literal, so it resets one literal
-    # and reads or stores that literal's ancestor order; every reply equals
-    # the oracle and a circuit that keeps no order, and every stored order
-    # holds the tape instructions that depend on its literal
+    # and reads or stores that literal's ancestor order, unless it starts
+    # from the baselines and resets its whole zero set; every reply equals
+    # the oracle and a circuit that keeps no order, every partial line runs
+    # the union a forward scan finds for its reset literals, each
+    # instruction once and after the writers of its operands, and every
+    # stored order holds the tape instructions that depend on its literal
     d = _random_circuit(seed, n, omit, d4)
     fresh = _random_circuit(seed, n, omit, d4)
     oracle = ExhaustiveCounter(d)
     s = StreamSession(d)
+    ran = []
+
+    def recording_sweep(instructions, values):
+        instructions = list(instructions)
+        ran.extend(instructions)
+        sweep(instructions, values)
+
     selection: list[int] = []
-    for _ in range(data.draw(st.integers(5, 30))):
-        chosen = {abs(lit) for lit in selection}
-        free = [v for v in range(1, n + 1) if v not in chosen]
-        if selection and (not free or data.draw(st.booleans())):
-            dropped = data.draw(st.sampled_from(selection))
-            selection = [lit for lit in selection if lit != dropped]
-        else:
-            v = data.draw(st.sampled_from(free))
-            selection = selection + [data.draw(st.sampled_from([v, -v]))]
-        if not selection:
-            continue
-        a = Assumptions.from_literals(selection)
-        want = oracle.count(a)
-        assert _uncached_count(fresh, a) == want, selection
-        assert s.handle("count v " + " ".join(map(str, selection))) == (str(want), False)
-    for lit, (order, marked) in d.ancestor_orders.items():
-        assert list(order) == tape_order(d, (lit,))
-        assert marked == len(tape_nodes(d, (lit,)))
-    assert d.ancestor_entries == sum(len(order) for order, _ in d.ancestor_orders.values())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ddnnf.engine, "sweep", recording_sweep)
+        for _ in range(data.draw(st.integers(5, 30))):
+            chosen = {abs(lit) for lit in selection}
+            free = [v for v in range(1, n + 1) if v not in chosen]
+            if selection and (not free or data.draw(st.booleans())):
+                dropped = data.draw(st.sampled_from(selection))
+                selection = [lit for lit in selection if lit != dropped]
+            else:
+                v = data.draw(st.sampled_from(free))
+                selection = selection + [data.draw(st.sampled_from([v, -v]))]
+            if not selection:
+                continue
+            a = Assumptions.from_literals(selection)
+            want = oracle.count(a)
+            assert _uncached_count(fresh, a) == want, selection
+            old, kept = set(s.state.zero_literals), s.state.values
+            ran.clear()
+            assert s.handle("count v " + " ".join(map(str, selection))) == (str(want), False)
+            new = s.state.zero_literals
+            # the same list is the kept vector updated in place; a new one
+            # is a copy of the baselines with the whole zero set reset
+            delta = old ^ new if kept is not None and s.state.values is kept else new
+            if len(delta) <= 0.2 * n:  # the partial rung, or no rung at all
+                assert_runs_union(d, ran, delta)
+            else:
+                assert ran == []
+    assert_orders_exact(d)
 
 
 @pytest.mark.parametrize("d4", [False, True])
@@ -373,7 +396,7 @@ def test_session_vectors_stay_exact(seed, n, d4, data):
     # a partial line reads an unmarked scratch slot as it stands, so after
     # every line the kept vector must equal a full sweep of its zero set on
     # every slot.  One-literal lines hit and miss the order cache, several-
-    # literal lines mark or run the union of cached orders, full lines
+    # literal lines mark or run cached orders as passes, full lines
     # sweep, and after "spend" misses find the budget spent and store
     # nothing.
     text = wide_c2d_text(seed, n)
@@ -437,6 +460,79 @@ def test_session_vectors_stay_exact(seed, n, d4, data):
                 assert state.values == fresh_values(d, state.zero_literals)
             if ddnnf.engine.ANCESTOR_ORDER_BUDGET == 0:
                 assert d.ancestor_entries == entries
+
+
+def _reset_circuit(source, seed):
+    """A generator circuit (``c2d``), its d4 twin, or a Shannon chain of 8
+    to 19 levels, each within the oracle's limit."""
+    if source == "chain":
+        return preprocess(parse_c2d(shannon_chain_c2d(8 + seed % 12)))
+    return _random_circuit(seed, 12, seed % 3, source == "d4")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=st.sampled_from(["c2d", "d4", "chain"]),
+    seed=st.integers(0, 59),
+    data=st.data(),
+)
+def test_multi_literal_resets_match_oracle_and_a_full_sweep(source, seed, data):
+    # each line of a session changes two to six variables of the selection,
+    # with none, one, or two or more of their zero literals' orders left
+    # uncached, and partway through the order budget is spent.  A line
+    # resets the literals that changed, or its whole zero set when it starts
+    # from the baselines; either way it must answer as a stateless full
+    # sweep and the oracle do, leave every slot of the kept vector as a full
+    # sweep leaves it, and report the nodes a forward scan reaches from the
+    # literals it reset
+    d = _reset_circuit(source, seed)
+    oracle = ExhaustiveCounter(d)
+    n = d.num_variables
+    free = [v for v in range(1, n + 1) if v not in d.core | d.dead | d.omitted]
+    if len(free) < 2:
+        return
+    always_partial = OptimizationConfig(traversal_bypass_fraction=1.0)
+    state = SessionState()
+    selection: dict[int, bool] = {}  # variable -> included
+    lines = data.draw(st.integers(2, 10))
+    spend = data.draw(st.integers(1, lines))  # lines: never spent
+    with pytest.MonkeyPatch.context() as patch:
+        for line in range(lines):
+            if line == spend:
+                patch.setattr(ddnnf.engine, "ANCESTOR_ORDER_BUDGET", 0)
+            k = data.draw(st.integers(2, min(6, len(free))))
+            chosen = data.draw(
+                st.lists(st.sampled_from(free), min_size=k, max_size=k, unique=True)
+            )
+            edits = []  # the zero literal each change moves into or out of the zero set
+            for v in chosen:
+                if v in selection:
+                    edits.append(-v if selection.pop(v) else v)
+                else:
+                    selection[v] = data.draw(st.booleans())
+                    edits.append(-v if selection[v] else v)
+            uncached = data.draw(st.sampled_from(["none", "one", "several"]))
+            missing = {"none": 0, "one": 1}.get(uncached) or data.draw(st.integers(2, k))
+            for lit in edits[missing:]:  # a one-literal query stores its order
+                query(d, [-lit], always_partial)
+            a = Assumptions.from_literals([v if sign else -v for v, sign in selection.items()])
+            old, kept, entries = state.zero_literals, state.values, d.ancestor_entries
+            result = query(d, a, always_partial, state)
+            want = oracle.count(a)
+            assert result.count == query(d, a, NO_PARTIAL_TRAVERSAL).count == want
+            zero = {-v if sign else v for v, sign in selection.items()}
+            if zero in (set(), old):  # answered without the circuit, state kept
+                assert result.strategy == "shortcut" and state.zero_literals is old
+                continue
+            assert result.strategy == "partial"
+            assert state.values == fresh_values(d, state.zero_literals)
+            # the same list is the kept vector updated in place; a new one
+            # is a copy of the baselines with the whole zero set reset
+            delta = old ^ state.zero_literals if state.values is kept else state.zero_literals
+            assert result.nodes_marked == result.nodes_visited == len(tape_nodes(d, delta))
+            if line >= spend:
+                assert d.ancestor_entries == entries
+    assert_orders_exact(d)
 
 
 # the literal kinds a line of test_literal_lines_match_oracle_and_assumptions
